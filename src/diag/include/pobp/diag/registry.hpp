@@ -63,7 +63,7 @@ inline constexpr std::string_view kJobMalformed = "POBP-JOB-001";
 inline constexpr std::string_view kOptMachineCount = "POBP-OPT-001";
 inline constexpr std::string_view kOptExactSeedLimit = "POBP-OPT-002";
 
-// Serving-layer fault containment (Session::solve boundary) and the
+// Serving-layer fault containment (Session::run boundary) and the
 // streaming admission control (StreamEngine, docs/SERVING.md).
 inline constexpr std::string_view kRunPipelineFault = "POBP-RUN-001";
 inline constexpr std::string_view kRunDeadline = "POBP-RUN-002";

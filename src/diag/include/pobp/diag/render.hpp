@@ -3,10 +3,17 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 #include "pobp/diag/diagnostic.hpp"
 
 namespace pobp::diag {
+
+/// `s` as a quoted JSON string literal: quotes, backslashes and control
+/// bytes escaped, every other byte copied verbatim.  The one JSON string
+/// escaper: the renderers below, the `pobp serve` wire frames and
+/// StreamEngine::stats_json() all use it.
+std::string json_quote(std::string_view s);
 
 /// One line per finding ("RULE [severity] location: message"), followed by
 /// a severity summary line.  Empty reports render as "no findings\n".

@@ -1,35 +1,12 @@
 #include "pobp/diag/render.hpp"
 
+#include <cstdio>
 #include <sstream>
 
 #include "pobp/diag/registry.hpp"
 
 namespace pobp::diag {
 namespace {
-
-/// Minimal JSON string escaping (the catalogue and messages are ASCII, but
-/// CSV-derived payload values could contain anything).
-void append_json_string(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 std::string_view sarif_level(Severity severity) {
   switch (severity) {
@@ -41,6 +18,32 @@ std::string_view sarif_level(Severity severity) {
 }
 
 }  // namespace
+
+std::string json_quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 std::string to_text(const Report& report) {
   if (report.empty()) return "no findings\n";
@@ -59,7 +62,7 @@ std::string to_sarif(const Report& report, std::string_view tool_name) {
   os << "{\"version\":\"2.1.0\","
      << "\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
      << "\"runs\":[{\"tool\":{\"driver\":{\"name\":";
-  append_json_string(os, tool_name);
+  os << json_quote(tool_name);
   os << ",\"rules\":[";
   bool first = true;
   for (const std::string& id : report.rule_ids()) {
@@ -67,14 +70,14 @@ std::string to_sarif(const Report& report, std::string_view tool_name) {
     if (!first) os << ',';
     first = false;
     os << "{\"id\":";
-    append_json_string(os, id);
+    os << json_quote(id);
     if (info) {
       os << ",\"shortDescription\":{\"text\":";
-      append_json_string(os, info->title);
+      os << json_quote(info->title);
       os << "},\"fullDescription\":{\"text\":";
-      append_json_string(os, info->description);
+      os << json_quote(info->description);
       os << "},\"properties\":{\"paperRef\":";
-      append_json_string(os, info->paper_ref);
+      os << json_quote(info->paper_ref);
       os << "}";
     }
     os << "}";
@@ -85,17 +88,17 @@ std::string to_sarif(const Report& report, std::string_view tool_name) {
     if (!first) os << ',';
     first = false;
     os << "{\"ruleId\":";
-    append_json_string(os, d.rule);
+    os << json_quote(d.rule);
     os << ",\"level\":\"" << sarif_level(d.severity)
        << "\",\"message\":{\"text\":";
-    append_json_string(os, d.message);
+    os << json_quote(d.message);
     os << "}";
     // Source-anchored findings (POBP-SRC-*) render as a SARIF
     // physicalLocation so editors and CI annotate the file directly.
     if (d.where.file) {
       os << ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
             "{\"uri\":";
-      append_json_string(os, *d.where.file);
+      os << json_quote(*d.where.file);
       os << "}";
       if (d.where.line) {
         os << ",\"region\":{\"startLine\":" << *d.where.line;
@@ -110,10 +113,10 @@ std::string to_sarif(const Report& report, std::string_view tool_name) {
                           bool quote) {
       if (!first_prop) os << ',';
       first_prop = false;
-      append_json_string(os, key);
+      os << json_quote(key);
       os << ':';
       if (quote) {
-        append_json_string(os, value);
+        os << json_quote(value);
       } else {
         os << value;
       }
@@ -139,14 +142,14 @@ std::string to_json(const Report& report) {
     if (!first) os << ',';
     first = false;
     os << "{\"rule\":";
-    append_json_string(os, d.rule);
+    os << json_quote(d.rule);
     os << ",\"severity\":\"" << sarif_level(d.severity)
        << "\",\"message\":";
-    append_json_string(os, d.message);
+    os << json_quote(d.message);
     const std::string where = d.where.to_string();
     if (!where.empty()) {
       os << ",\"where\":";
-      append_json_string(os, where);
+      os << json_quote(where);
     }
     if (!d.payload.empty()) {
       os << ",\"payload\":{";
@@ -154,9 +157,9 @@ std::string to_json(const Report& report) {
       for (const auto& [key, value] : d.payload) {
         if (!first_prop) os << ',';
         first_prop = false;
-        append_json_string(os, key);
+        os << json_quote(key);
         os << ':';
-        append_json_string(os, value);
+        os << json_quote(value);
       }
       os << '}';
     }

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -52,6 +51,16 @@ void backoff_before_retry(const RetryPolicy& policy, std::size_t attempt,
   }
 }
 
+/// solve_into's exception for a failed run(): the budget verdicts rethrow
+/// as the BudgetError the pipeline raised, anything else (a contained
+/// fault, rejected options) as an InternalError naming the rule.
+[[noreturn]] void throw_report(const diag::Report& report) {
+  if (report.count(diag::rules::kRunDeadline) > 0) throw DeadlineExceeded();
+  if (report.count(diag::rules::kRunBudget) > 0) throw BudgetExhausted();
+  throw InternalError(report.rule_ids().front().c_str(), __FILE__, __LINE__,
+                      report.first_error().c_str());
+}
+
 // --- work-stealing shards ---------------------------------------------------
 //
 // One worker's shard of a batch: a half-open range [lo, hi) of instance
@@ -84,114 +93,187 @@ Session::Session(EngineOptions options)
 
 Session::~Session() = default;
 
-ScheduleResult Session::solve(const JobSet& jobs) {
-  return solve(jobs, options_.schedule);
+std::optional<diag::Report> Session::run(const JobSet& jobs,
+                                         const ScheduleOptions& options,
+                                         const SubmitOptions& submit,
+                                         std::size_t instance,
+                                         ScheduleResult& out,
+                                         bool approximate) {
+  last_cache_hit_ = false;
+  std::optional<diag::Report> failed;
+  if (diag::Report rejected = check_schedule_options(jobs, options);
+      !rejected.ok()) {
+    failed = std::move(rejected);
+  } else {
+    // Fault-injection triggers key on (site, instance, nth-call-within-
+    // instance); the scope resets the per-site counters so placement is
+    // identical for every worker count.
+    const fault::InstanceScope fault_scope(instance);
+    const CacheMode cache_mode = submit.cache.value_or(options_.cache_mode);
+    failed = approximate ? run_approximate(jobs, options, cache_mode,
+                                           /*exact_first=*/true, instance, out)
+                         : run_exact(jobs, options, submit, cache_mode,
+                                     instance, out);
+  }
+  // A failed solve may have left a partially written result behind; reset
+  // the slot so callers never observe it (costs storage only on failure).
+  if (failed) out = ScheduleResult{};
+  return failed;
 }
 
-ScheduleResult Session::solve(const JobSet& jobs,
-                              const ScheduleOptions& options) {
+SolveOutcome Session::try_solve(const JobSet& jobs,
+                                const ScheduleOptions& options,
+                                const SubmitOptions& submit,
+                                std::size_t instance) {
   ScheduleResult result;
-  solve_into(jobs, options, result);
+  if (auto failed = run(jobs, options, submit, instance, result)) {
+    return Unexpected{std::move(*failed)};
+  }
   return result;
 }
 
 void Session::solve_into(const JobSet& jobs, ScheduleResult& out) {
-  solve_into(jobs, options_.schedule, out);
+  if (const auto failed = run(jobs, options_.schedule, {}, kNoInstance, out)) {
+    throw_report(*failed);
+  }
 }
 
-void Session::solve_into(const JobSet& jobs, const ScheduleOptions& options,
-                         ScheduleResult& out) {
-  if (!options_.budget.unlimited()) {
-    BudgetGuard guard(options_.budget);
+std::optional<diag::Report> Session::run_exact(const JobSet& jobs,
+                                               const ScheduleOptions& options,
+                                               const SubmitOptions& submit,
+                                               CacheMode cache_mode,
+                                               std::size_t instance,
+                                               ScheduleResult& out) {
+  SolveBudget budget = submit.budget.value_or(options_.budget);
+  // A request deadline tightens (never widens) the budget deadline.
+  if (submit.deadline_s > 0 &&
+      (budget.deadline_s <= 0 || submit.deadline_s < budget.deadline_s)) {
+    budget.deadline_s = submit.deadline_s;
+  }
+  // One guard spans every attempt: the wall-clock deadline keeps running
+  // and the op counter accumulates across retries, so retrying (and the
+  // backoff sleeps between attempts) can never spend beyond the request's
+  // SolveBudget.
+  std::optional<BudgetGuard> guard;
+  if (!budget.unlimited()) guard.emplace(budget);
+  const RetryPolicy& retry = options_.retry;
+  for (std::size_t attempt = 1;; ++attempt) {
     try {
-      const BudgetGuard::Scope budget_scope(&guard);
-      solve_pipeline_into(jobs, options, options_.cache_mode, out);
-      return;
-    } catch (const BudgetError&) {
-      if (options_.degrade != DegradePolicy::kApproximate) throw;
+      // Unbudgeted, the scope reinstalls whatever guard is already active.
+      const BudgetGuard::Scope budget_scope(guard ? &*guard
+                                                  : BudgetGuard::active());
+      solve_tier(jobs, options, cache_mode, /*approximate=*/false,
+                 /*exact_first=*/false, out);
+      return std::nullopt;
+    } catch (const BudgetError& e) {
+      // The budget → degrade fallback.  Budget verdicts are never retried.
+      if (submit.degrade.value_or(options_.degrade) ==
+          DegradePolicy::kApproximate) {
+        return run_approximate(jobs, options, cache_mode,
+                               /*exact_first=*/false, instance, out);
+      }
+      const bool deadline =
+          dynamic_cast<const DeadlineExceeded*>(&e) != nullptr;
+      ++(deadline ? metrics_.deadline_exceeded : metrics_.budget_exhausted);
+      return run_report(
+          deadline ? diag::rules::kRunDeadline : diag::rules::kRunBudget,
+          e.what(), instance);
+    } catch (...) {
+      if (attempt < retry.max_attempts) {
+        ++metrics_.retries;
+        backoff_before_retry(retry, attempt, instance,
+                             guard ? &*guard : nullptr);
+        continue;
+      }
+      // Final-attempt downgrade: when every full-pipeline attempt faulted,
+      // the policy may answer on the approximate tier instead of reporting
+      // the instance failed (result tagged degraded).
+      if (retry.degrade_final_attempt) {
+        return run_approximate(jobs, options, cache_mode,
+                               /*exact_first=*/false, instance, out);
+      }
+      return fault_report(instance);
     }
-    // guard uninstalled
-    solve_degraded_into(jobs, options, options_.cache_mode, out);
-    return;
   }
-  solve_pipeline_into(jobs, options, options_.cache_mode, out);
 }
 
-CacheKey Session::cache_key_into_scratch(const JobSet& jobs,
-                                         const ScheduleOptions& options,
-                                         bool approximate,
-                                         std::uint64_t& params_sig) {
-  // Canonicalization happens here: the SoA mirror *is* the canonical form
-  // (job-id order, one contiguous column per attribute), so keying reuses
-  // the same staging the pipeline solves from.  All buffers are pooled —
-  // a warm probe allocates nothing.
-  SolveScratch& s = *scratch_;
-  s.columns.build(jobs);
-  params_sig = SolveCache::params_signature(options, approximate);
-  s.subhashes.resize(jobs.size());
-  SolveCache::job_subhashes(s.columns.view(), s.subhashes.data());
-  return SolveCache::instance_key(s.columns.view(), s.subhashes.data(),
-                                  params_sig);
+std::optional<diag::Report> Session::run_approximate(
+    const JobSet& jobs, const ScheduleOptions& options, CacheMode cache_mode,
+    bool exact_first, std::size_t instance, ScheduleResult& out) {
+  try {
+    solve_tier(jobs, options, cache_mode, /*approximate=*/true, exact_first,
+               out);
+    return std::nullopt;
+  } catch (...) {
+    return fault_report(instance);
+  }
 }
 
-bool Session::try_solve_cached(const JobSet& jobs,
-                               const ScheduleOptions& options,
-                               ScheduleResult& out) {
-  SolveCache* cache = options_.cache.get();
-  if (cache == nullptr || jobs.empty()) return false;
-  std::uint64_t params_sig = 0;
-  const CacheKey key =
-      cache_key_into_scratch(jobs, options, /*approximate=*/false, params_sig);
-  if (!cache->try_get(key, scratch_->columns.view(), params_sig, out)) {
-    return false;
+diag::Report Session::fault_report(std::size_t instance) {
+  ++metrics_.pipeline_faults;
+  try {
+    throw;
+  } catch (const std::exception& e) {
+    return run_report(diag::rules::kRunPipelineFault, e.what(), instance);
+  } catch (...) {
+    return run_report(diag::rules::kRunPipelineFault,
+                      "unknown pipeline exception", instance);
   }
-  last_cache_hit_ = true;
-  if (options_.collect_metrics) {
-    ++metrics_.cache_hits;
-    metrics_.record(jobs, out, PipelineTimings{}, 0.0, true);
-  }
-  return true;
 }
 
-void Session::solve_pipeline_into(const JobSet& jobs,
-                                  const ScheduleOptions& options,
-                                  CacheMode cache_mode, ScheduleResult& out) {
+void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
+                         CacheMode cache_mode, bool approximate,
+                         bool exact_first, ScheduleResult& out) {
   POBP_CHECK(options.machine_count >= 1);
+  // Started before the probe, so a cache hit records its own key + probe +
+  // copy-out time rather than a 0-second solve.
+  const Stopwatch total;
+  SolveScratch& s = *scratch_;
+
   // Cache probe before anything can fault or spend budget: an exact hit is
   // the memoized output of this very pipeline (pure in (jobs, options)), so
-  // serving it is bit-identical to re-solving.  Empty instances are not
-  // cached — the empty fast path below is already O(1).
-  SolveCache* cache = options_.cache.get();
-  const bool cacheable = cache != nullptr && !jobs.empty() &&
-                         cache_mode != CacheMode::kOff;
-  last_cache_hit_ = false;
+  // serving it is bit-identical to re-solving.  Each tier keys under its
+  // own parameter signature, so an approximate entry never aliases an
+  // exact one.  Empty instances are not cached — the empty fast path below
+  // is already O(1).
+  SolveCache* cache = cache_mode == CacheMode::kOff || jobs.empty()
+                          ? nullptr
+                          : options_.cache.get();
   CacheKey key{};
   std::uint64_t params_sig = 0;
-  if (cacheable) {
-    key = cache_key_into_scratch(jobs, options, /*approximate=*/false,
-                                 params_sig);
-    if (cache->try_get(key, scratch_->columns.view(), params_sig, out)) {
-      last_cache_hit_ = true;
-      if (options_.collect_metrics) {
-        ++metrics_.cache_hits;
-        metrics_.record(jobs, out, PipelineTimings{}, 0.0, true);
-      }
-      return;
-    }
-    if (options_.collect_metrics) ++metrics_.cache_misses;
+  const auto lookup = [&](bool approximate_key) {
+    // Canonicalization happens here: the SoA mirror *is* the canonical
+    // form (job-id order, one contiguous column per attribute), so keying
+    // reuses the same staging the pipeline solves from.  All buffers are
+    // pooled — a warm probe allocates nothing.
+    s.columns.build(jobs);
+    params_sig = SolveCache::params_signature(options, approximate_key);
+    s.subhashes.resize(jobs.size());
+    SolveCache::job_subhashes(s.columns.view(), s.subhashes.data());
+    key = SolveCache::instance_key(s.columns.view(), s.subhashes.data(),
+                                   params_sig);
+    const bool hit = cache->try_get(key, s.columns.view(), params_sig, out);
+    ++(hit ? metrics_.cache_hits : metrics_.cache_misses);
+    return hit;
+  };
+  // The overload tier asks for the exact answer first (read-only — its
+  // key is never published here): a hit answers at full fidelity for free,
+  // so only instances that would cost a pipeline run get degraded.
+  if (cache != nullptr &&
+      ((exact_first && lookup(false)) || lookup(approximate))) {
+    last_cache_hit_ = true;
+    metrics_.record(jobs, out, /*timings=*/nullptr, total.seconds(), true);
+    return;
   }
-  POBP_FAULT_POINT(kAlloc);
-  Stopwatch total;
-  PipelineTimings timings;
 
+  if (!approximate) POBP_FAULT_POINT(kAlloc);
+  PipelineTimings timings;
   out.value = 0;
   out.unbounded_value = 0;
-  out.degraded = false;
+  out.degraded = approximate;
   out.schedule.reset(options.machine_count);
   if (jobs.empty()) {
-    if (options_.collect_metrics) {
-      metrics_.record(jobs, out, timings, total.seconds(), true);
-    }
+    metrics_.record(jobs, out, &timings, total.seconds(), true);
     return;
   }
 
@@ -200,14 +282,25 @@ void Session::solve_pipeline_into(const JobSet& jobs,
   // (including the result arena's branch schedules), so nothing
   // reallocates once they have grown to the largest instance seen.
   Stopwatch sw;
-  SolveScratch& s = *scratch_;
   s.ids.resize(jobs.size());
   std::iota(s.ids.begin(), s.ids.end(), JobId{0});
-  seed_unbounded_schedule_into(jobs, options, s.ids, s, s.seed);
+  if (approximate) {
+    // §4.3: greedy-density seed for the reference value, then LSA_CS
+    // directly on all jobs — no exact DP/B&B, no laminarization, no
+    // forest.
+    greedy_infinity_multi_into(jobs, s.ids, options.machine_count, s.greedy,
+                               s.seed);
+  } else {
+    seed_unbounded_schedule_into(jobs, options, s.ids, s, s.seed);
+  }
   timings.seed_s = sw.lap();
   out.unbounded_value = s.seed.total_value(jobs);
 
-  if (options.k == 0) {
+  if (approximate) {
+    lsa_cs_multi_into(jobs, s.ids, options.k, options.machine_count, s.lsa,
+                      out.schedule);
+    timings.lsa_s = sw.lap();
+  } else if (options.k == 0) {
     // §5: iterative per-machine non-preemptive scheduling of the residual.
     s.remaining.assign(s.ids.begin(), s.ids.end());
     for (std::size_t m = 0;
@@ -230,7 +323,7 @@ void Session::solve_pipeline_into(const JobSet& jobs,
     // (SolveDeltaHint in pobp/core/pobp.hpp).
     SolveDeltaHint hint;
     const SolveDeltaHint* delta = nullptr;
-    if (cacheable && cache->delta_enabled() &&
+    if (cache != nullptr && cache->delta_enabled() &&
         cache->copy_delta_neighbor(s.columns.view(), s.subhashes.data(),
                                    params_sig, delta_)) {
       hint.seed = &delta_.seed;
@@ -238,283 +331,39 @@ void Session::solve_pipeline_into(const JobSet& jobs,
       hint.full_sched = &delta_.full_sched;
       hint.job_changed = delta_.changed.data();
       delta = &hint;
-      if (options_.collect_metrics) ++metrics_.cache_delta_patches;
+      ++metrics_.cache_delta_patches;
     }
     k_preemption_combined_multi_into(jobs, s.seed, combined, &timings, s,
                                      out.schedule, delta);
   }
   out.value = out.schedule.total_value(jobs);
 
-  bool valid = true;
-  if (options_.validate) {
-    sw.lap();
-    // Verdict-only fast path: same predicates as validate(), but no
-    // diag::Report (string) construction and zero allocations.  The full
-    // diagnostics run only on the failure path, which trips the metrics
-    // counter below and is investigated with pobp_lint / diagnose_schedule.
-    valid = validate_fast(jobs, out.schedule, options.k, s.validate);
-    timings.validate_s = sw.lap();
-  }
-  if (options_.collect_metrics) {
-    metrics_.record(jobs, out, timings, total.seconds(), valid);
-  }
+  // Verdict-only fast path: same predicates as validate(), but no
+  // diag::Report (string) construction and zero allocations.  The full
+  // diagnostics run only on the failure path, which trips the metrics
+  // counter below and is investigated with pobp_lint / diagnose_schedule.
+  sw.lap();
+  const bool valid = validate_fast(jobs, out.schedule, options.k, s.validate);
+  timings.validate_s = sw.lap();
+  metrics_.record(jobs, out, &timings, total.seconds(), valid);
+
   // Publish only after the pipeline returned cleanly AND the validator
   // passed: any fault above propagates out before this point, so a
-  // mid-solve fault can never leave a partial entry behind.  The stage
-  // schedules (seed + both reduction branches) make the entry a delta
-  // neighbor for future near-duplicates; the k = 0 path has no reduction
-  // branches, so its entry is result-only.
-  if (cacheable && valid && cache_mode == CacheMode::kReadWrite) {
-    const bool delta_capable = options.k != 0;
+  // mid-solve fault can never leave a partial entry behind.  The exact
+  // tier's stage schedules (seed + both reduction branches) make the entry
+  // a delta neighbor for future near-duplicates; the k = 0 path has no
+  // reduction branches and approximate entries none at all, so theirs are
+  // result-only.
+  if (cache != nullptr && valid && cache_mode == CacheMode::kReadWrite) {
+    const bool delta_capable = !approximate && options.k != 0;
     const std::size_t evicted = cache->insert(
         key, s.columns.view(), s.subhashes.data(), params_sig, out,
         delta_capable ? &s.seed : nullptr,
         delta_capable ? &s.strict_sched : nullptr,
         delta_capable ? &s.full_sched : nullptr);
-    if (options_.collect_metrics) {
-      ++metrics_.cache_insertions;
-      metrics_.cache_evictions += evicted;
-    }
+    ++metrics_.cache_insertions;
+    metrics_.cache_evictions += evicted;
   }
-}
-
-void Session::solve_degraded_into(const JobSet& jobs,
-                                  const ScheduleOptions& options,
-                                  CacheMode cache_mode, ScheduleResult& out) {
-  POBP_CHECK(options.machine_count >= 1);
-  // Degraded results are cached too — under the *approximate* parameter
-  // signature, so the sampled tier can never alias an exact answer (and
-  // vice versa).  No stage schedules: degraded entries are result-only.
-  SolveCache* cache = options_.cache.get();
-  const bool cacheable = cache != nullptr && !jobs.empty() &&
-                         cache_mode != CacheMode::kOff;
-  last_cache_hit_ = false;
-  CacheKey key{};
-  std::uint64_t params_sig = 0;
-  if (cacheable) {
-    key = cache_key_into_scratch(jobs, options, /*approximate=*/true,
-                                 params_sig);
-    if (cache->try_get(key, scratch_->columns.view(), params_sig, out)) {
-      last_cache_hit_ = true;
-      if (options_.collect_metrics) {
-        ++metrics_.cache_hits;
-        metrics_.record(jobs, out, PipelineTimings{}, 0.0, true);
-      }
-      return;
-    }
-    if (options_.collect_metrics) ++metrics_.cache_misses;
-  }
-  Stopwatch total;
-  PipelineTimings timings;
-
-  out.value = 0;
-  out.unbounded_value = 0;
-  out.degraded = true;
-  out.schedule.reset(options.machine_count);
-  if (!jobs.empty()) {
-    // The §4.3 approximate path: greedy-density seed for the reference
-    // value, then LSA_CS directly on all jobs — no exact DP/B&B, no
-    // laminarization, no forest.  Runs without a budget guard: it is the
-    // fallback after the budget already fired.
-    Stopwatch sw;
-    SolveScratch& s = *scratch_;
-    s.ids.resize(jobs.size());
-    std::iota(s.ids.begin(), s.ids.end(), JobId{0});
-    greedy_infinity_multi_into(jobs, s.ids, options.machine_count, s.greedy,
-                               s.seed);
-    timings.seed_s = sw.lap();
-    out.unbounded_value = s.seed.total_value(jobs);
-    lsa_cs_multi_into(jobs, s.ids, options.k, options.machine_count, s.lsa,
-                      out.schedule);
-    timings.lsa_s = sw.lap();
-    out.value = out.schedule.total_value(jobs);
-  }
-
-  bool valid = true;
-  if (options_.validate) {
-    Stopwatch sw;
-    valid = validate_fast(jobs, out.schedule, options.k, scratch_->validate);
-    timings.validate_s = sw.lap();
-  }
-  if (options_.collect_metrics) {
-    metrics_.record(jobs, out, timings, total.seconds(), valid);
-  }
-  if (cacheable && valid && cache_mode == CacheMode::kReadWrite) {
-    const std::size_t evicted =
-        cache->insert(key, scratch_->columns.view(), scratch_->subhashes.data(),
-                      params_sig, out, nullptr, nullptr, nullptr);
-    if (options_.collect_metrics) {
-      ++metrics_.cache_insertions;
-      metrics_.cache_evictions += evicted;
-    }
-  }
-}
-
-SolveOutcome Session::try_solve(const JobSet& jobs, std::size_t instance) {
-  return try_solve_impl(jobs, options_.schedule, options_.budget,
-                        options_.degrade, options_.cache_mode, instance);
-}
-
-SolveOutcome Session::try_solve(const JobSet& jobs,
-                                const ScheduleOptions& options,
-                                std::size_t instance) {
-  return try_solve_impl(jobs, options, options_.budget, options_.degrade,
-                        options_.cache_mode, instance);
-}
-
-SolveOutcome Session::try_solve(const JobSet& jobs,
-                                const ScheduleOptions& options,
-                                const SubmitOptions& submit,
-                                std::size_t instance) {
-  SolveBudget budget = submit.budget.value_or(options_.budget);
-  // A request deadline tightens (never widens) the budget deadline.
-  if (submit.deadline_s > 0 &&
-      (budget.deadline_s <= 0 || submit.deadline_s < budget.deadline_s)) {
-    budget.deadline_s = submit.deadline_s;
-  }
-  return try_solve_impl(jobs, options, budget,
-                        submit.degrade.value_or(options_.degrade),
-                        submit.cache.value_or(options_.cache_mode), instance);
-}
-
-std::optional<diag::Report> Session::try_solve_into(
-    const JobSet& jobs, const ScheduleOptions& options,
-    const SubmitOptions& submit, std::size_t instance, ScheduleResult& out) {
-  SolveBudget budget = submit.budget.value_or(options_.budget);
-  if (submit.deadline_s > 0 &&
-      (budget.deadline_s <= 0 || submit.deadline_s < budget.deadline_s)) {
-    budget.deadline_s = submit.deadline_s;
-  }
-  std::optional<diag::Report> failed = try_solve_into_impl(
-      jobs, options, budget, submit.degrade.value_or(options_.degrade),
-      submit.cache.value_or(options_.cache_mode), instance, out);
-  // A failed solve may have left a partially written result behind; reset
-  // the slot so callers never observe it (costs storage only on failure).
-  if (failed) out = ScheduleResult{};
-  return failed;
-}
-
-SolveOutcome Session::try_solve_degraded(const JobSet& jobs,
-                                         const ScheduleOptions& options,
-                                         std::size_t instance) {
-  diag::Report rejected = check_schedule_options(jobs, options);
-  if (!rejected.ok()) return Unexpected{std::move(rejected)};
-  const fault::InstanceScope fault_scope(instance);
-  try {
-    ScheduleResult result;
-    solve_degraded_into(jobs, options, options_.cache_mode, result);
-    return result;
-  } catch (const std::exception& e) {
-    if (options_.collect_metrics) ++metrics_.pipeline_faults;
-    return Unexpected{
-        run_report(diag::rules::kRunPipelineFault, e.what(), instance)};
-  } catch (...) {
-    if (options_.collect_metrics) ++metrics_.pipeline_faults;
-    return Unexpected{run_report(diag::rules::kRunPipelineFault,
-                                 "unknown pipeline exception", instance)};
-  }
-}
-
-SolveOutcome Session::try_solve_impl(const JobSet& jobs,
-                                     const ScheduleOptions& options,
-                                     const SolveBudget& budget,
-                                     DegradePolicy degrade,
-                                     CacheMode cache_mode,
-                                     std::size_t instance) {
-  ScheduleResult result;
-  std::optional<diag::Report> failed = try_solve_into_impl(
-      jobs, options, budget, degrade, cache_mode, instance, result);
-  if (failed) return Unexpected{std::move(*failed)};
-  return result;
-}
-
-std::optional<diag::Report> Session::try_solve_into_impl(
-    const JobSet& jobs, const ScheduleOptions& options,
-    const SolveBudget& budget, DegradePolicy degrade, CacheMode cache_mode,
-    std::size_t instance, ScheduleResult& out) {
-  diag::Report rejected = check_schedule_options(jobs, options);
-  if (!rejected.ok()) return rejected;
-
-  // Fault-injection triggers key on (site, instance, nth-call-within-
-  // instance); the scope resets the per-site counters so placement is
-  // identical for every worker count.
-  const fault::InstanceScope fault_scope(instance);
-  const RetryPolicy& retry = options_.retry;
-  // EngineOptions::max_retries predates RetryPolicy; the effective attempt
-  // cap honours whichever grants more attempts.
-  const std::size_t attempts = std::max<std::size_t>(
-      std::max<std::size_t>(1, retry.max_attempts), options_.max_retries + 1);
-  const bool budgeted = !budget.unlimited();
-  // One guard spans every attempt: the wall-clock deadline keeps running
-  // and the op counter accumulates across retries, so retrying (and the
-  // backoff sleeps between attempts) can never spend beyond the request's
-  // SolveBudget.
-  std::optional<BudgetGuard> guard;
-  if (budgeted) guard.emplace(budget);
-  for (std::size_t attempt = 1;; ++attempt) {
-    try {
-      if (!budgeted) {
-        solve_pipeline_into(jobs, options, cache_mode, out);
-        return std::nullopt;
-      }
-      const BudgetGuard::Scope budget_scope(&*guard);
-      solve_pipeline_into(jobs, options, cache_mode, out);
-      return std::nullopt;
-    } catch (const DeadlineExceeded& e) {
-      return budget_fallback_into(jobs, options, degrade, cache_mode, instance,
-                                  /*deadline=*/true, e.what(), out);
-    } catch (const BudgetExhausted& e) {
-      return budget_fallback_into(jobs, options, degrade, cache_mode, instance,
-                                  /*deadline=*/false, e.what(), out);
-    } catch (const std::exception& e) {
-      if (attempt < attempts) {
-        if (options_.collect_metrics) ++metrics_.retries;
-        backoff_before_retry(retry, attempt, instance,
-                             guard ? &*guard : nullptr);
-        continue;
-      }
-      // Final-attempt downgrade: when every full-pipeline attempt
-      // faulted, the policy may answer on the approximate path instead of
-      // reporting the instance failed (result tagged degraded).
-      if (retry.degrade_final_attempt) {
-        try {
-          solve_degraded_into(jobs, options, cache_mode, out);
-          return std::nullopt;
-        } catch (const std::exception& degraded_error) {
-          if (options_.collect_metrics) ++metrics_.pipeline_faults;
-          return run_report(diag::rules::kRunPipelineFault,
-                            degraded_error.what(), instance);
-        }
-      }
-      if (options_.collect_metrics) ++metrics_.pipeline_faults;
-      return run_report(diag::rules::kRunPipelineFault, e.what(), instance);
-    } catch (...) {
-      if (options_.collect_metrics) ++metrics_.pipeline_faults;
-      return run_report(diag::rules::kRunPipelineFault,
-                        "unknown pipeline exception", instance);
-    }
-  }
-}
-
-std::optional<diag::Report> Session::budget_fallback_into(
-    const JobSet& jobs, const ScheduleOptions& options, DegradePolicy degrade,
-    CacheMode cache_mode, std::size_t instance, bool deadline,
-    const char* what, ScheduleResult& out) {
-  if (degrade == DegradePolicy::kApproximate) {
-    try {
-      solve_degraded_into(jobs, options, cache_mode, out);
-      return std::nullopt;
-    } catch (const std::exception& e) {
-      if (options_.collect_metrics) ++metrics_.pipeline_faults;
-      return run_report(diag::rules::kRunPipelineFault, e.what(), instance);
-    }
-  }
-  if (options_.collect_metrics) {
-    ++(deadline ? metrics_.deadline_exceeded : metrics_.budget_exhausted);
-  }
-  return run_report(deadline ? diag::rules::kRunDeadline
-                             : diag::rules::kRunBudget,
-                    what, instance);
 }
 
 // --- Engine -----------------------------------------------------------------
@@ -538,16 +387,6 @@ Engine::Engine(EngineOptions options)
 
 Engine::~Engine() = default;
 
-ScheduleResult Engine::solve(const JobSet& jobs) {
-  return solve(jobs, options_.schedule);
-}
-
-ScheduleResult Engine::solve(const JobSet& jobs,
-                             const ScheduleOptions& options) {
-  util::MutexLock lock(inline_mutex_);
-  return inline_session_.solve(jobs, options);
-}
-
 std::vector<ScheduleResult> Engine::solve_batch(
     std::span<const JobSet> instances, const SubmitOptions& submit) {
   std::vector<ScheduleResult> results;
@@ -560,8 +399,8 @@ void Engine::solve_batch_into(std::span<const JobSet> instances,
                               std::vector<ScheduleResult>& results) {
   // resize() keeps the surviving elements — and hence their schedules'
   // pooled storage — intact, so round-tripping the same vector gives
-  // allocation-free steady-state batches (try_solve_into recycles
-  // results[i]'s storage the way solve_into does).
+  // allocation-free steady-state batches (run() recycles results[i]'s
+  // storage).
   //
   // Contained form: a failed instance leaves a default (empty, value 0)
   // result in its slot and is reported through submit.on_error instead of
@@ -572,8 +411,8 @@ void Engine::solve_batch_into(std::span<const JobSet> instances,
   std::vector<std::optional<diag::Report>> errors(
       collect_errors ? instances.size() : 0);
   run_batch(instances.size(), [&](Session& session, std::size_t i) {
-    std::optional<diag::Report> failed = session.try_solve_into(
-        instances[i], options_.schedule, submit, i, results[i]);
+    std::optional<diag::Report> failed =
+        session.run(instances[i], options_.schedule, submit, i, results[i]);
     if (failed && collect_errors) errors[i] = std::move(failed);
   });
   if (collect_errors) {
@@ -585,64 +424,33 @@ void Engine::solve_batch_into(std::span<const JobSet> instances,
 
 std::vector<SolveOutcome> Engine::try_solve_batch(
     std::span<const JobSet> instances, const SubmitOptions& submit) {
-  std::vector<std::optional<SolveOutcome>> slots(instances.size());
+  std::vector<ScheduleResult> results(instances.size());
+  std::vector<std::optional<diag::Report>> errors(instances.size());
   run_batch(instances.size(), [&](Session& session, std::size_t i) {
-    slots[i].emplace(
-        session.try_solve(instances[i], options_.schedule, submit, i));
+    errors[i] =
+        session.run(instances[i], options_.schedule, submit, i, results[i]);
   });
-  std::vector<SolveOutcome> results;
-  results.reserve(instances.size());
-  for (std::optional<SolveOutcome>& slot : slots) {
-    results.push_back(std::move(*slot));
-  }
-  if (submit.on_error) {
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (!results[i].has_value()) submit.on_error(i, results[i].error());
+  std::vector<SolveOutcome> outcomes;
+  outcomes.reserve(instances.size());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    if (!errors[i]) {
+      outcomes.emplace_back(std::move(results[i]));
+      continue;
     }
+    if (submit.on_error) submit.on_error(i, *errors[i]);
+    outcomes.emplace_back(Unexpected{std::move(*errors[i])});
   }
-  return results;
+  return outcomes;
 }
-
-// Deprecated pre-SubmitOptions shims: defaulted SubmitOptions means every
-// knob falls back to EngineOptions, so these are pure delegations.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-std::vector<ScheduleResult> Engine::solve_batch(
-    std::span<const JobSet> instances) {
-  return solve_batch(instances, SubmitOptions{});
-}
-
-void Engine::solve_batch_into(std::span<const JobSet> instances,
-                              std::vector<ScheduleResult>& results) {
-  solve_batch_into(instances, SubmitOptions{}, results);
-}
-
-std::vector<SolveOutcome> Engine::try_solve_batch(
-    std::span<const JobSet> instances) {
-  return try_solve_batch(instances, SubmitOptions{});
-}
-#pragma GCC diagnostic pop
 
 SolveOutcome Engine::try_solve(const JobSet& jobs) {
-  util::MutexLock lock(inline_mutex_);
-  return inline_session_.try_solve(jobs);
+  return try_solve(jobs, options_.schedule);
 }
 
 SolveOutcome Engine::try_solve(const JobSet& jobs,
                                const ScheduleOptions& options) {
   util::MutexLock lock(inline_mutex_);
   return inline_session_.try_solve(jobs, options);
-}
-
-void Engine::for_each_result(std::span<const JobSet> instances,
-                             const ResultCallback& on_result) {
-  std::vector<ScheduleResult> results(instances.size());
-  std::mutex callback_mutex;
-  run_batch(instances.size(), [&](Session& session, std::size_t i) {
-    results[i] = session.solve(instances[i]);
-    std::lock_guard cb_lock(callback_mutex);
-    on_result(i, results[i]);
-  });
 }
 
 void Engine::run_batch(std::size_t count, InstanceFn work) {

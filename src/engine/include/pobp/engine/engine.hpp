@@ -5,8 +5,8 @@
 // one Engine from EngineOptions, then stream instances through it —
 //
 //   pobp::Engine engine({.schedule = {.k = 1}, .workers = 8});
-//   pobp::ScheduleResult one = engine.solve(jobs);
-//   std::vector<pobp::ScheduleResult> all = engine.solve_batch(instances);
+//   pobp::SolveOutcome one = engine.try_solve(jobs);
+//   std::vector<pobp::ScheduleResult> all = engine.solve_batch(instances, {});
 //   std::vector<pobp::SolveOutcome> out =
 //       engine.try_solve_batch(instances, pobp::SubmitOptions{
 //           .budget = pobp::SolveBudget{.deadline_s = 0.5},
@@ -21,6 +21,9 @@
 // bit-deterministic: the results are identical for every worker count,
 // because each instance's solve is a pure function of (jobs, options).
 //
+// Every solve, batch or streaming, goes through Session::run — the one
+// solve path (docs/ENGINE.md).
+//
 // For long-lived online serving — a bounded submission queue, admission
 // control, per-tenant quotas and futures per request — see
 // pobp::StreamEngine (engine/serve.hpp, docs/SERVING.md), which feeds this
@@ -28,7 +31,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <span>
@@ -50,43 +52,30 @@ class ThreadPool;
 struct EngineOptions {
   ScheduleOptions schedule;  ///< pipeline options applied to every instance
 
-  /// Worker threads for solve_batch / for_each_result
-  /// (0 = hardware_concurrency).  Single solve() always runs inline.
+  /// Worker threads for solve_batch (0 = hardware_concurrency).  Single
+  /// try_solve() always runs inline.
   std::size_t workers = 0;
 
-  /// Run the Def. 2.1 validator on every result (timed as the validate
-  /// stage; failures are counted in EngineMetrics::validation_failures).
-  bool validate = true;
-
-  bool collect_metrics = true;
-
-  /// Per-instance solve limits (default: unlimited).  Enforced on the
-  /// try_solve / try_solve_batch paths; plain solve()/solve_batch() throw
-  /// BudgetError when a limit fires and no degrade policy absorbs it.
+  /// Per-instance solve limits (default: unlimited).  A limit that fires
+  /// is reported as POBP-RUN-002 / POBP-RUN-003 unless `degrade` absorbs
+  /// it; Session::solve_into throws BudgetError instead.
   SolveBudget budget = {};
 
   /// Fallback when `budget` is exhausted mid-pipeline.
   DegradePolicy degrade = DegradePolicy::kNone;
 
-  /// Extra full-pipeline attempts after a contained pipeline fault
-  /// (POBP-RUN-001) before the instance is reported as failed.  Budget and
-  /// deadline faults are never retried (they would fail identically or
-  /// blow through the deadline again).
-  std::size_t max_retries = 0;
-
-  /// Retry discipline for contained pipeline faults: attempts beyond the
-  /// first wait a deterministic capped-exponential backoff (jitter seeded
-  /// by the instance id, so replay is byte-identical) and draw from the
-  /// *same* SolveBudget as the first attempt — retrying never spends
-  /// beyond the request's limits.  `max_retries` above predates this
-  /// policy; the effective attempt cap is
-  /// max(retry.max_attempts, max_retries + 1).
+  /// Retry discipline for contained pipeline faults (POBP-RUN-001):
+  /// `max_attempts` full-pipeline attempts, those beyond the first after a
+  /// deterministic capped-exponential backoff (jitter seeded by the
+  /// instance id, so replay is byte-identical), all drawing from the
+  /// *same* SolveBudget — retrying never spends beyond the request's
+  /// limits.  Budget and deadline faults are never retried (they would
+  /// fail identically or blow through the deadline again).
   RetryPolicy retry = {};
 
   /// Fault-injection trigger spec (see pobp/util/faultinject.hpp), armed
   /// process-wide at Engine construction.  Empty = arm from the
-  /// POBP_FAULT_INJECT environment variable if set.  Only live in
-  /// POBP_FAULT_INJECTION builds (the asan-ubsan preset).
+  /// POBP_FAULT_INJECT environment variable if set.
   std::string fault_injection = {};
 
   /// Content-addressed solve cache shared by every session of this engine
@@ -110,76 +99,53 @@ using SolveOutcome = Expected<ScheduleResult, diag::Report>;
 /// per worker.
 class Session {
  public:
+  /// `instance` for standalone solves (no batch index).
+  static constexpr std::size_t kNoInstance = static_cast<std::size_t>(-1);
+
   explicit Session(EngineOptions options = {});
   ~Session();
 
-  /// Runs the full pipeline (seed → laminarize → forest → prune / LSA_CS →
-  /// left-merge → validate) on one instance with this session's options.
-  /// Budget exhaustion that the degrade policy does not absorb, and
-  /// pipeline faults, propagate as exceptions — use try_solve for the
-  /// contained per-instance form.
-  [[nodiscard]] ScheduleResult solve(const JobSet& jobs);
+  /// The one solve path.  Solves `jobs` into `out`, whose schedule storage
+  /// is recycled (capacity-retaining reset) instead of freed: re-solving
+  /// into the same ScheduleResult on a warmed session performs no
+  /// steady-state heap allocations — the property the perf gate pins.
+  ///
+  /// The exact tier (default) runs Algorithm 3 (§5's loop when k = 0):
+  /// seed → laminarize → forest → prune / LSA_CS → left-merge → validate.
+  /// It runs under the request's SolveBudget, retries contained faults per
+  /// EngineOptions::retry, and answers on the approximate tier when the
+  /// budget fires under DegradePolicy::kApproximate (or, with
+  /// retry.degrade_final_attempt, when every attempt faulted).
+  /// `approximate` selects the approximate tier directly — §4.3's greedy
+  /// seed + LSA_CS, result tagged degraded — as the streaming engine's
+  /// overload tier does: it first asks the cache read-only for the exact
+  /// answer, then solves without a budget guard.
+  ///
+  /// `submit` overrides the session's budget, degrade policy and cache
+  /// mode for this call, and `submit.deadline_s` tightens (never widens)
+  /// the budget deadline; `submit.on_error` is not invoked.  `instance`
+  /// keys fault-injection triggers and retry jitter and lands in the
+  /// report payload.
+  ///
+  /// Fault-contained: every pipeline exception, invariant failure or
+  /// budget/deadline overrun is caught here.  Returns nullopt on success,
+  /// otherwise the rule-tagged report (POBP-OPT-* for rejected options,
+  /// POBP-RUN-001/002/003 for pipeline fault / deadline / budget) with
+  /// `out` reset to the empty result.
+  [[nodiscard]] std::optional<diag::Report> run(
+      const JobSet& jobs, const ScheduleOptions& options,
+      const SubmitOptions& submit, std::size_t instance, ScheduleResult& out,
+      bool approximate = false);
 
-  /// Same, overriding the schedule options for this call only.
-  [[nodiscard]] ScheduleResult solve(const JobSet& jobs,
-                                     const ScheduleOptions& options);
+  /// run() into a fresh result.
+  [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs,
+                                       const ScheduleOptions& options,
+                                       const SubmitOptions& submit = {},
+                                       std::size_t instance = kNoInstance);
 
-  /// Pooled form of solve(): writes the result into `out`, whose schedule
-  /// storage is recycled (capacity-retaining reset) instead of freed.
-  /// Re-solving into the same ScheduleResult on a warmed session performs
-  /// no steady-state heap allocations — the property the perf gate pins.
+  /// run() with this session's options; a failure throws instead —
+  /// BudgetError for POBP-RUN-002/003, InternalError for anything else.
   void solve_into(const JobSet& jobs, ScheduleResult& out);
-  void solve_into(const JobSet& jobs, const ScheduleOptions& options,
-                  ScheduleResult& out);
-
-  /// Fault-contained solve: every pipeline exception, invariant failure or
-  /// budget/deadline overrun is caught at this boundary and converted into
-  /// a rule-tagged diag::Report (POBP-OPT-* for rejected options,
-  /// POBP-RUN-001/002/003 for pipeline fault / deadline / budget).
-  /// `instance` is the batch index (used by fault-injection triggers and
-  /// the report payload); pass kNoInstance for standalone solves.
-  static constexpr std::size_t kNoInstance = static_cast<std::size_t>(-1);
-  [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs,
-                                       std::size_t instance = kNoInstance);
-  [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs,
-                                       const ScheduleOptions& options,
-                                       std::size_t instance = kNoInstance);
-
-  /// Per-request form: SubmitOptions overrides the session's budget and
-  /// degrade policy for this call, and `submit.deadline_s` tightens the
-  /// effective wall-clock deadline (the streaming path uses it to charge
-  /// queue time against the request).  `submit.on_error` is not invoked —
-  /// the outcome already carries the report.
-  [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs,
-                                       const ScheduleOptions& options,
-                                       const SubmitOptions& submit,
-                                       std::size_t instance = kNoInstance);
-
-  /// Pooled contained form: writes into `out` (schedule storage recycled,
-  /// like solve_into) and returns the failure report instead of throwing —
-  /// nullopt on success.  On failure `out` is left reset to the empty
-  /// result.  This is the batch hot path under SubmitOptions: success
-  /// costs no steady-state allocations.
-  [[nodiscard]] std::optional<diag::Report> try_solve_into(
-      const JobSet& jobs, const ScheduleOptions& options,
-      const SubmitOptions& submit, std::size_t instance, ScheduleResult& out);
-
-  /// Fault-contained solve on the §4.3 approximate path only (greedy
-  /// seed + LSA_CS, result tagged degraded) — the overload tier of the
-  /// streaming engine's admission control.
-  [[nodiscard]] SolveOutcome try_solve_degraded(
-      const JobSet& jobs, const ScheduleOptions& options,
-      std::size_t instance = kNoInstance);
-
-  /// Read-only cache probe: true iff the engine's solve cache already holds
-  /// the exact answer for (jobs, options), copied into `out` (pooled).
-  /// Never solves, never publishes, never throws on the lookup path.  The
-  /// streaming engine's admission control uses this so queue-pressure
-  /// degradation is bypassed for instances the cache can answer exactly
-  /// (docs/SERVING.md).
-  [[nodiscard]] bool try_solve_cached(const JobSet& jobs,
-                                      const ScheduleOptions& options,
-                                      ScheduleResult& out);
 
   /// True when the most recent successful solve on this session was served
   /// from the cache (exact hit) rather than computed.
@@ -190,30 +156,30 @@ class Session {
   void reset_metrics() { metrics_ = EngineMetrics(); }
 
  private:
-  void solve_pipeline_into(const JobSet& jobs, const ScheduleOptions& options,
-                           CacheMode cache_mode, ScheduleResult& out);
-  void solve_degraded_into(const JobSet& jobs, const ScheduleOptions& options,
-                           CacheMode cache_mode, ScheduleResult& out);
-  /// Computes the cache key for (jobs, options) into the scratch staging
-  /// buffers (columns + per-job sub-hashes) and returns it.  `approximate`
-  /// selects the degraded-tier parameter signature, which never aliases
-  /// the exact one.
-  CacheKey cache_key_into_scratch(const JobSet& jobs,
-                                  const ScheduleOptions& options,
-                                  bool approximate,
-                                  std::uint64_t& params_sig);
-  SolveOutcome try_solve_impl(const JobSet& jobs,
-                              const ScheduleOptions& options,
-                              const SolveBudget& budget, DegradePolicy degrade,
-                              CacheMode cache_mode, std::size_t instance);
-  std::optional<diag::Report> try_solve_into_impl(
-      const JobSet& jobs, const ScheduleOptions& options,
-      const SolveBudget& budget, DegradePolicy degrade, CacheMode cache_mode,
-      std::size_t instance, ScheduleResult& out);
-  std::optional<diag::Report> budget_fallback_into(
-      const JobSet& jobs, const ScheduleOptions& options,
-      DegradePolicy degrade, CacheMode cache_mode, std::size_t instance,
-      bool deadline, const char* what, ScheduleResult& out);
+  /// The exact tier under the request's budget and retry policy, with the
+  /// budget → degrade fallback.
+  std::optional<diag::Report> run_exact(const JobSet& jobs,
+                                        const ScheduleOptions& options,
+                                        const SubmitOptions& submit,
+                                        CacheMode cache_mode,
+                                        std::size_t instance,
+                                        ScheduleResult& out);
+  /// The approximate tier, contained: any exception becomes POBP-RUN-001.
+  std::optional<diag::Report> run_approximate(const JobSet& jobs,
+                                              const ScheduleOptions& options,
+                                              CacheMode cache_mode,
+                                              bool exact_first,
+                                              std::size_t instance,
+                                              ScheduleResult& out);
+  /// The one body behind both tiers: cache probe → stages → validate →
+  /// metrics → publish.  With `exact_first` (the overload tier) the probe
+  /// asks for the exact answer before the approximate one.  Throws on
+  /// pipeline faults and budget overruns.
+  void solve_tier(const JobSet& jobs, const ScheduleOptions& options,
+                  CacheMode cache_mode, bool approximate, bool exact_first,
+                  ScheduleResult& out);
+  /// POBP-RUN-001 for the exception in flight (call from a catch handler).
+  diag::Report fault_report(std::size_t instance);
 
   EngineOptions options_;
   /// Private metrics shard, cache-line aligned so two sessions' hot
@@ -240,11 +206,6 @@ class Engine {
 
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
-
-  /// Solves one instance on the calling thread (the inline session).
-  [[nodiscard]] ScheduleResult solve(const JobSet& jobs);
-  [[nodiscard]] ScheduleResult solve(const JobSet& jobs,
-                                     const ScheduleOptions& options);
 
   /// Solves every instance in parallel; results[i] corresponds to
   /// instances[i].  Deterministic: identical output for any worker count.
@@ -276,36 +237,10 @@ class Engine {
   [[nodiscard]] std::vector<SolveOutcome> try_solve_batch(
       std::span<const JobSet> instances, const SubmitOptions& submit);
 
-  // --- deprecated pre-SubmitOptions signatures (one release) ------------
-  // Thin delegating shims.  Note the semantic change carried by the
-  // redesign: the solve_batch family is now fault-contained (failed slot =
-  // empty result) instead of throwing out of a pool worker.
-  [[deprecated("pass a SubmitOptions (use {} for engine defaults)")]]
-  [[nodiscard]] std::vector<ScheduleResult> solve_batch(
-      std::span<const JobSet> instances);
-  [[deprecated("pass a SubmitOptions (use {} for engine defaults)")]]
-  void solve_batch_into(std::span<const JobSet> instances,
-                        std::vector<ScheduleResult>& results);
-  [[deprecated("pass a SubmitOptions (use {} for engine defaults)")]]
-  [[nodiscard]] std::vector<SolveOutcome> try_solve_batch(
-      std::span<const JobSet> instances);
-
   /// Fault-contained single solve on the calling thread.
   [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs);
   [[nodiscard]] SolveOutcome try_solve(const JobSet& jobs,
                                        const ScheduleOptions& options);
-
-  /// Streaming variant: `on_result(index, result)` is invoked once per
-  /// instance as it completes (unordered).  Callback invocations are
-  /// serialized — the callback need not be thread-safe — and the result
-  /// reference is only valid during the call.
-  using ResultCallback =
-      std::function<void(std::size_t, const ScheduleResult&)>;
-  [[deprecated(
-      "use StreamEngine::submit for streaming completion, or solve_batch "
-      "with SubmitOptions::on_error")]] void
-  for_each_result(std::span<const JobSet> instances,
-                  const ResultCallback& on_result);
 
   /// Merged snapshot across the inline session and every worker session.
   [[nodiscard]] EngineMetrics metrics() const;
@@ -359,8 +294,8 @@ class Engine {
   std::vector<std::unique_ptr<Session>> sessions_ POBP_GUARDED_BY(mutex_);
   /// Σ solve_batch wall time.
   double batch_seconds_ POBP_GUARDED_BY(mutex_) = 0;
-  /// solve() / try_solve() state, serialized by its own lock so inline
-  /// solves never contend with a running batch.
+  /// try_solve() state, serialized by its own lock so inline solves never
+  /// contend with a running batch.
   mutable util::Mutex inline_mutex_;
   Session inline_session_ POBP_GUARDED_BY(inline_mutex_);
 };

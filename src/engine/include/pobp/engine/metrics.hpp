@@ -70,12 +70,13 @@ struct EngineMetrics {
   std::size_t pipeline_faults = 0;      ///< POBP-RUN-001 reports
   std::size_t deadline_exceeded = 0;    ///< POBP-RUN-002 reports
   std::size_t budget_exhausted = 0;     ///< POBP-RUN-003 reports
-  std::size_t retries = 0;              ///< pipeline re-attempts (max_retries)
+  std::size_t retries = 0;              ///< pipeline re-attempts (retry policy)
 
   // Solve-cache counters (docs/CACHE.md).  Hits/misses are counted at the
   // session, not the cache, so a shared SolveCache still yields per-engine
-  // numbers; delta_patches counts solves that reused a near-duplicate
-  // neighbor's stage schedules.
+  // numbers; every lookup is one hit or one miss, as in
+  // SolveCache::stats().  delta_patches counts solves that reused a
+  // near-duplicate neighbor's stage schedules.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
   std::size_t cache_insertions = 0;
@@ -93,9 +94,11 @@ struct EngineMetrics {
   Histogram price_histogram;
   Histogram value_histogram;            ///< per-instance bounded value
 
-  /// Folds one solved instance into the accumulators.
+  /// Folds one solved instance into the accumulators.  `timings` is
+  /// nullptr when no stage ran (a cache hit): `seconds` still counts
+  /// toward solve_seconds, but no stage sample is added.
   void record(const JobSet& jobs, const ScheduleResult& result,
-              const PipelineTimings& timings, double seconds, bool valid);
+              const PipelineTimings* timings, double seconds, bool valid);
 
   void merge(const EngineMetrics& other);
 

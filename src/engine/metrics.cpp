@@ -108,7 +108,7 @@ EngineMetrics::EngineMetrics()
     : price_histogram(price_edges()), value_histogram(value_edges()) {}
 
 void EngineMetrics::record(const JobSet& jobs, const ScheduleResult& result,
-                           const PipelineTimings& timings, double seconds,
+                           const PipelineTimings* timings, double seconds,
                            bool valid) {
   ++instances;
   if (!valid) ++validation_failures;
@@ -131,16 +131,19 @@ void EngineMetrics::record(const JobSet& jobs, const ScheduleResult& result,
   price_histogram.add(p);
   value_histogram.add(result.value);
   solve_seconds.add(seconds);
-  stage_seconds[static_cast<std::size_t>(Stage::kSeed)].add(timings.seed_s);
+  if (timings == nullptr) return;
+  stage_seconds[static_cast<std::size_t>(Stage::kSeed)].add(timings->seed_s);
   stage_seconds[static_cast<std::size_t>(Stage::kLaminarize)].add(
-      timings.laminarize_s);
+      timings->laminarize_s);
   stage_seconds[static_cast<std::size_t>(Stage::kForest)].add(
-      timings.forest_s);
-  stage_seconds[static_cast<std::size_t>(Stage::kPrune)].add(timings.prune_s);
-  stage_seconds[static_cast<std::size_t>(Stage::kLsa)].add(timings.lsa_s);
-  stage_seconds[static_cast<std::size_t>(Stage::kMerge)].add(timings.merge_s);
+      timings->forest_s);
+  stage_seconds[static_cast<std::size_t>(Stage::kPrune)].add(
+      timings->prune_s);
+  stage_seconds[static_cast<std::size_t>(Stage::kLsa)].add(timings->lsa_s);
+  stage_seconds[static_cast<std::size_t>(Stage::kMerge)].add(
+      timings->merge_s);
   stage_seconds[static_cast<std::size_t>(Stage::kValidate)].add(
-      timings.validate_s);
+      timings->validate_s);
 }
 
 void EngineMetrics::merge(const EngineMetrics& other) {

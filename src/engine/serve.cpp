@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "pobp/diag/registry.hpp"
+#include "pobp/diag/render.hpp"
 
 namespace pobp {
 namespace {
@@ -31,33 +32,6 @@ std::string json_double(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
   return buf;
-}
-
-/// Tenant ids come off the wire, so a hostile frame can carry quotes,
-/// backslashes or control bytes — escape them or stats_json() stops
-/// being valid JSON.
-std::string json_escape(const std::string& raw) {
-  std::string out;
-  out.reserve(raw.size());
-  for (const char c : raw) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -303,37 +277,27 @@ struct StreamEngine::Impl {
       }
     }
 
-    std::optional<SolveOutcome> outcome;
+    ScheduleResult result;
+    std::optional<diag::Report> failed;
     if (expired) {
-      diag::Report report;
-      report
-          .add(std::string(diag::rules::kRunDeadline),
-               "request deadline expired while queued")
+      failed.emplace();
+      failed
+          ->add(std::string(diag::rules::kRunDeadline),
+                "request deadline expired while queued")
           .with("instance", static_cast<std::size_t>(request.id));
-      outcome.emplace(Unexpected{std::move(report)});
-    } else if (request.degraded_tier) {
-      // Queue-pressure tier, cache first: an exact solve-cache hit answers
-      // at full fidelity for free, so only instances that would actually
-      // cost a pipeline run get degraded (docs/CACHE.md).
-      ScheduleResult cached;
-      if (session.try_solve_cached(request.jobs, request.schedule, cached)) {
-        outcome.emplace(std::move(cached));
-      } else {
-        outcome.emplace(session.try_solve_degraded(
-            request.jobs, request.schedule, request.id));
-      }
     } else {
-      outcome.emplace(session.try_solve(request.jobs, request.schedule,
-                                        submit, request.id));
+      // Requests admitted under queue pressure run on the approximate
+      // (overload) tier, which still serves exact cache hits first.
+      failed = session.run(request.jobs, request.schedule, submit,
+                           request.id, result, request.degraded_tier);
     }
-    if (!expired && outcome->has_value() &&
-        session.last_solve_was_cache_hit()) {
-      request.tenant->cache_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (outcome->has_value()) {
+    if (!failed) {
+      if (session.last_solve_was_cache_hit()) {
+        request.tenant->cache_hits.fetch_add(1, std::memory_order_relaxed);
+      }
       // Counts every degraded answer: the overload tier, the watchdog
       // tier, budget fallbacks and retry final-attempt downgrades alike.
-      if (outcome->value().degraded) {
+      if (result.degraded) {
         request.tenant->degraded.fetch_add(1, std::memory_order_relaxed);
       }
     } else {
@@ -342,10 +306,7 @@ struct StreamEngine::Impl {
     // Breaker feedback: only contained pipeline faults (POBP-RUN-001)
     // are evidence of an unhealthy pipeline; budget / deadline verdicts
     // are the request's own outcome and count as successes here.
-    const bool pipeline_fault =
-        !outcome->has_value() &&
-        outcome->error().count(diag::rules::kRunPipelineFault) > 0;
-    if (pipeline_fault) {
+    if (failed && failed->count(diag::rules::kRunPipelineFault) > 0) {
       request.tenant->breaker.on_failure(now_s());
     } else {
       request.tenant->breaker.on_success();
@@ -354,7 +315,11 @@ struct StreamEngine::Impl {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       request.admitted)
             .count());
-    request.promise.set_value(std::move(*outcome));
+    if (failed) {
+      request.promise.set_value(Unexpected{std::move(*failed)});
+    } else {
+      request.promise.set_value(std::move(result));
+    }
   }
 
   /// Watchdog: polls completion progress; pending work without progress
@@ -571,9 +536,11 @@ std::string StreamEngine::stats_json() const {
   for (const auto& [name, s] : tenant_stats()) {
     if (!first_tenant) out += ',';
     first_tenant = false;
-    out += '"';
-    out += json_escape(name);
-    out += "\":{\"submitted\":" + std::to_string(s.submitted);
+    // Tenant ids come off the wire, so a hostile frame can carry quotes,
+    // backslashes or control bytes — quote them or stats_json() stops
+    // being valid JSON.
+    out += diag::json_quote(name);
+    out += ":{\"submitted\":" + std::to_string(s.submitted);
     out += ",\"completed\":" + std::to_string(s.completed);
     out += ",\"failed\":" + std::to_string(s.failed);
     out += ",\"rejected_quota\":" + std::to_string(s.rejected_quota);

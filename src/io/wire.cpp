@@ -29,28 +29,6 @@ std::string format_number(double v) {
   return buf;
 }
 
-void append_json_string(std::ostringstream& os, std::string_view s) {
-  os << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Non-negative integer field (k, machines, max_ops).
 std::uint64_t to_count(const JsonValue& v, const char* what,
                        std::size_t line) {
@@ -177,7 +155,7 @@ std::string response_frame(const std::string& id, const ResponseStats& stats,
                            const Schedule* schedule) {
   std::ostringstream os;
   os << "{\"id\":";
-  append_json_string(os, id);
+  os << diag::json_quote(id);
   os << ",\"ok\":true,\"value\":" << format_number(stats.value)
      << ",\"unbounded_value\":" << format_number(stats.unbounded_value)
      << ",\"price\":" << format_number(stats.price)
@@ -185,7 +163,7 @@ std::string response_frame(const std::string& id, const ResponseStats& stats,
      << ",\"jobs_scheduled\":" << stats.jobs_scheduled;
   if (schedule != nullptr) {
     os << ",\"schedule_csv\":";
-    append_json_string(os, schedule_to_csv(*schedule));
+    os << diag::json_quote(schedule_to_csv(*schedule));
   }
   os << '}';
   return os.str();
@@ -194,7 +172,7 @@ std::string response_frame(const std::string& id, const ResponseStats& stats,
 std::string error_frame(const std::string& id, const diag::Report& report) {
   std::ostringstream os;
   os << "{\"id\":";
-  append_json_string(os, id);
+  os << diag::json_quote(id);
   os << ",\"ok\":false,\"error\":" << diag::to_json(report) << '}';
   return os.str();
 }

@@ -7,7 +7,7 @@
 //
 // POBP_CHECK / POBP_CHECK_MSG throw pobp::InternalError instead of
 // aborting.  Use them for invariants that malformed *input* can reach —
-// the serving layer (Session::solve) catches the exception at the
+// the serving layer (Session::run) catches the exception at the
 // instance boundary and converts it into a diag::Report, so one poisoned
 // instance never takes down a batch.  POBP_ASSERT stays for states that
 // are impossible regardless of input.

@@ -10,7 +10,7 @@
 // deadline of 0 fires deterministically).
 //
 // Exhaustion throws DeadlineExceeded / BudgetExhausted (both
-// BudgetError).  Session::solve catches them at the instance boundary
+// BudgetError).  Session::run catches them at the instance boundary
 // and either degrades to the approximate path or reports POBP-RUN-002 /
 // POBP-RUN-003 — see docs/ROBUSTNESS.md.
 //

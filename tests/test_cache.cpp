@@ -6,7 +6,10 @@
 // under mid-solve fault injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -254,6 +257,100 @@ TEST(Cache, DegradedResultsKeySeparatelyFromExact) {
   EXPECT_EQ(cache->stats().insertions, 2u);
 }
 
+// A hit is timed like any solve — its key + probe + copy-out time lands in
+// solve_seconds instead of a 0-second sample — but adds no stage sample,
+// since no stage ran.
+TEST(Cache, HitRecordsItsOwnTimeAndNoStageSample) {
+  const JobSet jobs = corpus(1, 47)[0];
+  Session session(
+      {.schedule = {.k = 1}, .cache = std::make_shared<SolveCache>()});
+  ScheduleResult cold;
+  ScheduleResult warm;
+  session.solve_into(jobs, cold);
+  EXPECT_FALSE(session.last_solve_was_cache_hit());
+  session.solve_into(jobs, warm);
+  EXPECT_TRUE(session.last_solve_was_cache_hit());
+  EXPECT_EQ(fingerprint(cold), fingerprint(warm));
+
+  const EngineMetrics& m = session.metrics();
+  EXPECT_EQ(m.instances, 2u);
+  EXPECT_EQ(m.solve_seconds.count(), 2u);
+  EXPECT_GT(m.solve_seconds.min(), 0.0);
+  EXPECT_EQ(m.stage_seconds[static_cast<std::size_t>(Stage::kSeed)].count(),
+            1u);
+}
+
+// The overload tier honours the request's cache mode like every other
+// solve: `off` never looks the instance up, `read` never publishes, and
+// every answer is byte-identical to the same stream served without a
+// cache.  Engine metrics count each lookup the cache counts.
+TEST(Cache, OverloadTierHonoursTheRequestCacheMode) {
+  const std::vector<JobSet> instances = corpus(8, 1234);
+  // A paused queue of 8 filled exactly: requests 6 and 7 are admitted at
+  // occupancy >= 3/4 and land on the overload tier.
+  const auto serve = [&](std::shared_ptr<SolveCache> cache,
+                         std::optional<CacheMode> mode,
+                         EngineMetrics& metrics) {
+    StreamOptions options;
+    options.engine.schedule = {.k = 1};
+    options.engine.workers = 1;
+    options.engine.cache = std::move(cache);
+    options.queue_capacity = 8;
+    options.overload_degrade = DegradePolicy::kApproximate;
+    StreamEngine service(options);
+    service.pause();
+    std::vector<std::future<SolveOutcome>> futures;
+    for (const JobSet& jobs : instances) {
+      SubmitOptions submit;
+      submit.cache = mode;
+      futures.push_back(service.submit(jobs, std::move(submit)));
+    }
+    service.resume();
+    std::vector<std::string> answers;
+    for (std::future<SolveOutcome>& future : futures) {
+      const SolveOutcome outcome = future.get();
+      answers.push_back(!outcome.has_value() ? std::string("failed")
+                        : outcome->degraded  ? fingerprint(*outcome) + "|d"
+                                             : fingerprint(*outcome));
+    }
+    service.drain();
+    metrics = service.metrics();
+    return answers;
+  };
+
+  EngineMetrics uncached;
+  const std::vector<std::string> expected =
+      serve(nullptr, std::nullopt, uncached);
+  ASSERT_EQ(std::count_if(expected.begin(), expected.end(),
+                          [](const std::string& a) {
+                            return a.ends_with("|d");
+                          }),
+            2);
+
+  struct Row {
+    CacheMode mode;
+    std::uint64_t lookups;
+    std::uint64_t insertions;
+  };
+  // Six exact-tier requests look up once each; the two overload-tier
+  // requests look up the exact key, then the approximate one.
+  for (const Row row : {Row{CacheMode::kOff, 0, 0},
+                        Row{CacheMode::kRead, 10, 0},
+                        Row{CacheMode::kReadWrite, 10, 8}}) {
+    const auto cache = std::make_shared<SolveCache>();
+    EngineMetrics metrics;
+    EXPECT_EQ(serve(cache, row.mode, metrics), expected)
+        << "mode " << static_cast<int>(row.mode);
+    const CacheStats stats = cache->stats();
+    EXPECT_EQ(stats.hits + stats.misses, row.lookups)
+        << "mode " << static_cast<int>(row.mode);
+    EXPECT_EQ(stats.insertions, row.insertions)
+        << "mode " << static_cast<int>(row.mode);
+    EXPECT_EQ(metrics.cache_hits + metrics.cache_misses, row.lookups)
+        << "mode " << static_cast<int>(row.mode);
+  }
+}
+
 // --- the acceptance bar: byte-identity across worker counts ----------------
 
 TEST(Cache, DupStreamBitIdenticalAcrossWorkersAndModes) {
@@ -468,9 +565,6 @@ struct DisarmGuard {
 };
 
 TEST(CacheFaults, MidSolveFaultNeverPublishesAPartialEntry) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const std::vector<JobSet> one = corpus(1, 618);
   const ScheduleOptions schedule{.k = 1, .machine_count = 2};
@@ -510,9 +604,6 @@ TEST(CacheFaults, MidSolveFaultNeverPublishesAPartialEntry) {
 }
 
 TEST(CacheFaults, CachedStreamUnderFaultsMatchesUncachedUnderFaults) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   // Duplicates of the faulted instance keep COLD-solving (the fault fires
   // before anything is published), so the cached stream's outcome pattern

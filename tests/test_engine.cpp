@@ -85,34 +85,10 @@ TEST(Engine, BatchMatchesSequentialForEveryWorkerCount) {
   }
 }
 
-// for_each_result is deprecated (use StreamEngine::submit or
-// SubmitOptions::on_error) but must keep working until removal.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(Engine, ForEachResultVisitsEveryIndexOnce) {
-  const std::vector<JobSet> instances = corpus(9, 5);
-  Engine engine({.schedule = {.k = 1}, .workers = 4});
-
-  std::set<std::size_t> seen;
-  std::size_t calls = 0;
-  engine.for_each_result(instances,
-                         [&](std::size_t index, const ScheduleResult& r) {
-                           ++calls;
-                           seen.insert(index);
-                           EXPECT_TRUE(
-                               validate(instances[index], r.schedule, 1).ok);
-                         });
-  EXPECT_EQ(calls, instances.size());
-  EXPECT_EQ(seen.size(), instances.size());
-  EXPECT_EQ(*seen.begin(), 0u);
-  EXPECT_EQ(*seen.rbegin(), instances.size() - 1);
-}
-#pragma GCC diagnostic pop
-
 TEST(Engine, SingleSolveMatchesBatchOfOne) {
   const std::vector<JobSet> instances = corpus(1, 13);
   Engine engine({.schedule = {.k = 2}});
-  const ScheduleResult lone = engine.solve(instances[0]);
+  const ScheduleResult lone = engine.try_solve(instances[0]).value();
   const std::vector<ScheduleResult> batch = engine.solve_batch(instances, {});
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_EQ(fingerprint(lone), fingerprint(batch[0]));
@@ -234,7 +210,7 @@ TEST(Session, ReusedAcrossInstancesAccumulatesMetrics) {
   Session session({.schedule = {.k = 1}});
   std::size_t jobs_total = 0;
   for (const JobSet& jobs : instances) {
-    const ScheduleResult r = session.solve(jobs);
+    const ScheduleResult r = session.try_solve(jobs, {.k = 1}).value();
     EXPECT_TRUE(validate(jobs, r.schedule, 1).ok);
     jobs_total += jobs.size();
   }
@@ -253,8 +229,9 @@ TEST(Session, ReusedAcrossInstancesAccumulatesMetrics) {
 TEST(Session, PerCallOptionsOverrideConstructorOptions) {
   const std::vector<JobSet> instances = corpus(1, 9);
   Session session({.schedule = {.k = 1}});
-  const ScheduleResult k1 = session.solve(instances[0]);
-  const ScheduleResult k0 = session.solve(instances[0], {.k = 0});
+  ScheduleResult k1;
+  session.solve_into(instances[0], k1);
+  const ScheduleResult k0 = session.try_solve(instances[0], {.k = 0}).value();
   EXPECT_LE(k0.schedule.max_preemptions(), 0u);
   EXPECT_TRUE(validate(instances[0], k1.schedule, 1).ok);
   EXPECT_TRUE(validate(instances[0], k0.schedule, 0).ok);
@@ -262,19 +239,22 @@ TEST(Session, PerCallOptionsOverrideConstructorOptions) {
 
 // The harvest pattern: one ScheduleResult reused across solve_into calls
 // (its pooled schedule storage recycled between instances of very different
-// sizes) must match fresh Session::solve results exactly.
+// sizes) must match fresh Session::try_solve results exactly.
 TEST(Session, SolveIntoRecyclesResultStorage) {
   const std::vector<JobSet> instances = skewed_corpus(8, 2024);
-  Session reusing({.schedule = {.k = 1, .machine_count = 2}});
-  Session fresh({.schedule = {.k = 1, .machine_count = 2}});
+  const ScheduleOptions schedule{.k = 1, .machine_count = 2};
+  Session reusing({.schedule = schedule});
+  Session fresh;
   ScheduleResult recycled;
   for (const JobSet& jobs : instances) {
     reusing.solve_into(jobs, recycled);
-    EXPECT_EQ(fingerprint(recycled), fingerprint(fresh.solve(jobs)));
+    EXPECT_EQ(fingerprint(recycled),
+              fingerprint(fresh.try_solve(jobs, schedule).value()));
     EXPECT_TRUE(validate(jobs, recycled.schedule, 1).ok);
   }
-  // Per-call option overrides flow through the into-form too.
-  reusing.solve_into(instances[1], {.k = 0}, recycled);
+  // Per-call option overrides flow through run() into the same result.
+  ASSERT_FALSE(
+      reusing.run(instances[1], {.k = 0}, {}, Session::kNoInstance, recycled));
   EXPECT_LE(recycled.schedule.max_preemptions(), 0u);
   EXPECT_TRUE(validate(instances[1], recycled.schedule, 0).ok);
 }
@@ -303,7 +283,7 @@ TEST(Engine, SolveBatchIntoReusesResultsVector) {
 
 TEST(Session, EmptyInstanceSolvesToEmptySchedule) {
   Session session;
-  const ScheduleResult r = session.solve(JobSet{});
+  const ScheduleResult r = session.try_solve(JobSet{}, {}).value();
   EXPECT_EQ(r.schedule.job_count(), 0u);
   EXPECT_EQ(r.value, 0);
   EXPECT_DOUBLE_EQ(r.price(), 1.0);
@@ -412,7 +392,7 @@ TEST(TrySchedule, MatchesSharedEngine) {
   const ScheduleResult via_shim =
       try_schedule_bounded(instances[0], {.k = 1}).value();
   const ScheduleResult via_engine =
-      Engine::shared().solve(instances[0], {.k = 1});
+      Engine::shared().try_solve(instances[0], {.k = 1}).value();
   EXPECT_EQ(fingerprint(via_shim), fingerprint(via_engine));
 }
 
@@ -429,9 +409,6 @@ struct DisarmGuard {
 // POBP-RUN-001 and the other 60 results are bit-identical to a fault-free
 // run — for every worker count.
 TEST(EngineFaults, InjectedFaultsAreContainedAndDeterministic) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const std::vector<JobSet> instances = corpus(64, 4242);
   const ScheduleOptions schedule{.k = 1};
@@ -483,9 +460,6 @@ TEST(EngineFaults, InjectedFaultsAreContainedAndDeterministic) {
 // Exercised once per fault site so the unwind point sweeps the pipeline:
 // seed, laminarize, TM DP, left-merge rebuild, and validation.
 TEST(EngineFaults, ResultArenaSurvivesMidSolveFaults) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const std::vector<JobSet> instances = skewed_corpus(8, 618);
   const ScheduleOptions schedule{.k = 1, .machine_count = 2};
@@ -536,9 +510,6 @@ TEST(EngineFaults, ResultArenaSurvivesMidSolveFaults) {
 }
 
 TEST(EngineFaults, RetriesAbsorbTransientInjectedFaults) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const std::vector<JobSet> instances = corpus(1, 7);
 
@@ -552,7 +523,7 @@ TEST(EngineFaults, RetriesAbsorbTransientInjectedFaults) {
   // ...with one retry the nth-call trigger has already fired, so the second
   // attempt runs clean and the instance succeeds.
   Engine retrying({.schedule = {.k = 1},
-                   .max_retries = 1,
+                   .retry = {.max_attempts = 2},
                    .fault_injection = "laminarize:1"});
   const SolveOutcome retried = retrying.try_solve(instances[0]);
   ASSERT_TRUE(retried.has_value());
@@ -600,7 +571,8 @@ TEST(EngineFaults, DegradePolicyFallsBackToApproximatePath) {
 TEST(EngineFaults, PlainSolveThrowsWhenBudgetFiresWithoutDegrade) {
   const std::vector<JobSet> instances = corpus(1, 14);
   Session session({.schedule = {.k = 1}, .budget = {.max_ops = 1}});
-  EXPECT_THROW((void)session.solve(instances[0]), BudgetError);
+  ScheduleResult out;
+  EXPECT_THROW(session.solve_into(instances[0], out), BudgetError);
 }
 
 TEST(EngineFaults, TrySolveBatchReportsOptionRejectionPerInstance) {

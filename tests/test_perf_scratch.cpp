@@ -306,7 +306,6 @@ TEST(SoaEquivalence, WorkersAndFaultSitesStayBitIdentical) {
     }
   }
 
-  if (!fault::compiled_in()) return;  // sites below need the fault build
   const char* sites[] = {"alloc", "laminarize", "tm_dp", "left_merge",
                          "validate"};
   for (const char* site : sites) {

@@ -251,14 +251,11 @@ struct DisarmGuard {
 };
 
 TEST(SessionRetry, TransientFaultRecoversToTheFaultFreeResult) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const JobSet jobs = demo_jobs(91);
 
   Session clean{{}};
-  const SolveOutcome expected = clean.try_solve(jobs, {}, 0);
+  const SolveOutcome expected = clean.try_solve(jobs, {}, {}, 0);
   ASSERT_TRUE(expected.has_value());
 
   EngineOptions options;
@@ -266,7 +263,7 @@ TEST(SessionRetry, TransientFaultRecoversToTheFaultFreeResult) {
   options.retry.base_backoff_s = 1e-5;
   fault::arm(fault::parse_spec("tm_dp@0:1"));
   Session session(options);
-  const SolveOutcome recovered = session.try_solve(jobs, {}, 0);
+  const SolveOutcome recovered = session.try_solve(jobs, {}, {}, 0);
   ASSERT_TRUE(recovered.has_value())
       << diag::to_text(recovered.error());
   EXPECT_EQ(io::schedule_to_csv(recovered->schedule),
@@ -278,9 +275,6 @@ TEST(SessionRetry, TransientFaultRecoversToTheFaultFreeResult) {
 }
 
 TEST(SessionRetry, PersistentFaultReportsOrDegradesOnTheFinalAttempt) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const JobSet jobs = demo_jobs(92);
   // Fault counters persist across attempts, so triggers 1..3 guarantee
@@ -293,7 +287,7 @@ TEST(SessionRetry, PersistentFaultReportsOrDegradesOnTheFinalAttempt) {
     options.retry.base_backoff_s = 1e-5;
     fault::arm(fault::parse_spec(spec));
     Session session(options);
-    const SolveOutcome outcome = session.try_solve(jobs, {}, 0);
+    const SolveOutcome outcome = session.try_solve(jobs, {}, {}, 0);
     ASSERT_FALSE(outcome.has_value());
     EXPECT_EQ(outcome.error().count("POBP-RUN-001"), 1u);
     EXPECT_EQ(session.metrics().retries, 2u);
@@ -308,16 +302,13 @@ TEST(SessionRetry, PersistentFaultReportsOrDegradesOnTheFinalAttempt) {
     options.retry.degrade_final_attempt = true;
     fault::arm(fault::parse_spec(spec));
     Session session(options);
-    const SolveOutcome outcome = session.try_solve(jobs, {}, 0);
+    const SolveOutcome outcome = session.try_solve(jobs, {}, {}, 0);
     ASSERT_TRUE(outcome.has_value()) << diag::to_text(outcome.error());
     EXPECT_TRUE(outcome->degraded);
   }
 }
 
 TEST(SessionRetry, RetriesDrawFromTheRequestBudgetNeverBeyondIt) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const JobSet jobs = demo_jobs(93);
 
@@ -335,7 +326,7 @@ TEST(SessionRetry, RetriesDrawFromTheRequestBudgetNeverBeyondIt) {
   fault::arm(fault::parse_spec(spec));
   Session session(options);
   const auto start = std::chrono::steady_clock::now();
-  const SolveOutcome outcome = session.try_solve(jobs, {}, 0);
+  const SolveOutcome outcome = session.try_solve(jobs, {}, {}, 0);
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -350,38 +341,20 @@ TEST(SessionRetry, RetriesDrawFromTheRequestBudgetNeverBeyondIt) {
   EXPECT_LT(elapsed, 2.0);
 }
 
-TEST(SessionRetry, MaxRetriesBackCompatStillRetries) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
-  const DisarmGuard disarm;
-  const JobSet jobs = demo_jobs(94);
-  EngineOptions options;
-  options.max_retries = 1;  // pre-RetryPolicy spelling: 2 attempts
-  fault::arm(fault::parse_spec("left_merge@0:1"));
-  Session session(options);
-  const SolveOutcome outcome = session.try_solve(jobs, {}, 0);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(session.metrics().retries, 1u);
-}
-
 // A checker thread (e.g. the `pobp chaos` differential checks) can
 // shield its own fault-instrumented calls without disarming the
 // process-wide triggers aimed at the system under test.
 TEST(SessionRetry, SuppressScopeShieldsTheCallingThreadOnly) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const JobSet jobs = demo_jobs(90);
   fault::arm(fault::parse_spec("tm_dp:1"));
   Session session{{}};
   {
     const fault::SuppressScope shield;
-    EXPECT_TRUE(session.try_solve(jobs, {}, 0).has_value());
+    EXPECT_TRUE(session.try_solve(jobs, {}, {}, 0).has_value());
   }
   // Out of scope the armed trigger fires again.
-  EXPECT_FALSE(session.try_solve(jobs, {}, 0).has_value());
+  EXPECT_FALSE(session.try_solve(jobs, {}, {}, 0).has_value());
 }
 
 // --- streaming admission ----------------------------------------------------
@@ -431,9 +404,6 @@ TEST(StreamResilience, RateLimitedTenantGetsRun006AndCountsIt) {
 }
 
 TEST(StreamResilience, BreakerTripsShedsAndRecoversPerTenant) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   StreamOptions options;
   options.engine.workers = 1;
@@ -476,9 +446,6 @@ TEST(StreamResilience, BreakerTripsShedsAndRecoversPerTenant) {
 }
 
 TEST(StreamResilience, OpenBreakerRejectsWithRun007) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   StreamOptions options;
   options.engine.workers = 1;

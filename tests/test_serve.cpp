@@ -1,6 +1,6 @@
 // Tests for pobp::StreamEngine — the streaming serving layer: replay
 // determinism, admission control (shed / tenant quota / overload degrade),
-// per-request fault containment, and the SubmitOptions batch-API shims.
+// and per-request fault containment.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -233,12 +233,9 @@ TEST(StreamEngine, OverloadTierDegradesInsteadOfShedding) {
 
 // Injected faults at every pipeline site land in exactly the targeted
 // requests' futures as POBP-RUN-001; the stream, the pump thread, and all
-// other requests keep going.  (The TSan preset runs this under the
-// sanitizer; RelWithDebInfo compiles the sites out and skips.)
+// other requests keep going.  (The TSan preset also runs this under the
+// sanitizer.)
 TEST(StreamEngine, FaultSoakAllSitesContained) {
-  if (!fault::compiled_in()) {
-    GTEST_SKIP() << "built without POBP_FAULT_INJECTION";
-  }
   const DisarmGuard disarm;
   const std::vector<JobSet> instances = corpus(32, 618);
 
@@ -284,41 +281,6 @@ TEST(StreamEngine, FaultSoakAllSitesContained) {
     EXPECT_EQ(fingerprint(*retried), expected[i]);
   }
 }
-
-// ------------------------------------------------- deprecated shims -------
-
-// The one-release compatibility contract of the solve-batch redesign: the
-// deprecated no-SubmitOptions overloads are pure delegations — bit-identical
-// to passing SubmitOptions{}.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(StreamEngine, DeprecatedBatchShimsDelegate) {
-  const std::vector<JobSet> instances = corpus(12, 5150);
-  Engine engine({.schedule = {.k = 1}, .workers = 2});
-
-  const std::vector<ScheduleResult> canonical =
-      engine.solve_batch(instances, {});
-  const std::vector<ScheduleResult> shimmed = engine.solve_batch(instances);
-  ASSERT_EQ(shimmed.size(), canonical.size());
-  for (std::size_t i = 0; i < shimmed.size(); ++i) {
-    EXPECT_EQ(fingerprint(shimmed[i]), fingerprint(canonical[i]));
-  }
-
-  std::vector<ScheduleResult> into;
-  engine.solve_batch_into(instances, into);
-  ASSERT_EQ(into.size(), canonical.size());
-  for (std::size_t i = 0; i < into.size(); ++i) {
-    EXPECT_EQ(fingerprint(into[i]), fingerprint(canonical[i]));
-  }
-
-  const std::vector<SolveOutcome> outcomes = engine.try_solve_batch(instances);
-  ASSERT_EQ(outcomes.size(), canonical.size());
-  for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].has_value());
-    EXPECT_EQ(fingerprint(*outcomes[i]), fingerprint(canonical[i]));
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace pobp

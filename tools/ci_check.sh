@@ -154,10 +154,9 @@ build-release/tools/pobp_srclint --root . \
     --compile-commands build-release/compile_commands.json \
     src tools bench examples
 
-# 3. Sanitizers.  The asan-ubsan preset also compiles the pobp::fault
-#    injection sites in (POBP_FAULT_INJECTION=ON), so its ctest run covers
-#    the EngineFaults suite live; re-run that subset explicitly afterwards
-#    as the fault-injection smoke.
+# 3. Sanitizers.  The asan-ubsan ctest run covers the EngineFaults suite
+#    (every build compiles the pobp::fault injection sites in); re-run
+#    that subset explicitly afterwards as the fault-injection smoke.
 if sanitizer_available address; then
   run_preset asan-ubsan
   say "fault-injection smoke (asan-ubsan, EngineFaults.*)"
@@ -282,9 +281,8 @@ diff -u "$ENGINE_TMP/serve_r1.jsonl" "$ENGINE_TMP/serve_r8.jsonl"
 #     loop under fault injection on all five pipeline sites plus
 #     IoFuzz-mutated wire frames, with every answer checked against the
 #     validators / price bounds and a brute-force k-BAS oracle on small
-#     instances.  Prefers the asan-ubsan tree — it compiles the fault
-#     sites in (POBP_FAULT_INJECTION=ON) *and* memory-checks the soak —
-#     and falls back to the release binary (faults compiled out, the
+#     instances.  Prefers the asan-ubsan tree — it memory-checks the
+#     soak — and falls back to the release binary (the faults and the
 #     differential checks still gate) when sanitizers are unavailable.
 #     Default is a 10k-request smoke; --soak-seconds N trades requests
 #     for wall-clock (the nightly knob), --skip-soak drops the stage.

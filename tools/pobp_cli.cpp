@@ -102,7 +102,7 @@ commands:
              fault containment:
              [--deadline-ms MS] [--max-ops N] [--degrade] [--max-retries R]
              [--on-error skip|report|fail]   (default: report)
-             [--fault-inject SPEC]  (site[@instance]:nth, testing builds)
+             [--fault-inject SPEC]  (site[@instance]:nth)
   serve      long-lived streaming service: JSONL requests in (file or
              stdin), one response frame per request in submission order
              (wire format and semantics: docs/SERVING.md)
@@ -352,7 +352,9 @@ int cmd_batch(const Flags& flags) {
   options.budget.max_ops =
       static_cast<std::uint64_t>(flags.num("max-ops", 0));
   if (flags.has("degrade")) options.degrade = DegradePolicy::kApproximate;
-  options.max_retries = static_cast<std::size_t>(flags.num("max-retries", 0));
+  // R extra attempts after a contained pipeline fault: R + 1 in all.
+  options.retry.max_attempts =
+      static_cast<std::size_t>(flags.num("max-retries", 0)) + 1;
   if (flags.has("fault-inject")) {
     options.fault_injection = flags.str("fault-inject");
   }
@@ -696,8 +698,7 @@ int cmd_chaos(const Flags& flags) {
   stream.queue_capacity = static_cast<std::size_t>(flags.num("queue", 256));
   // Transient faults on every pipeline site (any-instance nth triggers:
   // each fires once per request whose site call count reaches it, and the
-  // retry deterministically recovers).  No-ops when the build compiles
-  // fault injection out.
+  // retry deterministically recovers).
   const std::string fault =
       flags.str("fault-inject", "alloc:23,laminarize:7,tm_dp:11,left_merge:5,"
                                 "validate:3");
