@@ -219,6 +219,29 @@ BENCHMARK(BM_EdfSimulatorPooled)
     ->Range(1 << 10, 1 << 17)
     ->Complexity(benchmark::oNLogN);
 
+// The whole greedy ∞-preemptive seed (density sort, one EdfAdmission probe
+// per candidate, the final EDF schedule) on a warm GreedyScratch.  The lax
+// instance is about twice as long as its horizon, so roughly half the
+// candidates are rejected.
+void BM_GreedySeedPooled(benchmark::State& state) {
+  const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
+  JobColumns columns;
+  columns.build(jobs);
+  const std::vector<JobId> ids = all_ids(jobs);
+  GreedyScratch scratch;
+  Schedule out(1);
+  greedy_infinity_multi_into(columns.view(), ids, 1, scratch, out);  // warm
+  AllocMeter meter(state);
+  for (auto _ : state) {
+    greedy_infinity_multi_into(columns.view(), ids, 1, scratch, out);
+    benchmark::DoNotOptimize(out.machine(0).job_count());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_GreedySeedPooled)
+    ->Range(1 << 10, 1 << 12)
+    ->Complexity(benchmark::oNLogN);
+
 void BM_FullReductionPooled(benchmark::State& state) {
   const LaminarInstance inst =
       make_laminar(static_cast<std::size_t>(state.range(0)));

@@ -2,31 +2,28 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <vector>
 
 #include "pobp/util/assert.hpp"
+#include "pobp/util/checked.hpp"
 #include "pobp/util/radix.hpp"
 #include "pobp/util/simd.hpp"
 
 namespace pobp {
 namespace {
 
-/// Core EDF loop over the columnar view.  Record=false skips all segment
-/// bookkeeping (the greedy feasibility probe); Record=true leaves the
-/// merged run log in scratch.runs.  Every scratch.remaining entry touched
-/// is zeroed again before returning, so the job-indexed arrays stay
-/// sparsely clean even on early (infeasible) exits.
+/// Loads `subset` into scratch.by_release / scratch.rel_sorted in
+/// (release asc, id asc) order — the presorted input edf_simulate reads.
 ///
-/// The release-order sort runs on packed 64-bit keys (release in the high
-/// word, id in the low word) whenever every release fits in [0, 2^32):
-/// unsigned key order is then exactly the (release asc, id asc) comparator
-/// order, and the sort touches one contiguous u64 array instead of
-/// gathering two Job fields per comparison.  Out-of-range releases fall
-/// back to the comparator sort — same order, by definition.  Either way
-/// the sweep reads releases from the contiguous rel_sorted column.
-template <bool Record>
-bool edf_simulate(const JobSetView& jobs, std::span<const JobId> subset,
-                  EdfScratch& s) {
+/// The sort runs on packed 64-bit keys (release in the high word, id in
+/// the low word) whenever every release fits in [0, 2^32): unsigned key
+/// order is then exactly the (release asc, id asc) comparator order, and
+/// the sort touches one contiguous u64 array instead of gathering two Job
+/// fields per comparison.  Out-of-range releases fall back to the
+/// comparator sort — same order, by definition.
+void sort_by_release(const JobSetView& jobs, std::span<const JobId> subset,
+                     EdfScratch& s) {
   auto& by_release = s.by_release;
   auto& rel = s.rel_sorted;
   const std::size_t count = subset.size();
@@ -80,6 +77,22 @@ bool edf_simulate(const JobSetView& jobs, std::span<const JobId> subset,
       rel[i] = jobs.release[by_release[i]];
     }
   }
+}
+
+/// The EDF loop.  Input is presorted: scratch.by_release holds the jobs in
+/// (release asc, id asc) order and scratch.rel_sorted their releases, as
+/// sort_by_release or EdfAdmission leave them.  Record=false skips all
+/// segment bookkeeping (the feasibility probes); Record=true leaves the
+/// merged run log in scratch.runs.  Every scratch.remaining entry touched
+/// is zeroed again before returning, so the job-indexed arrays stay
+/// sparsely clean even on early (infeasible) exits.  The sweep reads
+/// releases from the contiguous rel_sorted column.
+template <bool Record>
+bool edf_simulate(const JobSetView& jobs, EdfScratch& s) {
+  const auto& by_release = s.by_release;
+  const auto& rel = s.rel_sorted;
+  const std::size_t count = by_release.size();
+  POBP_DASSERT(rel.size() == count);
 
   if (s.remaining.size() < jobs.size()) s.remaining.resize(jobs.size(), 0);
   for (const JobId id : by_release) {
@@ -126,7 +139,10 @@ bool edf_simulate(const JobSetView& jobs, std::span<const JobId> subset,
       }
       const JobId top = ready.front().second;
       // Run the earliest-deadline job until it completes or the next
-      // release.
+      // release.  A completion past INT64_MAX misses every deadline: the
+      // machine stays busy at least that long, so whichever job finishes
+      // last is late.
+      if (add_overflows(now, s.remaining[top])) return false;
       Time until = now + s.remaining[top];
       if (next_release < count) {
         until = std::min(until, rel[next_release]);
@@ -161,7 +177,8 @@ bool edf_simulate(const JobSetView& jobs, std::span<const JobId> subset,
 
 bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
                   EdfScratch& scratch) {
-  return edf_simulate</*Record=*/false>(jobs, subset, scratch);
+  sort_by_release(jobs, subset, scratch);
+  return edf_simulate</*Record=*/false>(jobs, scratch);
 }
 
 bool edf_feasible(const JobSet& jobs, std::span<const JobId> subset,
@@ -170,10 +187,90 @@ bool edf_feasible(const JobSet& jobs, std::span<const JobId> subset,
   return edf_feasible(scratch.columns.view(), subset, scratch);
 }
 
+void EdfAdmission::clear() {
+  ids_.clear();
+  rel_.clear();
+  periods_.clear();
+}
+
+bool EdfAdmission::try_admit(const JobSetView& jobs, JobId id, EdfScratch& s) {
+  const Time r = jobs.release[id];
+  const std::size_t n = ids_.size();
+
+  // id's slot in (release, id) order.
+  std::size_t lo = 0;
+  std::size_t hi = n;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (rel_[mid] < r || (rel_[mid] == r && ids_[mid] < id)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const std::size_t pos = lo;
+
+  // The window opens at the start of the busy period holding r, or at r
+  // when the machine is idle then (no admitted job is released at an idle
+  // instant).  [first, last) are the admitted slots inside it so far: the
+  // holding period's jobs, or none.
+  const auto after = std::upper_bound(
+      periods_.begin(), periods_.end(), r,
+      [](Time t, const BusyPeriod& b) { return t < b.start; });
+  auto first_period = after;  // first busy period the window covers
+  Time start = r;
+  Time end = r;
+  std::size_t first = pos;
+  std::size_t last = pos;
+  if (after != periods_.begin() && std::prev(after)->end > r) {
+    first_period = std::prev(after);
+    start = first_period->start;
+    end = first_period->end;
+    first = static_cast<std::size_t>(
+        std::lower_bound(rel_.begin(), rel_.begin() + pos, start) -
+        rel_.begin());
+    last = static_cast<std::size_t>(
+        std::lower_bound(rel_.begin() + pos, rel_.end(), end) - rel_.begin());
+  }
+
+  // Grow the window by p_id, then absorb every later job released before
+  // it drains (whole busy periods at a time: each one's jobs arrive before
+  // it ends).  An end past INT64_MAX means the window's last job finishes
+  // after every representable deadline.
+  if (add_overflows(end, jobs.length[id])) return false;
+  end += jobs.length[id];
+  for (; last < n && rel_[last] < end; ++last) {
+    if (add_overflows(end, jobs.length[ids_[last]])) return false;
+    end += jobs.length[ids_[last]];
+  }
+
+  // Simulate the window's admitted jobs plus id, presorted (id at pos).
+  s.by_release.assign(ids_.begin() + first, ids_.begin() + last);
+  s.rel_sorted.assign(rel_.begin() + first, rel_.begin() + last);
+  s.by_release.insert(s.by_release.begin() + (pos - first), id);
+  s.rel_sorted.insert(s.rel_sorted.begin() + (pos - first), r);
+  if (!edf_simulate</*Record=*/false>(jobs, s)) return false;
+
+  // Commit: the merged window replaces every busy period it covers.
+  ids_.insert(ids_.begin() + pos, id);
+  rel_.insert(rel_.begin() + pos, r);
+  const auto covered_end = std::lower_bound(
+      after, periods_.end(), end,
+      [](const BusyPeriod& b, Time t) { return b.start < t; });
+  if (first_period == covered_end) {
+    periods_.insert(first_period, {start, end});
+  } else {
+    *first_period = {start, end};
+    periods_.erase(first_period + 1, covered_end);
+  }
+  return true;
+}
+
 bool edf_schedule_into(const JobSetView& jobs, std::span<const JobId> subset,
                        EdfScratch& s, MachineSchedule& out) {
   out.clear();
-  if (!edf_simulate</*Record=*/true>(jobs, subset, s)) return false;
+  sort_by_release(jobs, subset, s);
+  if (!edf_simulate</*Record=*/true>(jobs, s)) return false;
 
   // Bucket the run log into per-job segment lists with one counting pass,
   // then materialize assignments in release order (the order the original

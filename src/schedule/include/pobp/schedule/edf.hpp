@@ -7,20 +7,25 @@
 // a₁ ≺ b₁ ≺ a₂ ≺ b₂ — which is exactly the normal form the paper's
 // reduction (§4.1, Fig. 1) requires.  See laminar.hpp.
 //
-// The simulator comes in two strengths sharing one core loop:
-//   * edf_feasible  — yes/no, records nothing.  This is what greedy trial
-//     acceptance wants: the density-greedy seed probes O(n) candidate sets
-//     and only the final accepted set needs a materialized schedule.
+// One simulation loop serves three entry points:
+//   * edf_feasible  — yes/no for an arbitrary subset, records nothing.
 //   * edf_schedule  — the full laminar schedule.
-// Both have scratch-taking forms (EdfScratch) that perform zero heap
-// allocations once the scratch has warmed up to the largest instance seen;
-// the engine's per-worker sessions keep one EdfScratch alive across a whole
-// batch.
+//   * EdfAdmission  — yes/no for "admitted set plus one job", the greedy
+//     seed's trial acceptance.  It keeps the admitted set release-sorted
+//     with its busy periods and simulates only the one window the new job
+//     can change (docs/PERF.md, "Greedy seed: busy-window admission").
+// All take an EdfScratch and perform zero heap allocations once it (and
+// the admission's own buffers) have warmed up to the largest instance
+// seen; the engine's per-worker sessions keep them alive across a batch.
+//
+// Arithmetic is exact: a completion time past INT64_MAX misses every
+// representable deadline, so it is reported as infeasible, never wrapped.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/schedule.hpp"
@@ -55,17 +60,49 @@ struct EdfScratch {
 };
 
 /// True iff EDF completes every job of `subset` by its deadline, i.e. the
-/// subset is ∞-preemptive-feasible.  Records no schedule — this is the
-/// cheap form for greedy trial acceptance.
+/// subset is ∞-preemptive-feasible.  Records no schedule.
 bool edf_feasible(const JobSet& jobs, std::span<const JobId> subset,
                   EdfScratch& scratch);
 
 /// Columnar form (identical result): callers that probe many subsets of
-/// one JobSet (greedy trial acceptance) build the columns once and pass
-/// the view, instead of paying the per-call SoA rebuild of the JobSet
-/// overload above.
+/// one JobSet build the columns once and pass the view, instead of paying
+/// the per-call SoA rebuild of the JobSet overload above.
 bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
                   EdfScratch& scratch);
+
+/// An EDF-feasible job set that grows one job at a time.
+///
+/// Busy periods depend only on releases and lengths.  Adding job c changes
+/// the EDF run only inside one window: from the start of the busy period
+/// holding r_c (or r_c itself, if the machine is idle then) to the point
+/// where that period, grown by p_c and by every later period it reaches,
+/// drains.  Before the window nothing is pending, and from its end on the
+/// run is the feasible one without c, so try_admit simulates the admitted
+/// jobs released inside the window plus c, already in release order.
+class EdfAdmission {
+ public:
+  /// Forgets every admitted job; keeps the buffers' capacity.
+  void clear();
+
+  /// True iff EDF meets every deadline of admitted ∪ {id} — exactly
+  /// edf_feasible(jobs, admitted ∪ {id}) — and if so admits `id`.  `jobs`
+  /// must be the view of every earlier call since clear(), and `id` must
+  /// not be admitted yet.
+  bool try_admit(const JobSetView& jobs, JobId id, EdfScratch& scratch);
+
+  /// The admitted set in (release, id) order.
+  std::span<const JobId> admitted() const { return ids_; }
+
+ private:
+  struct BusyPeriod {
+    Time start;  ///< release of its first job
+    Time end;    ///< start + Σ p over its jobs (exclusive)
+  };
+
+  std::vector<JobId> ids_;           ///< admitted, (release, id) order
+  std::vector<Time> rel_;            ///< releases aligned with ids_
+  std::vector<BusyPeriod> periods_;  ///< disjoint, ascending
+};
 
 /// Simulates preemptive EDF of `subset` on one machine.
 ///

@@ -32,8 +32,10 @@ void diagnose_interval_condition(
     const JobSet& jobs, std::span<const JobId> subset, diag::Report& report,
     std::optional<diag::Severity> severity = std::nullopt);
 
-/// Incremental oracle for branch-and-bound: jobs are added one at a time and
-/// the condition is re-checked only against intervals the new job affects.
+/// Stack-shaped oracle for branch-and-bound: jobs are added one at a time
+/// and popped in reverse.  Each try_add re-runs the full O(n²) sweep of
+/// preemptive_feasible over the members plus the new job; at the B&B's
+/// depths (n ≤ ~26) that is cheaper than keeping incremental state.
 class FeasibilityOracle {
  public:
   explicit FeasibilityOracle(const JobSet& jobs) : jobs_(&jobs) {}

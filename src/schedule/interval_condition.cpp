@@ -1,6 +1,8 @@
 #include "pobp/schedule/interval_condition.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -18,8 +20,12 @@ struct Item {
 /// Core sweep over explicit items.  For every release value r, scan items
 /// with r_j >= r in deadline order and accumulate demand; the first time
 /// the running demand overflows the interval [r, d_j], call
-/// `on_overload(r, d_j, demand, witnesses)` and move to the next release.
-/// Returning false stops the whole sweep.
+/// `on_overload(r, d_j, demand, capacity, witnesses)` and move to the next
+/// release.  Returning false stops the whole sweep.
+///
+/// Demand and capacity are unsigned: d_j − r lies in [1, 2^64) for
+/// r ≤ r_j < d_j, which int64 cannot always hold, and a demand past
+/// 2^64 − 1 exceeds every capacity (it is reported saturated).
 template <typename OverloadFn>
 void interval_sweep(std::vector<Item> items, OverloadFn&& on_overload) {
   std::sort(items.begin(), items.end(), [](const Item& a, const Item& b) {
@@ -33,14 +39,18 @@ void interval_sweep(std::vector<Item> items, OverloadFn&& on_overload) {
                  releases.end());
 
   for (const Time r : releases) {
-    Duration demand = 0;
+    std::uint64_t demand = 0;
     std::size_t witnesses = 0;
     for (const Item& it : items) {  // deadline order
       if (it.release < r) continue;
-      demand += it.length;
       ++witnesses;
-      if (demand > it.deadline - r) {
-        if (!on_overload(r, it.deadline, demand, witnesses)) return;
+      const auto capacity = static_cast<std::uint64_t>(it.deadline) -
+                            static_cast<std::uint64_t>(r);
+      const bool past_max = __builtin_add_overflow(
+          demand, static_cast<std::uint64_t>(it.length), &demand);
+      if (past_max || demand > capacity) {
+        if (past_max) demand = std::numeric_limits<std::uint64_t>::max();
+        if (!on_overload(r, it.deadline, demand, capacity, witnesses)) return;
         break;  // one finding per release point; try the next r
       }
     }
@@ -62,7 +72,7 @@ std::vector<Item> collect(const JobSet& jobs, std::span<const JobId> subset) {
 bool preemptive_feasible(const JobSet& jobs, std::span<const JobId> subset) {
   bool feasible = true;
   interval_sweep(collect(jobs, subset),
-                 [&](Time, Time, Duration, std::size_t) {
+                 [&](Time, Time, std::uint64_t, std::uint64_t, std::size_t) {
                    feasible = false;
                    return false;  // first overload settles the predicate
                  });
@@ -75,10 +85,11 @@ void diagnose_interval_condition(const JobSet& jobs,
                                  std::optional<diag::Severity> severity) {
   interval_sweep(
       collect(jobs, subset),
-      [&](Time r, Time d, Duration demand, std::size_t witnesses) {
+      [&](Time r, Time d, std::uint64_t demand, std::uint64_t capacity,
+          std::size_t witnesses) {
         std::ostringstream os;
         os << "interval [" << r << ", " << d << "] demands " << demand
-           << " units of work but offers only " << (d - r) << " ("
+           << " units of work but offers only " << capacity << " ("
            << witnesses << " jobs with windows inside it)";
         diag::Location loc;
         loc.begin = r;
@@ -89,7 +100,7 @@ void diagnose_interval_condition(const JobSet& jobs,
                      : report.add(std::string(diag::rules::kIntervalOverload),
                                   os.str(), loc);
         diagnostic.with("demand", demand)
-            .with("capacity", d - r)
+            .with("capacity", capacity)
             .with("jobs", witnesses);
         return true;  // report every overloaded release point
       });

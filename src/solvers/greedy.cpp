@@ -1,4 +1,4 @@
-// Greedy ∞-preemptive heuristic (density order + EDF feasibility check).
+// Greedy ∞-preemptive heuristic (density order + EDF admission check).
 #include <algorithm>
 
 #include "pobp/schedule/edf.hpp"
@@ -25,22 +25,23 @@ void greedy_infinity_view_into(const JobSetView& jobs,
     return a < b;
   });
 
-  // Trial acceptance needs only feasibility; the schedule of the final
-  // accepted set is the same EDF run either way, so one materialization at
-  // the end replaces one per accepted candidate.
-  auto& accepted = scratch.accepted;
-  accepted.clear();
+  // Trial acceptance needs only feasibility, and only inside the busy
+  // window each candidate touches; the schedule of the final accepted set
+  // is the same EDF run either way, so one materialization at the end
+  // replaces one per accepted candidate.
+  auto& admission = scratch.admission;
+  admission.clear();
   for (const JobId id : order) {
     BudgetGuard::poll();
-    accepted.push_back(id);
-    if (!edf_feasible(jobs, accepted, scratch.edf)) accepted.pop_back();
+    (void)admission.try_admit(jobs, id, scratch.edf);
   }
-  if (accepted.empty()) {
+  if (admission.admitted().empty()) {
     out.clear();
     return;
   }
-  POBP_CHECK_MSG(edf_schedule_into(jobs, accepted, scratch.edf, out),
-                 "greedy accepted set must be EDF-feasible");
+  POBP_CHECK_MSG(
+      edf_schedule_into(jobs, admission.admitted(), scratch.edf, out),
+      "greedy accepted set must be EDF-feasible");
 }
 
 }  // namespace

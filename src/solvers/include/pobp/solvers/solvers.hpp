@@ -15,7 +15,7 @@
 //  * opt_k_slots       — exact max-value k-preemptive schedule for *tiny*
 //                        integer-horizon instances by DP over unit time
 //                        slots.  Exists purely as a cross-check oracle.
-//  * greedy_infinity   — density-ordered greedy with an EDF feasibility
+//  * greedy_infinity   — density-ordered greedy with an EDF admission
 //                        check; a fast ∞-preemptive heuristic used to seed
 //                        the pipeline on instances too large for B&B.
 #pragma once
@@ -48,14 +48,15 @@ SubsetSolution opt_zero(const JobSet& jobs, std::span<const JobId> candidates);
 std::optional<Value> opt_k_slots(const JobSet& jobs, std::size_t k,
                                  std::size_t max_states = 50'000'000);
 
-/// Reusable buffers for the greedy seed.  Each candidate probe runs the
-/// feasibility-only EDF simulator (edf_feasible) — only the final accepted
-/// set is materialized as a schedule, which is identical because EDF is a
-/// pure function of the job set.
+/// Reusable buffers for the greedy seed.  Each candidate probe is one
+/// EdfAdmission::try_admit, which EDF-simulates only the busy window the
+/// candidate touches — only the final accepted set is materialized as a
+/// schedule, which is identical because EDF is a pure function of the job
+/// set.
 struct GreedyScratch {
   std::vector<JobId> order;     ///< density-sorted consideration order
-  std::vector<JobId> accepted;  ///< growing accepted set
   std::vector<JobId> residual;  ///< multi-machine leftover staging
+  EdfAdmission admission;       ///< one machine pass's accepted set
   EdfScratch edf;
 };
 

@@ -3,12 +3,14 @@
 // rely on).
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/schedule/interval_condition.hpp"
 #include "pobp/schedule/validate.hpp"
+#include "pobp/solvers/solvers.hpp"
 #include "pobp/util/rng.hpp"
 
 namespace pobp {
@@ -72,6 +74,55 @@ TEST(Edf, NoPreemptionRecordedWhenContinuing) {
   ASSERT_TRUE(ms);
   EXPECT_EQ(ms->find(0)->segments.size(), 1u);
   EXPECT_EQ(ms->find(0)->segments[0], (Segment{0, 6}));
+}
+
+// Two jobs of length 2^62 released at 0: their completion times sum past
+// INT64_MAX.  Every tick is an exact double, so the pair also arrives as a
+// valid wire frame; a wrapped sum used to let the greedy accept both.
+JobSet overflow_pair() {
+  JobSet jobs;
+  jobs.add({0, 9223372036854774784, 4611686018427387904, 1.0});
+  jobs.add({0, 9223372036854774784, 4611686018427387904, 2.0});
+  return jobs;
+}
+
+TEST(EdfOverflow, CompletionPastInt64MaxMissesEveryDeadline) {
+  const JobSet jobs = overflow_pair();
+  EdfScratch scratch;
+  EXPECT_FALSE(edf_feasible(jobs, all_ids(jobs), scratch));
+  EXPECT_FALSE(edf_schedule(jobs, all_ids(jobs), scratch));
+  EXPECT_FALSE(preemptive_feasible(jobs, all_ids(jobs)));
+  for (const JobId id : all_ids(jobs)) {
+    const std::vector<JobId> alone{id};
+    EXPECT_TRUE(edf_feasible(jobs, alone, scratch));
+    EXPECT_TRUE(preemptive_feasible(jobs, alone));
+  }
+}
+
+TEST(EdfOverflow, GreedyKeepsOnlyTheValueTwoJob) {
+  const JobSet jobs = overflow_pair();
+  const MachineSchedule seed = greedy_infinity(jobs, all_ids(jobs));
+  EXPECT_EQ(seed.job_count(), 1u);
+  EXPECT_TRUE(seed.contains(1));
+  EXPECT_TRUE(validate_machine(jobs, seed));
+}
+
+// The interval sweep's capacity d − r can exceed INT64_MAX when r < 0: a
+// release near INT64_MIN and a deadline near INT64_MAX must still compare
+// exactly (and agree with EDF).
+TEST(IntervalCondition, CapacityWiderThanInt64StaysExact) {
+  constexpr Time kMin = std::numeric_limits<Time>::min();
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  JobSet jobs;
+  jobs.add({kMin, kMin + 10, 10, 1.0});
+  jobs.add({0, kMax, kMax / 2, 1.0});
+  jobs.add({1, kMax, kMax / 2, 1.0});
+  EdfScratch scratch;
+  EXPECT_TRUE(preemptive_feasible(jobs, all_ids(jobs)));
+  EXPECT_TRUE(edf_feasible(jobs, all_ids(jobs), scratch));
+  jobs.add({2, kMax, 2, 1.0});  // now one tick too many after 0
+  EXPECT_FALSE(preemptive_feasible(jobs, all_ids(jobs)));
+  EXPECT_FALSE(edf_feasible(jobs, all_ids(jobs), scratch));
 }
 
 TEST(IntervalCondition, SimpleFeasibleAndNot) {

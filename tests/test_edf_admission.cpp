@@ -1,0 +1,445 @@
+// Differential tests for EdfAdmission, the greedy seed's trial acceptance.
+//
+// Every try_admit answer must equal a from-scratch edf_feasible probe of the
+// admitted set plus the candidate — and the interval condition for n ≤ 64 —
+// and the greedy built on it must accept exactly what the previous greedy,
+// which re-probed the whole accepted set per candidate, accepted on 1–3
+// machines.  The corpus covers the src/gen random families and the edge
+// shapes of the busy-window argument: one busy period, zero laxity,
+// candidates released exactly at a busy period's end, windows that absorb
+// three or more later periods, negative releases, and ticks near the int64
+// limits.  Each family also checks, with its own busy-period computation,
+// that the shape it exists for really occurred.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
+
+#include "pobp/gen/lower_bounds.hpp"
+#include "pobp/gen/random_jobs.hpp"
+#include "pobp/gen/schedule_gen.hpp"
+#include "pobp/io/csv.hpp"
+#include "pobp/schedule/columns.hpp"
+#include "pobp/schedule/edf.hpp"
+#include "pobp/schedule/interval_condition.hpp"
+#include "pobp/solvers/solvers.hpp"
+#include "pobp/util/rng.hpp"
+
+namespace pobp {
+namespace {
+
+constexpr Time kMax = std::numeric_limits<Time>::max();
+constexpr Time kMin = std::numeric_limits<Time>::min();
+
+/// The seed's previous algorithm, kept as the oracle: density order, and
+/// each candidate re-probes the whole accepted set from scratch.
+Schedule reference_greedy(const JobSet& jobs, std::size_t machines) {
+  Schedule out(machines);
+  std::vector<JobId> remaining = all_ids(jobs);
+  EdfScratch scratch;
+  for (std::size_t m = 0; m < machines && !remaining.empty(); ++m) {
+    std::vector<JobId> order = remaining;
+    std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
+      const double lhs = jobs[a].value * static_cast<double>(jobs[b].length);
+      const double rhs = jobs[b].value * static_cast<double>(jobs[a].length);
+      return lhs != rhs ? lhs > rhs : a < b;
+    });
+    std::vector<JobId> accepted;
+    for (const JobId id : order) {
+      accepted.push_back(id);
+      if (!edf_feasible(jobs, accepted, scratch)) accepted.pop_back();
+    }
+    if (!accepted.empty()) out.machine(m) = *edf_schedule(jobs, accepted);
+    std::erase_if(remaining,
+                  [&](JobId id) { return out.machine(m).contains(id); });
+  }
+  return out;
+}
+
+/// What one probe looked like, from the admitted set's busy periods
+/// (computed here independently of EdfAdmission).
+struct Shape {
+  bool at_period_end = false;  ///< r_id equals some busy period's end
+  std::size_t absorbed = 0;    ///< later periods the grown window reaches
+  bool past_int64 = false;     ///< the window would end past INT64_MAX
+};
+
+Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
+  std::sort(admitted.begin(), admitted.end(), [&](JobId a, JobId b) {
+    return jobs[a].release < jobs[b].release;
+  });
+  struct Period {
+    Time start, end;
+  };
+  std::vector<Period> periods;  // feasible set: every end is a valid Time
+  for (const JobId j : admitted) {
+    if (periods.empty() || jobs[j].release >= periods.back().end) {
+      periods.push_back({jobs[j].release, jobs[j].release});
+    }
+    periods.back().end += jobs[j].length;
+  }
+  // Window arithmetic in 128 bits: here an end past INT64_MAX is just a
+  // number.
+  Shape shape;
+  const Time r = jobs[id].release;
+  __int128 end = r;
+  std::size_t next = 0;
+  for (; next < periods.size() && periods[next].start <= r; ++next) {
+    shape.at_period_end |= periods[next].end == r;
+    if (periods[next].end > r) end = periods[next].end;
+  }
+  end += jobs[id].length;
+  for (; next < periods.size() && periods[next].start < end; ++next) {
+    ++shape.absorbed;
+    end += static_cast<__int128>(periods[next].end) - periods[next].start;
+  }
+  shape.past_int64 = end > kMax;
+  return shape;
+}
+
+struct Coverage {
+  std::size_t instances = 0;
+  std::size_t probes = 0;
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  std::size_t at_period_end = 0;
+  std::size_t absorbed_three = 0;
+  std::size_t past_int64 = 0;
+};
+
+/// Admits every job of `jobs` in a random order through one reused
+/// EdfAdmission, checking each answer against from-scratch probes, then
+/// checks the greedy against the reference on 1–3 machines.
+void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
+                    GreedyScratch& greedy, Coverage& coverage) {
+  ++coverage.instances;
+  JobColumns columns;
+  columns.build(jobs);
+  const JobSetView view = columns.view();
+  std::vector<JobId> order = all_ids(jobs);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1],
+              order[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+
+  admission.clear();
+  EdfScratch scratch;
+  EdfScratch oracle;
+  std::vector<JobId> accepted;
+  for (const JobId id : order) {
+    const Shape shape = probe_shape(jobs, accepted, id);
+    coverage.at_period_end += shape.at_period_end;
+    coverage.absorbed_three += shape.absorbed >= 3;
+    coverage.past_int64 += shape.past_int64;
+    ++coverage.probes;
+
+    accepted.push_back(id);
+    const bool expected = edf_feasible(view, accepted, oracle);
+    if (jobs.size() <= 64) {
+      ASSERT_EQ(preemptive_feasible(jobs, accepted), expected)
+          << "EDF and the interval condition disagree, job " << id;
+    }
+    ASSERT_EQ(admission.try_admit(view, id, scratch), expected)
+        << "job " << id << " after " << accepted.size() - 1 << " admitted";
+    if (!expected) accepted.pop_back();
+    (expected ? coverage.accepted : coverage.rejected) += 1;
+  }
+
+  // admitted() is the accepted set in (release, id) order.
+  std::sort(accepted.begin(), accepted.end(), [&](JobId a, JobId b) {
+    return jobs[a].release != jobs[b].release
+               ? jobs[a].release < jobs[b].release
+               : a < b;
+  });
+  ASSERT_TRUE(std::ranges::equal(admission.admitted(), accepted));
+
+  for (const std::size_t machines : {1u, 2u, 3u}) {
+    const Schedule reference = reference_greedy(jobs, machines);
+    const Schedule seed =
+        greedy_infinity_multi(jobs, all_ids(jobs), machines, greedy);
+    ASSERT_EQ(io::schedule_to_csv(seed), io::schedule_to_csv(reference))
+        << machines << " machines";
+  }
+}
+
+using Family = std::function<JobSet(Rng&)>;
+
+/// Runs `count` instances of one family and returns what they covered.
+Coverage run_family(const Family& family, std::uint64_t seed,
+                    std::size_t count) {
+  Rng rng(seed);
+  EdfAdmission admission;
+  GreedyScratch greedy;
+  Coverage coverage;
+  for (std::size_t i = 0; i < count; ++i) {
+    const JobSet jobs = family(rng);
+    check_instance(jobs, rng, admission, greedy, coverage);
+    if (::testing::Test::HasFatalFailure()) {
+      ADD_FAILURE() << "instance " << i << " of seed " << seed;
+      break;
+    }
+  }
+  return coverage;
+}
+
+std::size_t draw_n(Rng& rng, std::size_t lo, std::size_t hi) {
+  return static_cast<std::size_t>(rng.uniform_int(
+      static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+}
+
+/// random_jobs with randomized knobs (strict and lax laxities, tight and
+/// loose horizons, every value mode), shifted by `offset`.
+JobSet random_family(Rng& rng, Time offset) {
+  JobGenConfig config;
+  config.n = draw_n(rng, 1, 96);
+  config.max_length = Duration{1} << rng.uniform_int(0, 12);
+  config.min_laxity = rng.bernoulli(0.5) ? 1.0 : 2.0;
+  config.max_laxity = config.min_laxity + rng.uniform_real(0.0, 6.0);
+  config.horizon = std::max<Time>(
+      Time{1} << rng.uniform_int(4, 18),
+      static_cast<Time>(static_cast<double>(config.max_length) *
+                        (config.max_laxity + 1)));
+  config.value_mode =
+      static_cast<JobGenConfig::ValueMode>(rng.uniform_int(0, 2));
+  const JobSet base = random_jobs(config, rng);
+  JobSet jobs;
+  for (const Job& j : base) {
+    jobs.add({j.release + offset, j.deadline + offset, j.length, j.value});
+  }
+  return jobs;
+}
+
+// --------------------------------------------------- src/gen families ------
+
+TEST(EdfAdmissionDifferential, RandomJobs) {
+  const Coverage c = run_family([](Rng& rng) { return random_family(rng, 0); },
+                                101, 400);
+  EXPECT_GT(c.accepted, 0u);
+  EXPECT_GT(c.rejected, 0u);
+}
+
+TEST(EdfAdmissionDifferential, LaminarInstances) {
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        LaminarGenConfig config;
+        config.target_jobs = draw_n(rng, 2, 80);
+        config.max_children = draw_n(rng, 1, 4);
+        config.slack_factor = rng.uniform_real(0.0, 1.0);
+        config.value_dist =
+            static_cast<LaminarGenConfig::ValueDist>(rng.uniform_int(0, 2));
+        return random_laminar_instance(config, rng).jobs;
+      },
+      202, 250);
+  // Each instance comes with a schedule of all its jobs: nothing is
+  // rejected, so every probe exercises the accepting path.
+  EXPECT_EQ(c.rejected, 0u);
+}
+
+TEST(EdfAdmissionDifferential, Fig2GeometricChains) {
+  // Lengths 2^i up to 2^61: the widest ticks the generators produce.
+  Coverage c;
+  for (std::size_t n = 1; n <= 62; ++n) {
+    Rng rng(n);
+    EdfAdmission admission;
+    GreedyScratch greedy;
+    check_instance(k0_geometric_instance(n).jobs, rng, admission, greedy, c);
+    ASSERT_FALSE(HasFatalFailure()) << "n = " << n;
+  }
+}
+
+// -------------------------------------------------------- edge shapes ------
+
+TEST(EdfAdmissionDifferential, EveryReleaseEqualIsOneBusyPeriod) {
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        const Time r = rng.uniform_int(-1000, 1000);
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 1, 80);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Duration p = rng.uniform_int(1, 64);
+          jobs.add({r, r + p + rng.uniform_int(0, 40 * static_cast<Time>(n)),
+                    p, static_cast<Value>(rng.uniform_int(1, 100))});
+        }
+        return jobs;
+      },
+      303, 250);
+  EXPECT_GT(c.rejected, 0u);
+}
+
+TEST(EdfAdmissionDifferential, ZeroLaxity) {
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 1, 80);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Time r = rng.uniform_int(0, 400);
+          const Duration p = rng.uniform_int(1, 24);
+          jobs.add({r, r + p, p, static_cast<Value>(rng.uniform_int(1, 9))});
+        }
+        return jobs;
+      },
+      404, 250);
+  EXPECT_GT(c.accepted, c.instances);
+  EXPECT_GT(c.rejected, 0u);
+}
+
+TEST(EdfAdmissionDifferential, ReleasesOnBusyPeriodEnds) {
+  // Releases and lengths on a grid of 4: busy periods end exactly where
+  // other jobs are released.
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 2, 64);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Time r = 4 * rng.uniform_int(0, 40);
+          const Duration p = 4 * rng.uniform_int(1, 3);
+          jobs.add({r, r + p * rng.uniform_int(1, 3), p,
+                    static_cast<Value>(rng.uniform_int(1, 50))});
+        }
+        return jobs;
+      },
+      505, 250);
+  EXPECT_GT(c.at_period_end, c.instances);
+}
+
+TEST(EdfAdmissionDifferential, WindowsAbsorbThreeOrMorePeriods) {
+  // Short jobs with gaps between them, and a few long lax jobs released
+  // early whose windows swallow run after run of them.
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t chain = draw_n(rng, 4, 60);
+        for (std::size_t i = 0; i < chain; ++i) {
+          const Time r = 10 * static_cast<Time>(i) + rng.uniform_int(0, 3);
+          const Duration p = rng.uniform_int(1, 6);
+          jobs.add({r, r + p + rng.uniform_int(0, 4), p,
+                    static_cast<Value>(rng.uniform_int(20, 100))});
+        }
+        const std::size_t longs = draw_n(rng, 2, 8);
+        for (std::size_t i = 0; i < longs; ++i) {
+          const Time r = rng.uniform_int(0, 20);
+          const Duration p = rng.uniform_int(20, 80);
+          jobs.add({r, r + p + rng.uniform_int(0, 10 * static_cast<Time>(chain)),
+                    p, static_cast<Value>(rng.uniform_int(1, 30))});
+        }
+        return jobs;
+      },
+      606, 250);
+  EXPECT_GT(c.absorbed_three, c.instances);
+}
+
+TEST(EdfAdmissionDifferential, NegativeReleases) {
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        const Time offset = rng.bernoulli(0.5)
+                                ? -rng.uniform_int(1, Time{1} << 40)
+                                : kMin + rng.uniform_int(0, 1 << 20);
+        return random_family(rng, offset);
+      },
+      707, 250);
+  EXPECT_GT(c.rejected, 0u);
+}
+
+TEST(EdfAdmissionDifferential, TicksNearTheInt64Limits) {
+  // Lengths up to 2^62 inside windows ending near INT64_MAX, some released
+  // near INT64_MIN: busy-period sums and EDF completions pass INT64_MAX,
+  // and interval capacities d − r exceed it.
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 1, 24);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Duration p =
+              rng.uniform_int(1, 4) << rng.uniform_int(55, 60);
+          Time r = 0;
+          switch (rng.uniform_int(0, 2)) {
+            case 0:  // released near INT64_MIN, window up to 2^62
+              r = kMin + rng.uniform_int(0, Time{1} << 61);
+              jobs.add({r, r + p + rng.uniform_int(0, Time{1} << 61), p, 1.0});
+              continue;
+            case 1:  // released near 0
+              r = rng.uniform_int(-(Time{1} << 60), Time{1} << 60);
+              break;
+            default:  // released close to INT64_MAX
+              r = kMax - p - rng.uniform_int(0, Time{1} << 61);
+              break;
+          }
+          // d stays ≤ INT64_MAX and so does the window d − r.
+          const Time slack = kMax - p - std::max<Time>(r, 0);
+          jobs.add({r, r + p + rng.uniform_int(0, slack), p,
+                    static_cast<Value>(rng.uniform_int(1, 4))});
+        }
+        return jobs;
+      },
+      808, 250);
+  EXPECT_GT(c.past_int64, c.instances);
+}
+
+// ---------------------------------------------------- pinned shapes -------
+
+TEST(EdfAdmission, WindowAbsorbsThreeLaterPeriods) {
+  // Tight jobs make busy periods [0,2) [3,5) [6,8) [9,11).  A length-4 job
+  // released at 0 runs in their gaps and the window reaches all four, so it
+  // finishes at 12: deadline 11 is one tick short, deadline 12 fits.
+  JobSet jobs;
+  for (const Time r : {0, 3, 6, 9}) jobs.add({r, r + 2, 2, 1.0});
+  const JobId late = jobs.add({0, 11, 4, 1.0});
+  const JobId fits = jobs.add({0, 12, 4, 1.0});
+  const JobId at_end = jobs.add({12, 13, 1, 1.0});
+  JobColumns columns;
+  columns.build(jobs);
+  EdfAdmission admission;
+  EdfScratch scratch;
+  for (JobId id = 0; id < 4; ++id) {
+    EXPECT_TRUE(admission.try_admit(columns.view(), id, scratch));
+  }
+  EXPECT_FALSE(admission.try_admit(columns.view(), late, scratch));
+  EXPECT_TRUE(admission.try_admit(columns.view(), fits, scratch));
+  // Released exactly where the merged period ends: a window of its own.
+  EXPECT_TRUE(admission.try_admit(columns.view(), at_end, scratch));
+  EXPECT_EQ(admission.admitted().size(), 6u);
+}
+
+TEST(EdfAdmission, CandidateAtAPeriodEndOpensItsOwnWindow) {
+  JobSet jobs;
+  jobs.add({0, 10, 10, 1.0});  // busy period [0, 10)
+  const JobId next = jobs.add({10, 20, 10, 1.0});
+  const JobId crowded = jobs.add({10, 20, 1, 1.0});
+  const JobId inside = jobs.add({9, 30, 1, 1.0});
+  JobColumns columns;
+  columns.build(jobs);
+  EdfAdmission admission;
+  EdfScratch scratch;
+  EXPECT_TRUE(admission.try_admit(columns.view(), 0, scratch));
+  EXPECT_TRUE(admission.try_admit(columns.view(), next, scratch));
+  EXPECT_FALSE(admission.try_admit(columns.view(), crowded, scratch));
+  // Released inside [0, 10): the window grows to 11 and absorbs [10, 20).
+  EXPECT_TRUE(admission.try_admit(columns.view(), inside, scratch));
+  const std::vector<JobId> order{0, inside, next};
+  EXPECT_TRUE(std::ranges::equal(admission.admitted(), order));
+}
+
+TEST(EdfAdmission, OverflowingWindowRejects) {
+  JobSet jobs;
+  jobs.add({0, kMax - 1023, Duration{1} << 62, 2.0});
+  jobs.add({0, kMax - 1023, Duration{1} << 62, 1.0});
+  jobs.add({kMax - 2, kMax, 2, 1.0});  // fits after the first job's period
+  JobColumns columns;
+  columns.build(jobs);
+  EdfAdmission admission;
+  EdfScratch scratch;
+  EXPECT_TRUE(admission.try_admit(columns.view(), 0, scratch));
+  EXPECT_FALSE(admission.try_admit(columns.view(), 1, scratch));
+  EXPECT_TRUE(admission.try_admit(columns.view(), 2, scratch));
+  admission.clear();
+  EXPECT_TRUE(admission.admitted().empty());
+  EXPECT_TRUE(admission.try_admit(columns.view(), 1, scratch));
+}
+
+}  // namespace
+}  // namespace pobp

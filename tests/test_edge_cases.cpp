@@ -146,5 +146,27 @@ TEST(EdgeCases, MaxLPickerSmallBudget) {
   EXPECT_EQ(pobp_lower_bound_max_L(2, 1), 0u);
 }
 
+// Two length-2^62 jobs released at 0 cannot share a machine: together they
+// would finish past INT64_MAX.  Every solve path must keep the value-2 job
+// on one machine and both on two — a wrapped completion time used to let
+// the seed accept both and the reduction then fail its own invariant.
+TEST(EdgeCases, CompletionsPastInt64MaxAcrossKAndMachines) {
+  JobSet jobs;
+  jobs.add({0, 9223372036854774784, 4611686018427387904, 1.0});
+  jobs.add({0, 9223372036854774784, 4611686018427387904, 2.0});
+  for (const std::size_t k : {0u, 1u, 2u}) {
+    for (const std::size_t machines : {1u, 2u}) {
+      const auto result =
+          try_schedule_bounded(jobs, {.k = k, .machine_count = machines});
+      ASSERT_TRUE(result.has_value())
+          << "k " << k << ", " << machines << " machines: "
+          << result.error().first_error();
+      EXPECT_DOUBLE_EQ(result->value, machines == 1 ? 2.0 : 3.0)
+          << "k " << k << ", " << machines << " machines";
+      EXPECT_TRUE(validate(jobs, result->schedule, k));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pobp

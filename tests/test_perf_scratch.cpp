@@ -10,7 +10,9 @@
 //      path trees (iterative traversals — no stack overflow), and once a
 //      TmScratch has warmed up, re-running the DP performs zero heap
 //      allocations (asserted live when the binary links pobp::allocspy
-//      with counting enabled, skipped otherwise).
+//      with counting enabled, skipped otherwise);
+//   4. the greedy seed polls its budget exactly once per candidate, and a
+//      warmed GreedyScratch re-seeds without allocating.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -393,6 +395,94 @@ TEST(CsrForest, ClearKeepsCapacityAndRebuildsCleanly) {
     }
     EXPECT_EQ(f.total_value(), big.total_value());
   }
+}
+
+// ------------------------------------------------------- greedy seed ------
+
+/// Congested random instance: the machine passes each leave jobs behind.
+JobSet congested_jobs(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  JobGenConfig config;
+  config.n = n;
+  config.max_length = 64;
+  config.max_laxity = 3.0;
+  config.horizon = std::max<Time>(256, static_cast<Time>(6 * n));
+  return random_jobs(config, rng);
+}
+
+// The seed's cost contract: one BudgetGuard poll per candidate, summed
+// over the machine passes.  A max_ops budget therefore fires at the same
+// candidate however cheap each admission probe is, and perfbench's probe
+// count (read from the guard) stays comparable across versions.
+TEST(GreedySeed, PollsTheBudgetOncePerCandidate) {
+  const JobSet jobs = congested_jobs(300, 77);
+  JobColumns columns;
+  columns.build(jobs);
+  const std::vector<JobId> ids = all_ids(jobs);
+  GreedyScratch scratch;
+  const auto seed = [&](BudgetGuard& guard, Schedule& out) {
+    const BudgetGuard::Scope scope(&guard);
+    greedy_infinity_multi_into(columns.view(), ids, out.machine_count(),
+                               scratch, out);
+  };
+  for (const std::size_t machines : {1u, 2u, 3u}) {
+    Schedule out(machines);
+    BudgetGuard unlimited{SolveBudget{}};
+    seed(unlimited, out);
+    // Pass m considers every job the earlier passes left.
+    std::uint64_t candidates = 0;
+    std::size_t left = jobs.size();
+    for (std::size_t m = 0; m < machines && left > 0; ++m) {
+      candidates += left;
+      left -= out.machine(m).job_count();
+    }
+    ASSERT_GT(left, 0u) << "instance must overflow " << machines
+                        << " machines";
+    EXPECT_EQ(unlimited.ops(), candidates) << machines << " machines";
+
+    // An exact budget completes with the same seed; one poll less fires on
+    // the last candidate.
+    Schedule again(machines);
+    BudgetGuard exact{SolveBudget{.max_ops = candidates}};
+    seed(exact, again);
+    EXPECT_EQ(io::schedule_to_csv(again), io::schedule_to_csv(out));
+    BudgetGuard short_one{SolveBudget{.max_ops = candidates - 1}};
+    EXPECT_THROW(seed(short_one, again), BudgetExhausted);
+    EXPECT_EQ(short_one.ops(), candidates);
+  }
+}
+
+// A GreedyScratch warmed on a mixed corpus re-seeds its largest instance
+// without touching the heap: the admission's sorted set and busy periods,
+// the EDF scratch and the pooled output all keep their capacity.
+TEST(GreedySeed, WarmScratchReseedsWithoutAllocating) {
+  std::vector<JobSet> corpus;
+  for (const std::size_t n : {40u, 700u, 5u, 260u}) {
+    corpus.push_back(congested_jobs(n, n));
+  }
+  GreedyScratch scratch;
+  JobColumns columns;
+  std::vector<JobId> ids;
+  Schedule out(2);
+  const auto seed = [&](const JobSet& jobs) {
+    columns.build(jobs);
+    ids = all_ids(jobs);
+    greedy_infinity_multi_into(columns.view(), ids, 2, scratch, out);
+  };
+  for (const JobSet& jobs : corpus) seed(jobs);
+  const JobSet& largest = corpus[1];
+  seed(largest);
+  const std::string expected = io::schedule_to_csv(out);
+
+  if (!alloccount::arm()) {
+    GTEST_SKIP() << "allocation counting disabled in this build";
+  }
+  columns.build(largest);
+  alloccount::Scope scope;
+  greedy_infinity_multi_into(columns.view(), ids, 2, scratch, out);
+  EXPECT_EQ(scope.allocations(), 0u)
+      << "warmed greedy re-seed must be allocation-free";
+  EXPECT_EQ(io::schedule_to_csv(out), expected);
 }
 
 // ------------------------------------------------- deep-chain stress ------
