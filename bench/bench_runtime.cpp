@@ -23,7 +23,6 @@
 #include "pobp/gen/forest_gen.hpp"
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/gen/schedule_gen.hpp"
-#include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/validate.hpp"
 #include "pobp/util/alloccount.hpp"
 #include "pobp/util/budget.hpp"
@@ -225,15 +224,13 @@ BENCHMARK(BM_EdfSimulatorPooled)
 // candidates are rejected.
 void BM_GreedySeedPooled(benchmark::State& state) {
   const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
-  JobColumns columns;
-  columns.build(jobs);
   const std::vector<JobId> ids = all_ids(jobs);
   GreedyScratch scratch;
   Schedule out(1);
-  greedy_infinity_multi_into(columns.view(), ids, 1, scratch, out);  // warm
+  greedy_infinity_multi_into(jobs, ids, 1, scratch, out);  // warm
   AllocMeter meter(state);
   for (auto _ : state) {
-    greedy_infinity_multi_into(columns.view(), ids, 1, scratch, out);
+    greedy_infinity_multi_into(jobs, ids, 1, scratch, out);
     benchmark::DoNotOptimize(out.machine(0).job_count());
   }
   state.SetComplexityN(state.range(0));
@@ -391,8 +388,8 @@ BENCHMARK(BM_TmChildMergeScalarRef)
     ->Range(1 << 12, 1 << 16)
     ->Complexity(benchmark::oN);
 
-/// Pre-SoA EDF feasibility probe: comparator release sort over the Job AoS
-/// plus a scalar admission scan inside the event loop.
+/// Pre-SoA EDF feasibility probe: comparator release sort through
+/// `jobs[id]` plus a scalar admission scan inside the event loop.
 bool scalar_ref_edf(const JobSet& jobs, std::span<const JobId> subset,
                     EdfScratch& s) {
   auto& by_release = s.by_release;
@@ -448,8 +445,7 @@ void BM_EdfSweep(benchmark::State& state) {
       make_laminar(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(inst.jobs);
   EdfScratch scratch;
-  scratch.columns.build(inst.jobs);  // the solve-level scratch owns the SoA
-  const JobSetView view = scratch.columns.view();
+  const JobSetView view = inst.jobs;
   (void)edf_feasible(view, ids, scratch);  // warm the scratch
   AllocMeter meter(state);
   for (auto _ : state) {
@@ -464,9 +460,8 @@ void BM_EdfSweepScalarRef(benchmark::State& state) {
       make_laminar(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(inst.jobs);
   EdfScratch scratch;
-  scratch.columns.build(inst.jobs);
   POBP_CHECK(scalar_ref_edf(inst.jobs, ids, scratch) ==
-             edf_feasible(scratch.columns.view(), ids, scratch));
+             edf_feasible(inst.jobs, ids, scratch));
   for (auto _ : state) {
     benchmark::DoNotOptimize(scalar_ref_edf(inst.jobs, ids, scratch));
   }
@@ -496,8 +491,7 @@ void BM_LsaClassify(benchmark::State& state) {
   const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(jobs);
   LsaScratch scratch;
-  scratch.columns.build(jobs);
-  const JobSetView view = scratch.columns.view();
+  const JobSetView view = jobs;
   (void)lsa_classify(view, ids, 2, ClassifyBy::kLength, scratch);
   AllocMeter meter(state);
   for (auto _ : state) {
@@ -514,9 +508,7 @@ void BM_LsaClassifyScalarRef(benchmark::State& state) {
   std::vector<std::pair<std::size_t, JobId>> classes;
   {  // grouped output must match the SIMD + counting-sort path exactly
     LsaScratch scratch;
-    scratch.columns.build(jobs);
-    (void)lsa_classify(scratch.columns.view(), ids, 2, ClassifyBy::kLength,
-                       scratch);
+    (void)lsa_classify(jobs, ids, 2, ClassifyBy::kLength, scratch);
     scalar_ref_classify(jobs, ids, 3, classes);
     POBP_CHECK(classes == scratch.classes);
   }

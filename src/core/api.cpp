@@ -16,22 +16,13 @@
 
 namespace pobp {
 
-Schedule seed_unbounded_schedule(const JobSet& jobs,
-                                 const ScheduleOptions& options) {
-  const std::vector<JobId> ids = all_ids(jobs);
-  return seed_unbounded_schedule(jobs, options, ids);
-}
-
 void seed_unbounded_schedule_into(const JobSet& jobs,
                                   const ScheduleOptions& options,
                                   std::span<const JobId> ids,
                                   SolveScratch& scratch, Schedule& out) {
   if (options.seed == ScheduleOptions::Seed::kGreedyDensity) {
-    // Build the SoA mirror once in the solve-level scratch; the greedy and
-    // EDF inner loops then run entirely on contiguous columns.
-    scratch.columns.build(jobs);
-    greedy_infinity_multi_into(scratch.columns.view(), ids,
-                               options.machine_count, scratch.greedy, out);
+    greedy_infinity_multi_into(jobs, ids, options.machine_count,
+                               scratch.greedy, out);
     return;
   }
   // Exact B&B seed — a cold path (n ≤ kExactSeedJobLimit): the output is
@@ -52,20 +43,6 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
     std::erase_if(remaining,
                   [&](JobId id) { return out.machine(m).contains(id); });
   }
-}
-
-Schedule seed_unbounded_schedule(const JobSet& jobs,
-                                 const ScheduleOptions& options,
-                                 std::span<const JobId> ids,
-                                 SolveScratch* scratch) {
-  Schedule out(options.machine_count);
-  if (scratch != nullptr) {
-    seed_unbounded_schedule_into(jobs, options, ids, *scratch, out);
-  } else {
-    SolveScratch local;
-    seed_unbounded_schedule_into(jobs, options, ids, local, out);
-  }
-  return out;
 }
 
 diag::Report check_schedule_options(const JobSet& jobs,
@@ -135,7 +112,7 @@ CombinedMultiValues k_preemption_combined_multi_into(
 
   // Strict branch: reduce each machine's restriction separately.  The
   // restriction itself is never materialized — the laminar rearrangement is
-  // a pure function of the strict job subset (see laminarize_subset).
+  // a pure function of the strict job subset (see laminarize_subset_into).
   Stopwatch sw;
   Schedule& strict_schedule = s.strict_sched;
   strict_schedule.reset(machines);
@@ -181,9 +158,7 @@ CombinedMultiValues k_preemption_combined_multi_into(
   // Lax branch: iterative multi-machine LSA_CS on all lax jobs.
   sw.lap();
   Schedule& lax_schedule = s.lax_sched;
-  s.columns.build(jobs);  // SoA mirror for the LSA_CS class-selection loops
-  lsa_cs_multi_into(s.columns.view(), lax_ids, options.k, machines, s.lsa,
-                    lax_schedule);
+  lsa_cs_multi_into(jobs, lax_ids, options.k, machines, s.lsa, lax_schedule);
   if (timings) timings->lsa_s += sw.lap();
   values.lax_value = lax_schedule.total_value(jobs);
 
@@ -226,28 +201,6 @@ CombinedMultiValues k_preemption_combined_multi_into(
     values.value = values.lax_value;
   }
   return values;
-}
-
-CombinedMultiResult k_preemption_combined_multi(
-    const JobSet& jobs, const Schedule& unbounded,
-    const CombinedOptions& options, PipelineTimings* timings,
-    SolveScratch* scratch) {
-  CombinedMultiResult result;
-  CombinedMultiValues values;
-  if (scratch != nullptr) {
-    values = k_preemption_combined_multi_into(jobs, unbounded, options,
-                                              timings, *scratch,
-                                              result.schedule);
-  } else {
-    SolveScratch local;
-    values = k_preemption_combined_multi_into(jobs, unbounded, options,
-                                              timings, local,
-                                              result.schedule);
-  }
-  result.value = values.value;
-  result.strict_value = values.strict_value;
-  result.lax_value = values.lax_value;
-  return result;
 }
 
 }  // namespace pobp

@@ -94,48 +94,20 @@ struct ScheduleResult {
 [[nodiscard]] Expected<ScheduleResult, diag::Report> try_schedule_bounded(
     const JobSet& jobs, const ScheduleOptions& options = {});
 
-/// Seed ∞-preemptive schedule across machines: the density-greedy heuristic
-/// or the exact B&B applied iteratively to the residual set, per
-/// ScheduleOptions::seed.  This is stage 1 of the pipeline; exported so the
-/// engine can time it separately.
-[[nodiscard]] Schedule seed_unbounded_schedule(const JobSet& jobs,
-                                               const ScheduleOptions& options);
-
 /// Every reusable buffer a pipeline solve needs (see pobp/core/scratch.hpp).
 struct SolveScratch;
 
-/// Scratch-reusing variant: `ids` must be all job ids [0, n) (the engine's
-/// sessions keep this buffer alive across instances).  With a non-null
-/// `scratch` the seed additionally reuses the greedy/EDF buffers — results
-/// are bit-identical either way.
-[[nodiscard]] Schedule seed_unbounded_schedule(const JobSet& jobs,
-                                               const ScheduleOptions& options,
-                                               std::span<const JobId> ids,
-                                               SolveScratch* scratch = nullptr);
-
-/// Pooled form of the scratch-reusing seed: writes the seed schedule into
-/// `out` (reset first, segment capacity retained).  Allocation-free once
-/// the scratch and `out` are warmed (greedy seed; the exact B&B seed is a
-/// cold path and still allocates internally).  `out` must not alias a
-/// schedule owned by `scratch`.
+/// Seed ∞-preemptive schedule across machines (stage 1 of the pipeline):
+/// the density-greedy heuristic or the exact B&B applied iteratively to the
+/// residual set, per ScheduleOptions::seed.  `ids` must be all job ids
+/// [0, n).  Writes into `out` (reset first, segment capacity retained);
+/// allocation-free once the scratch and `out` are warmed (greedy seed; the
+/// exact B&B seed is a cold path and still allocates internally).  `out`
+/// must not alias a schedule owned by `scratch`.
 void seed_unbounded_schedule_into(const JobSet& jobs,
                                   const ScheduleOptions& options,
                                   std::span<const JobId> ids,
                                   SolveScratch& scratch, Schedule& out);
-
-/// Multi-machine Algorithm 3: the strict branch reduces each machine of the
-/// given ∞-preemptive schedule separately (§4.1 remark); the lax branch
-/// runs the iterative multi-machine LSA_CS (§4.3.4).  Better branch wins.
-struct CombinedMultiResult {
-  Schedule schedule;
-  Value value = 0;
-  Value strict_value = 0;
-  Value lax_value = 0;
-};
-[[nodiscard]] CombinedMultiResult k_preemption_combined_multi(
-    const JobSet& jobs, const Schedule& unbounded,
-    const CombinedOptions& options, PipelineTimings* timings = nullptr,
-    SolveScratch* scratch = nullptr);
 
 /// Branch values of a pooled Algorithm-3 run (the winning schedule itself
 /// goes to the caller's `out`).
@@ -164,12 +136,15 @@ struct SolveDeltaHint {
   const std::uint8_t* job_changed = nullptr;  ///< size n, 1 = attrs differ
 };
 
-/// Pooled form of k_preemption_combined_multi: all three branch schedules
-/// are materialized in the scratch's result arena and the winner is
-/// deep-copied (pooled, capacity-retaining) into `out`.  Allocation-free
-/// once scratch and `out` are warmed; results bit-identical to the
-/// allocating form.  `out` must not alias a schedule owned by `scratch`
-/// and `unbounded` may be `scratch.seed` (it is only read).  A non-null
+/// Multi-machine Algorithm 3: the strict branch reduces each machine of the
+/// given ∞-preemptive schedule separately (§4.1 remark); the lax branch
+/// runs the iterative multi-machine LSA_CS (§4.3.4); the full-reduction
+/// branch (Theorem 4.2) reduces each machine's whole job set.  The best
+/// branch wins.  All three branch schedules are materialized in the
+/// scratch's result arena and the winner is deep-copied (pooled,
+/// capacity-retaining) into `out`.  Allocation-free once scratch and `out`
+/// are warmed.  `out` must not alias a schedule owned by `scratch` and
+/// `unbounded` may be `scratch.seed` (it is only read).  A non-null
 /// `delta` enables per-machine neighbor reuse (see SolveDeltaHint); the
 /// result is bit-identical with or without it.
 CombinedMultiValues k_preemption_combined_multi_into(

@@ -5,13 +5,16 @@
 // Each stage's typed scratch struct lives where it is consumed (EdfScratch
 // in schedule/, TmScratch in bas/, ...); this header only aggregates them —
 // plus the shared id-partition buffers — so the core entry points can
-// thread one pointer instead of seven.
+// thread one pointer instead of seven.  No stage copies the job set: every
+// kernel reads the JobSet's own columns through a JobSetView, so
+// `columns` is filled only by perfbench's traced replay.
 //
 // Contract (see docs/PERF.md): a scratch must only ever be used by one
-// thread at a time, results are bit-identical with and without a scratch,
-// and once every buffer has grown to the largest instance seen, a solve
-// performs no steady-state heap allocations in the TM / laminarize /
-// left-merge path beyond materializing its result schedules.
+// thread at a time, results are bit-identical whether a scratch is fresh
+// or reused across instances, and once every buffer has grown to the
+// largest instance seen, a solve performs no steady-state heap allocations
+// in the TM / laminarize / left-merge path beyond materializing its result
+// schedules.
 #pragma once
 
 #include <cstdint>
@@ -19,7 +22,6 @@
 
 #include "pobp/lsa/lsa.hpp"
 #include "pobp/reduction/rebuild.hpp"
-#include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/job.hpp"
 #include "pobp/schedule/validate.hpp"
 #include "pobp/solvers/solvers.hpp"
@@ -30,7 +32,7 @@ struct SolveScratch {
   GreedyScratch greedy;        ///< seed stage
   ReductionScratch reduction;  ///< laminarize/forest/TM/left-merge stages
   LsaScratch lsa;              ///< lax branch and k = 0 path
-  JobColumns columns;  ///< SoA job mirror, built once per pipeline entry
+  JobColumns columns;          ///< perfbench's replay only (see above)
 
   std::vector<JobId> ids;        ///< all-ids staging
   std::vector<std::uint64_t> subhashes;  ///< solve-cache per-job sub-hashes

@@ -242,17 +242,15 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
   CacheKey key{};
   std::uint64_t params_sig = 0;
   const auto lookup = [&](bool approximate_key) {
-    // Canonicalization happens here: the SoA mirror *is* the canonical
-    // form (job-id order, one contiguous column per attribute), so keying
-    // reuses the same staging the pipeline solves from.  All buffers are
-    // pooled — a warm probe allocates nothing.
-    s.columns.build(jobs);
+    // Canonicalization happens here: the JobSet's columns *are* the
+    // canonical form (job-id order, one contiguous column per attribute),
+    // so keying reads them in place.  The sub-hash buffer is pooled — a
+    // warm probe allocates nothing.
     params_sig = SolveCache::params_signature(options, approximate_key);
     s.subhashes.resize(jobs.size());
-    SolveCache::job_subhashes(s.columns.view(), s.subhashes.data());
-    key = SolveCache::instance_key(s.columns.view(), s.subhashes.data(),
-                                   params_sig);
-    const bool hit = cache->try_get(key, s.columns.view(), params_sig, out);
+    SolveCache::job_subhashes(jobs, s.subhashes.data());
+    key = SolveCache::instance_key(jobs, s.subhashes.data(), params_sig);
+    const bool hit = cache->try_get(key, jobs, params_sig, out);
     ++(hit ? metrics_.cache_hits : metrics_.cache_misses);
     return hit;
   };
@@ -324,8 +322,8 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
     SolveDeltaHint hint;
     const SolveDeltaHint* delta = nullptr;
     if (cache != nullptr && cache->delta_enabled() &&
-        cache->copy_delta_neighbor(s.columns.view(), s.subhashes.data(),
-                                   params_sig, delta_)) {
+        cache->copy_delta_neighbor(jobs, s.subhashes.data(), params_sig,
+                                   delta_)) {
       hint.seed = &delta_.seed;
       hint.strict_sched = &delta_.strict_sched;
       hint.full_sched = &delta_.full_sched;
@@ -357,7 +355,7 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
   if (cache != nullptr && valid && cache_mode == CacheMode::kReadWrite) {
     const bool delta_capable = !approximate && options.k != 0;
     const std::size_t evicted = cache->insert(
-        key, s.columns.view(), s.subhashes.data(), params_sig, out,
+        key, jobs, s.subhashes.data(), params_sig, out,
         delta_capable ? &s.seed : nullptr,
         delta_capable ? &s.strict_sched : nullptr,
         delta_capable ? &s.full_sched : nullptr);

@@ -37,7 +37,7 @@
 
 #include "pobp/core/pobp.hpp"
 #include "pobp/diag/diagnostic.hpp"
-#include "pobp/schedule/columns.hpp"
+#include "pobp/schedule/job.hpp"
 #include "pobp/util/thread_annotations.hpp"
 
 namespace pobp {

@@ -17,6 +17,10 @@
 // (resp. log₂ P) classification factor.  On lax jobs (λ_j ≥ k+1) this
 // yields val ≥ OPT∞ / (6·log_{k+1} P)   (Lemma 4.10); for k = 0 it yields
 // val ≥ OPT∞ / (3·log₂ P)               (§5).
+//
+// Every entry point reads the jobs through a JobSetView (a JobSet converts
+// to one in place, without a copy); the allocating forms are one-call
+// conveniences over the pooled `_into` forms the solve pipeline uses.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/schedule.hpp"
 #include "pobp/schedule/timeline.hpp"
 
@@ -63,17 +66,12 @@ struct LsaScratch {
   std::vector<std::uint32_t> class_counts;  ///< counting-sort histogram
   std::vector<std::int64_t> class_bounds;   ///< base^c length boundaries
   std::vector<std::int64_t> class_vals;     ///< gathered per-candidate keys
-  JobColumns columns;  ///< SoA mirror for the JobSet-taking entry points
 };
 
 /// Plain LSA over `candidates` on one (initially empty) machine.
 /// k is the preemption bound (k = 0 means en-bloc / non-preemptive).
-LsaResult lsa(const JobSet& jobs, std::span<const JobId> candidates,
+LsaResult lsa(const JobSetView& jobs, std::span<const JobId> candidates,
               std::size_t k, LsaOrder order = LsaOrder::kDensity);
-
-/// Scratch-reusing form (identical result).
-LsaResult lsa(const JobSet& jobs, std::span<const JobId> candidates,
-              std::size_t k, LsaOrder order, LsaScratch& scratch);
 
 /// What classify-and-select groups by.  The paper's Alg. 2 classifies by
 /// length (ratio ≤ k+1 per class ⇒ price O(log_{k+1} P)); §1.4 notes that
@@ -88,42 +86,20 @@ enum class ClassifyBy {
 
 /// Classify-and-select wrapper: partition `candidates` into ratio-bounded
 /// classes, run LSA per class on an empty machine, return the best class.
-LsaResult lsa_cs(const JobSet& jobs, std::span<const JobId> candidates,
+LsaResult lsa_cs(const JobSetView& jobs, std::span<const JobId> candidates,
                  std::size_t k, ClassifyBy by = ClassifyBy::kLength,
                  LsaOrder order = LsaOrder::kDensity);
-
-/// Scratch-reusing form (identical result).
-LsaResult lsa_cs(const JobSet& jobs, std::span<const JobId> candidates,
-                 std::size_t k, ClassifyBy by, LsaOrder order,
-                 LsaScratch& scratch);
 
 /// Iterative multi-machine extension: machine i runs LSA_CS on the jobs the
 /// first i−1 machines rejected (the residual technique of [2], which costs
 /// at most +1 in the price).
-Schedule lsa_cs_multi(const JobSet& jobs, std::span<const JobId> candidates,
-                      std::size_t k, std::size_t machine_count);
-
-/// Scratch-reusing form (identical result).
-Schedule lsa_cs_multi(const JobSet& jobs, std::span<const JobId> candidates,
-                      std::size_t k, std::size_t machine_count,
-                      LsaScratch& scratch);
+Schedule lsa_cs_multi(const JobSetView& jobs,
+                      std::span<const JobId> candidates, std::size_t k,
+                      std::size_t machine_count);
 
 /// Pooled forms: write into `out` (cleared/reset first, slot storage
 /// recycled — zero heap allocations once scratch and `out` are warmed).
 /// `out` must not alias the scratch staging results.
-void lsa_into(const JobSet& jobs, std::span<const JobId> candidates,
-              std::size_t k, LsaOrder order, LsaScratch& scratch,
-              LsaResult& out);
-void lsa_cs_into(const JobSet& jobs, std::span<const JobId> candidates,
-                 std::size_t k, ClassifyBy by, LsaOrder order,
-                 LsaScratch& scratch, LsaResult& out);
-void lsa_cs_multi_into(const JobSet& jobs, std::span<const JobId> candidates,
-                       std::size_t k, std::size_t machine_count,
-                       LsaScratch& scratch, Schedule& out);
-
-/// Columnar forms (identical results): the solve pipeline builds the
-/// JobColumns once per solve (SolveScratch) and passes the view, skipping
-/// the per-call SoA rebuild the JobSet overloads perform.
 void lsa_into(const JobSetView& jobs, std::span<const JobId> candidates,
               std::size_t k, LsaOrder order, LsaScratch& scratch,
               LsaResult& out);
@@ -136,7 +112,7 @@ void lsa_cs_multi_into(const JobSetView& jobs,
                        Schedule& out);
 
 /// The LSA_CS classification kernel, exposed for the kernel bench and the
-/// SoA/AoS equivalence tests: computes every candidate's class (length /
+/// SoaEquivalence tests: computes every candidate's class (length /
 /// value / density per `by`) and groups `scratch.classes` by ascending
 /// class with members in candidates order — exactly the (class, id) pairs
 /// a stable sort by class would produce, but via a 4-lane classify pass

@@ -248,24 +248,12 @@ void lsa_into(const JobSetView& jobs, std::span<const JobId> candidates,
   }
 }
 
-void lsa_into(const JobSet& jobs, std::span<const JobId> candidates,
-              std::size_t k, LsaOrder order, LsaScratch& scratch,
-              LsaResult& out) {
-  scratch.columns.build(jobs);
-  lsa_into(scratch.columns.view(), candidates, k, order, scratch, out);
-}
-
-LsaResult lsa(const JobSet& jobs, std::span<const JobId> candidates,
-              std::size_t k, LsaOrder order, LsaScratch& scratch) {
+LsaResult lsa(const JobSetView& jobs, std::span<const JobId> candidates,
+              std::size_t k, LsaOrder order) {
+  LsaScratch scratch;
   LsaResult result;
   lsa_into(jobs, candidates, k, order, scratch, result);
   return result;
-}
-
-LsaResult lsa(const JobSet& jobs, std::span<const JobId> candidates,
-              std::size_t k, LsaOrder order) {
-  LsaScratch scratch;
-  return lsa(jobs, candidates, k, order, scratch);
 }
 
 void lsa_cs_into(const JobSetView& jobs, std::span<const JobId> candidates,
@@ -312,25 +300,12 @@ void lsa_cs_into(const JobSetView& jobs, std::span<const JobId> candidates,
   }
 }
 
-void lsa_cs_into(const JobSet& jobs, std::span<const JobId> candidates,
-                 std::size_t k, ClassifyBy by, LsaOrder order,
-                 LsaScratch& scratch, LsaResult& out) {
-  scratch.columns.build(jobs);
-  lsa_cs_into(scratch.columns.view(), candidates, k, by, order, scratch, out);
-}
-
-LsaResult lsa_cs(const JobSet& jobs, std::span<const JobId> candidates,
-                 std::size_t k, ClassifyBy by, LsaOrder order,
-                 LsaScratch& scratch) {
+LsaResult lsa_cs(const JobSetView& jobs, std::span<const JobId> candidates,
+                 std::size_t k, ClassifyBy by, LsaOrder order) {
+  LsaScratch scratch;
   LsaResult best;
   lsa_cs_into(jobs, candidates, k, by, order, scratch, best);
   return best;
-}
-
-LsaResult lsa_cs(const JobSet& jobs, std::span<const JobId> candidates,
-                 std::size_t k, ClassifyBy by, LsaOrder order) {
-  LsaScratch scratch;
-  return lsa_cs(jobs, candidates, k, by, order, scratch);
 }
 
 void lsa_cs_multi_into(const JobSetView& jobs,
@@ -350,26 +325,13 @@ void lsa_cs_multi_into(const JobSetView& jobs,
   }
 }
 
-void lsa_cs_multi_into(const JobSet& jobs, std::span<const JobId> candidates,
-                       std::size_t k, std::size_t machine_count,
-                       LsaScratch& scratch, Schedule& out) {
-  scratch.columns.build(jobs);
-  lsa_cs_multi_into(scratch.columns.view(), candidates, k, machine_count,
-                    scratch, out);
-}
-
-Schedule lsa_cs_multi(const JobSet& jobs, std::span<const JobId> candidates,
-                      std::size_t k, std::size_t machine_count,
-                      LsaScratch& scratch) {
+Schedule lsa_cs_multi(const JobSetView& jobs,
+                      std::span<const JobId> candidates, std::size_t k,
+                      std::size_t machine_count) {
+  LsaScratch scratch;
   Schedule out(machine_count);
   lsa_cs_multi_into(jobs, candidates, k, machine_count, scratch, out);
   return out;
-}
-
-Schedule lsa_cs_multi(const JobSet& jobs, std::span<const JobId> candidates,
-                      std::size_t k, std::size_t machine_count) {
-  LsaScratch scratch;
-  return lsa_cs_multi(jobs, candidates, k, machine_count, scratch);
 }
 
 }  // namespace pobp

@@ -34,11 +34,6 @@ struct RebuildScratch {
 MachineSchedule rebuild_schedule(const JobSet& jobs, const ScheduleForest& sf,
                                  const SubForest& sel);
 
-/// Scratch-reusing form (identical result).
-MachineSchedule rebuild_schedule(const JobSet& jobs, const ScheduleForest& sf,
-                                 const SubForest& sel,
-                                 RebuildScratch& scratch);
-
 /// Pooled form: writes into `out` (cleared first, slot storage recycled —
 /// zero heap allocations once scratch and `out` are warmed).
 void rebuild_schedule_into(const JobSet& jobs, const ScheduleForest& sf,

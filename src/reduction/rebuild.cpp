@@ -52,17 +52,11 @@ void rebuild_schedule_into(const JobSet& jobs, const ScheduleForest& sf,
 }
 
 MachineSchedule rebuild_schedule(const JobSet& jobs, const ScheduleForest& sf,
-                                 const SubForest& sel,
-                                 RebuildScratch& scratch) {
+                                 const SubForest& sel) {
+  RebuildScratch scratch;
   MachineSchedule out;
   rebuild_schedule_into(jobs, sf, sel, scratch, out);
   return out;
-}
-
-MachineSchedule rebuild_schedule(const JobSet& jobs, const ScheduleForest& sf,
-                                 const SubForest& sel) {
-  RebuildScratch scratch;
-  return rebuild_schedule(jobs, sf, sel, scratch);
 }
 
 ReductionResult reduce_to_k_preemptive(const JobSet& jobs,
@@ -76,14 +70,15 @@ ReductionResult reduce_to_k_preemptive(const JobSet& jobs,
   ReductionScratch& s = scratch != nullptr ? *scratch : local;
 
   Stopwatch sw;
-  const MachineSchedule laminar = laminarize(jobs, unbounded, s.laminar);
+  MachineSchedule laminar;
+  laminarize_into(jobs, unbounded, s.laminar, laminar);
   if (timings) timings->laminarize_s += sw.lap();
   build_schedule_forest(jobs, laminar, s.sf, s.forest_build);
   if (timings) timings->forest_s += sw.lap();
   tm_optimal_bas(s.sf.forest, k, s.tm, s.tm_result);
   if (timings) timings->prune_s += sw.lap();
-  result.bounded = rebuild_schedule(jobs, s.sf, s.tm_result.selection,
-                                    s.rebuild);
+  rebuild_schedule_into(jobs, s.sf, s.tm_result.selection, s.rebuild,
+                        result.bounded);
   if (timings) timings->merge_s += sw.lap();
   result.value = result.bounded.total_value(jobs);
   result.forest_size = s.sf.size();

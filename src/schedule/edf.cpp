@@ -181,12 +181,6 @@ bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
   return edf_simulate</*Record=*/false>(jobs, scratch);
 }
 
-bool edf_feasible(const JobSet& jobs, std::span<const JobId> subset,
-                  EdfScratch& scratch) {
-  scratch.columns.build(jobs);
-  return edf_feasible(scratch.columns.view(), subset, scratch);
-}
-
 void EdfAdmission::clear() {
   ids_.clear();
   rel_.clear();
@@ -306,24 +300,12 @@ bool edf_schedule_into(const JobSetView& jobs, std::span<const JobId> subset,
   return true;
 }
 
-bool edf_schedule_into(const JobSet& jobs, std::span<const JobId> subset,
-                       EdfScratch& scratch, MachineSchedule& out) {
-  scratch.columns.build(jobs);
-  return edf_schedule_into(scratch.columns.view(), subset, scratch, out);
-}
-
-std::optional<MachineSchedule> edf_schedule(const JobSet& jobs,
-                                            std::span<const JobId> subset,
-                                            EdfScratch& s) {
-  MachineSchedule out;
-  if (!edf_schedule_into(jobs, subset, s, out)) return std::nullopt;
-  return out;
-}
-
-std::optional<MachineSchedule> edf_schedule(const JobSet& jobs,
+std::optional<MachineSchedule> edf_schedule(const JobSetView& jobs,
                                             std::span<const JobId> subset) {
   EdfScratch scratch;
-  return edf_schedule(jobs, subset, scratch);
+  MachineSchedule out;
+  if (!edf_schedule_into(jobs, subset, scratch, out)) return std::nullopt;
+  return out;
 }
 
 }  // namespace pobp

@@ -14,9 +14,11 @@
 //     seed's trial acceptance.  It keeps the admitted set release-sorted
 //     with its busy periods and simulates only the one window the new job
 //     can change (docs/PERF.md, "Greedy seed: busy-window admission").
-// All take an EdfScratch and perform zero heap allocations once it (and
-// the admission's own buffers) have warmed up to the largest instance
-// seen; the engine's per-worker sessions keep them alive across a batch.
+// All read the jobs through a JobSetView — a JobSet converts to one in
+// place, without a copy — take an EdfScratch, and perform zero heap
+// allocations once it (and the admission's own buffers) have warmed up to
+// the largest instance seen; the engine's per-worker sessions keep them
+// alive across a batch.
 //
 // Arithmetic is exact: a completion time past INT64_MAX misses every
 // representable deadline, so it is reported as infeasible, never wrapped.
@@ -27,7 +29,6 @@
 #include <span>
 #include <vector>
 
-#include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/schedule.hpp"
 
 namespace pobp {
@@ -56,17 +57,10 @@ struct EdfScratch {
   std::vector<std::uint64_t> keys;            ///< packed (release, id) keys
   std::vector<std::uint64_t> keys_tmp;        ///< radix-sort scatter buffer
   std::vector<Time> rel_sorted;   ///< releases aligned with by_release
-  JobColumns columns;  ///< SoA mirror for the JobSet-taking entry points
 };
 
 /// True iff EDF completes every job of `subset` by its deadline, i.e. the
 /// subset is ∞-preemptive-feasible.  Records no schedule.
-bool edf_feasible(const JobSet& jobs, std::span<const JobId> subset,
-                  EdfScratch& scratch);
-
-/// Columnar form (identical result): callers that probe many subsets of
-/// one JobSet build the columns once and pass the view, instead of paying
-/// the per-call SoA rebuild of the JobSet overload above.
 bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
                   EdfScratch& scratch);
 
@@ -108,24 +102,14 @@ class EdfAdmission {
 ///
 /// Returns the resulting schedule if every job completes by its deadline,
 /// std::nullopt otherwise.  O(n log n): events are releases and completions.
-std::optional<MachineSchedule> edf_schedule(const JobSet& jobs,
+std::optional<MachineSchedule> edf_schedule(const JobSetView& jobs,
                                             std::span<const JobId> subset);
-
-/// Scratch-reusing form: identical result, but every simulation buffer
-/// comes from `scratch` (only the returned schedule itself allocates).
-/// On success `scratch.runs` additionally holds the schedule's segment
-/// timeline in machine-time order (valid until the next simulation).
-std::optional<MachineSchedule> edf_schedule(const JobSet& jobs,
-                                            std::span<const JobId> subset,
-                                            EdfScratch& scratch);
 
 /// Pooled form: writes the schedule into `out` (cleared first, slot storage
 /// recycled — zero heap allocations once both scratch and `out` are warmed).
-/// Returns false, leaving `out` empty, when the subset is infeasible.
-bool edf_schedule_into(const JobSet& jobs, std::span<const JobId> subset,
-                       EdfScratch& scratch, MachineSchedule& out);
-
-/// Columnar form of edf_schedule_into (identical result).
+/// Returns false, leaving `out` empty, when the subset is infeasible.  On
+/// success `scratch.runs` additionally holds the schedule's segment
+/// timeline in machine-time order (valid until the next simulation).
 bool edf_schedule_into(const JobSetView& jobs, std::span<const JobId> subset,
                        EdfScratch& scratch, MachineSchedule& out);
 

@@ -1,11 +1,20 @@
 // Job model (Section 2.1 of the paper).
 //
 // Each job j carries ⟨release r_j, deadline d_j, length p_j⟩ and a value
-// val(j) > 0.  A JobSet is an immutable-by-convention vector of jobs with
+// val(j) > 0.  A JobSet is an immutable-by-convention set of jobs with
 // instance-level metric helpers (n, P, ρ, σ, λ_max) used throughout §4.
+//
+// Layout (docs/PERF.md, "Columnar core"): a JobSet stores its jobs as
+// four contiguous columns — release, deadline, length, value — and
+// converts implicitly to JobSetView, the borrowed pointer view every solve
+// kernel takes, the way std::string converts to std::string_view.  `Job`
+// is the record type of the IO/API surface: add() takes one, and
+// operator[] and iteration assemble one by value from the columns.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <span>
 #include <string>
@@ -48,34 +57,121 @@ struct Job {
   }
 };
 
+class JobSet;
+
+/// Borrowed columnar view of a job set: one pointer per attribute, indexed
+/// by JobId.  Valid while the JobSet (or JobColumns) it was taken from is
+/// alive and unmodified; like a std::string_view, a view of a temporary
+/// must not outlive the full expression.
+struct JobSetView {
+  const Time* release = nullptr;
+  const Time* deadline = nullptr;
+  const Duration* length = nullptr;
+  const Value* value = nullptr;
+  std::size_t n = 0;
+
+  std::size_t size() const { return n; }
+
+  /// Density σ_j = val(j) / p_j — same expression as Job::density().
+  double density(JobId id) const {
+    POBP_DASSERT(id < n);
+    return value[id] / static_cast<double>(length[id]);
+  }
+};
+
+/// Owning column storage: a JobSet's own storage, and a detached copy of
+/// one wherever columns must outlive their set (the solve cache's entries).
+struct JobColumns {
+  std::vector<Time> release;
+  std::vector<Time> deadline;
+  std::vector<Duration> length;
+  std::vector<Value> value;
+
+  std::size_t size() const { return release.size(); }
+
+  /// Copies `jobs`'s columns.  Allocates nothing once the vectors have
+  /// grown to the largest set seen.
+  void build(const JobSet& jobs);
+
+  JobSetView view() const {
+    return {release.data(), deadline.data(), length.data(), value.data(),
+            release.size()};
+  }
+};
+
 /// A problem instance: the set J.
 class JobSet {
  public:
-  JobSet() = default;
-  explicit JobSet(std::vector<Job> jobs) : jobs_(std::move(jobs)) {
-    for (const Job& j : jobs_) {
-      POBP_CHECK_MSG(j.well_formed(), "malformed job in JobSet");
+  /// Iterates the jobs in id order, yielding each by value.
+  class Iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = Job;
+    using difference_type = std::ptrdiff_t;
+    using reference = Job;
+
+    Iterator() = default;
+    Iterator(const JobSet* jobs, JobId id) : jobs_(jobs), id_(id) {}
+
+    Job operator*() const { return (*jobs_)[id_]; }
+    Iterator& operator++() {
+      ++id_;
+      return *this;
     }
+    Iterator operator++(int) {
+      Iterator before = *this;
+      ++id_;
+      return before;
+    }
+    bool operator==(const Iterator&) const = default;
+
+   private:
+    const JobSet* jobs_ = nullptr;
+    JobId id_ = 0;
+  };
+
+  JobSet() = default;
+  explicit JobSet(const std::vector<Job>& jobs) {
+    columns_.release.reserve(jobs.size());
+    columns_.deadline.reserve(jobs.size());
+    columns_.length.reserve(jobs.size());
+    columns_.value.reserve(jobs.size());
+    for (const Job& j : jobs) add(j);
   }
 
   /// Append a job; returns its id.  Malformed jobs (untrusted input can
-  /// reach this) throw pobp::InternalError rather than aborting.
+  /// reach this) throw pobp::InternalError rather than aborting, and leave
+  /// the set unchanged.
   JobId add(const Job& job) {
     POBP_CHECK_MSG(job.well_formed(), "malformed job");
-    jobs_.push_back(job);
-    return static_cast<JobId>(jobs_.size() - 1);
+    const auto id = static_cast<JobId>(size());
+    try {
+      columns_.release.push_back(job.release);
+      columns_.deadline.push_back(job.deadline);
+      columns_.length.push_back(job.length);
+      columns_.value.push_back(job.value);
+    } catch (...) {  // a failed push_back must not leave ragged columns
+      columns_.release.resize(id);
+      columns_.deadline.resize(id);
+      columns_.length.resize(id);
+      throw;
+    }
+    return id;
   }
 
-  std::size_t size() const { return jobs_.size(); }
-  bool empty() const { return jobs_.empty(); }
-  const Job& operator[](JobId id) const {
-    POBP_DASSERT(id < jobs_.size());
-    return jobs_[id];
+  std::size_t size() const { return columns_.size(); }
+  bool empty() const { return columns_.release.empty(); }
+  Job operator[](JobId id) const {
+    POBP_DASSERT(id < size());
+    return {columns_.release[id], columns_.deadline[id], columns_.length[id],
+            columns_.value[id]};
   }
-  std::span<const Job> jobs() const { return jobs_; }
 
-  auto begin() const { return jobs_.begin(); }
-  auto end() const { return jobs_.end(); }
+  Iterator begin() const { return {this, 0}; }
+  Iterator end() const { return {this, static_cast<JobId>(size())}; }
+
+  /// The columns in place; no copy.
+  operator JobSetView() const { return columns_.view(); }
 
   /// Σ val(j) over the whole set.
   Value total_value() const;
@@ -97,15 +193,23 @@ class JobSet {
   /// λ_max = max_j λ_j (Def. 4.4).
   Rational max_laxity() const;
 
-  /// Latest deadline — the scheduling horizon.
+  /// Latest deadline — the scheduling horizon (0 for the empty set).
   Time horizon() const;
 
   /// Earliest release.
   Time earliest_release() const;
 
  private:
-  std::vector<Job> jobs_;
+  JobColumns columns_;
 };
+
+inline void JobColumns::build(const JobSet& jobs) {
+  const JobSetView v = jobs;
+  release.assign(v.release, v.release + v.n);
+  deadline.assign(v.deadline, v.deadline + v.n);
+  length.assign(v.length, v.length + v.n);
+  value.assign(v.value, v.value + v.n);
+}
 
 /// All job ids [0, n).
 std::vector<JobId> all_ids(const JobSet& jobs);

@@ -34,8 +34,8 @@ bool is_laminar(const MachineSchedule& ms);
 void diagnose_laminar(const MachineSchedule& ms, diag::Report& report,
                       std::optional<std::size_t> machine = std::nullopt);
 
-/// Reusable buffers for the scratch-taking laminarize forms: the EDF
-/// simulator state plus the laminarity-check sweep state.
+/// Reusable buffers for the pooled laminarize forms: the EDF simulator
+/// state plus the laminarity-check sweep state.
 struct LaminarScratch {
   EdfScratch edf;
   std::vector<std::uint32_t> remaining;  ///< per job id, sweep counter
@@ -49,21 +49,12 @@ struct LaminarScratch {
 /// `jobs` with unbounded k.
 MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms);
 
-/// Scratch-reusing form (identical result).
-MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms,
-                           LaminarScratch& scratch);
-
-/// Laminar schedule of a bare (feasible) job subset: exactly what
-/// laminarize(jobs, restrict_schedule(ms, ids)) produces — the laminar
-/// rearrangement never looks at the input schedule's segments, only at its
-/// job set — without materializing the restricted schedule first.
-MachineSchedule laminarize_subset(const JobSet& jobs,
-                                  std::span<const JobId> ids,
-                                  LaminarScratch& scratch);
-
-/// Pooled form: writes the laminar schedule into `out` (cleared first, slot
-/// storage recycled — zero allocations once warmed).  `out` must not alias
-/// a schedule the job set is read from.
+/// Laminar schedule of a bare (feasible) job subset, written into `out`
+/// (cleared first, slot storage recycled — zero allocations once warmed):
+/// exactly what laminarize(jobs, restrict_schedule(ms, ids)) produces — the
+/// laminar rearrangement never looks at the input schedule's segments, only
+/// at its job set — without materializing the restricted schedule first.
+/// `out` must not alias a schedule the job set is read from.
 void laminarize_subset_into(const JobSet& jobs, std::span<const JobId> ids,
                             LaminarScratch& scratch, MachineSchedule& out);
 

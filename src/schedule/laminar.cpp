@@ -127,14 +127,6 @@ void laminarize_subset_into(const JobSet& jobs, std::span<const JobId> ids,
   POBP_CHECK(runs_are_laminar(scratch.edf.runs, jobs.size(), scratch));
 }
 
-MachineSchedule laminarize_subset(const JobSet& jobs,
-                                  std::span<const JobId> ids,
-                                  LaminarScratch& scratch) {
-  MachineSchedule out;
-  laminarize_subset_into(jobs, ids, scratch, out);
-  return out;
-}
-
 void laminarize_into(const JobSet& jobs, const MachineSchedule& ms,
                      LaminarScratch& scratch, MachineSchedule& out) {
   POBP_ASSERT(&ms != &out);
@@ -144,16 +136,11 @@ void laminarize_into(const JobSet& jobs, const MachineSchedule& ms,
   laminarize_subset_into(jobs, scratch.ids, scratch, out);
 }
 
-MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms,
-                           LaminarScratch& scratch) {
+MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms) {
+  LaminarScratch scratch;
   MachineSchedule out;
   laminarize_into(jobs, ms, scratch, out);
   return out;
-}
-
-MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms) {
-  LaminarScratch scratch;
-  return laminarize(jobs, ms, scratch);
 }
 
 }  // namespace pobp

@@ -272,7 +272,7 @@ std::vector<JobId> Schedule::scheduled_jobs() const {
 
 Value JobSet::total_value() const {
   Value sum = 0;
-  for (const Job& j : jobs_) sum += j.value;
+  for (const Value v : columns_.value) sum += v;
   return sum;
 }
 
@@ -284,42 +284,35 @@ Value JobSet::value_of(std::span<const JobId> ids) const {
 
 Duration JobSet::total_length() const {
   Duration sum = 0;
-  for (const Job& j : jobs_) sum += j.length;
+  for (const Duration p : columns_.length) sum += p;
   return sum;
 }
 
 Duration JobSet::min_length() const {
-  POBP_ASSERT(!jobs_.empty());
-  Duration best = jobs_.front().length;
-  for (const Job& j : jobs_) best = std::min(best, j.length);
-  return best;
+  POBP_ASSERT(!empty());
+  return *std::min_element(columns_.length.begin(), columns_.length.end());
 }
 
 Duration JobSet::max_length() const {
-  POBP_ASSERT(!jobs_.empty());
-  Duration best = jobs_.front().length;
-  for (const Job& j : jobs_) best = std::max(best, j.length);
-  return best;
+  POBP_ASSERT(!empty());
+  return *std::max_element(columns_.length.begin(), columns_.length.end());
 }
 
 Rational JobSet::max_laxity() const {
-  POBP_ASSERT(!jobs_.empty());
-  Rational best = jobs_.front().laxity();
-  for (const Job& j : jobs_) best = std::max(best, j.laxity());
+  POBP_ASSERT(!empty());
+  Rational best = (*this)[0].laxity();
+  for (const Job& j : *this) best = std::max(best, j.laxity());
   return best;
 }
 
 Time JobSet::horizon() const {
-  Time latest = 0;
-  for (const Job& j : jobs_) latest = std::max(latest, j.deadline);
-  return latest;
+  if (empty()) return 0;
+  return *std::max_element(columns_.deadline.begin(), columns_.deadline.end());
 }
 
 Time JobSet::earliest_release() const {
-  POBP_ASSERT(!jobs_.empty());
-  Time earliest = jobs_.front().release;
-  for (const Job& j : jobs_) earliest = std::min(earliest, j.release);
-  return earliest;
+  POBP_ASSERT(!empty());
+  return *std::min_element(columns_.release.begin(), columns_.release.end());
 }
 
 std::vector<JobId> all_ids(const JobSet& jobs) {

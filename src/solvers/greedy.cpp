@@ -10,12 +10,9 @@ namespace pobp {
 
 namespace {
 
-/// Columnar core: the caller owns the view's column storage, so the O(n)
-/// SoA build is paid once per JobSet even though the trial-acceptance loop
-/// probes O(n) candidate subsets.
-void greedy_infinity_view_into(const JobSetView& jobs,
-                               std::span<const JobId> candidates,
-                               GreedyScratch& scratch, MachineSchedule& out) {
+/// One machine pass over `candidates`.
+void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> candidates,
+                      GreedyScratch& scratch, MachineSchedule& out) {
   auto& order = scratch.order;
   order.assign(candidates.begin(), candidates.end());
   std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
@@ -46,25 +43,12 @@ void greedy_infinity_view_into(const JobSetView& jobs,
 
 }  // namespace
 
-void greedy_infinity_into(const JobSet& jobs, std::span<const JobId> candidates,
-                          GreedyScratch& scratch, MachineSchedule& out) {
-  scratch.edf.columns.build(jobs);
-  greedy_infinity_view_into(scratch.edf.columns.view(), candidates, scratch,
-                            out);
-}
-
-MachineSchedule greedy_infinity(const JobSet& jobs,
-                                std::span<const JobId> candidates,
-                                GreedyScratch& scratch) {
-  MachineSchedule out;
-  greedy_infinity_into(jobs, candidates, scratch, out);
-  return out;
-}
-
-MachineSchedule greedy_infinity(const JobSet& jobs,
+MachineSchedule greedy_infinity(const JobSetView& jobs,
                                 std::span<const JobId> candidates) {
   GreedyScratch scratch;
-  return greedy_infinity(jobs, candidates, scratch);
+  MachineSchedule out;
+  greedy_pass_into(jobs, candidates, scratch, out);
+  return out;
 }
 
 void greedy_infinity_multi_into(const JobSetView& jobs,
@@ -76,35 +60,19 @@ void greedy_infinity_multi_into(const JobSetView& jobs,
   auto& remaining = scratch.residual;
   remaining.assign(candidates.begin(), candidates.end());
   for (std::size_t m = 0; m < machine_count && !remaining.empty(); ++m) {
-    greedy_infinity_view_into(jobs, remaining, scratch, out.machine(m));
+    greedy_pass_into(jobs, remaining, scratch, out.machine(m));
     std::erase_if(remaining,
                   [&](JobId id) { return out.machine(m).contains(id); });
   }
 }
 
-void greedy_infinity_multi_into(const JobSet& jobs,
-                                std::span<const JobId> candidates,
-                                std::size_t machine_count,
-                                GreedyScratch& scratch, Schedule& out) {
-  scratch.edf.columns.build(jobs);  // once for all machines' residual passes
-  greedy_infinity_multi_into(scratch.edf.columns.view(), candidates,
-                             machine_count, scratch, out);
-}
-
-Schedule greedy_infinity_multi(const JobSet& jobs,
-                               std::span<const JobId> candidates,
-                               std::size_t machine_count,
-                               GreedyScratch& scratch) {
-  Schedule out(machine_count);
-  greedy_infinity_multi_into(jobs, candidates, machine_count, scratch, out);
-  return out;
-}
-
-Schedule greedy_infinity_multi(const JobSet& jobs,
+Schedule greedy_infinity_multi(const JobSetView& jobs,
                                std::span<const JobId> candidates,
                                std::size_t machine_count) {
   GreedyScratch scratch;
-  return greedy_infinity_multi(jobs, candidates, machine_count, scratch);
+  Schedule out(machine_count);
+  greedy_infinity_multi_into(jobs, candidates, machine_count, scratch, out);
+  return out;
 }
 
 }  // namespace pobp

@@ -18,6 +18,9 @@
 //  * greedy_infinity   — density-ordered greedy with an EDF admission
 //                        check; a fast ∞-preemptive heuristic used to seed
 //                        the pipeline on instances too large for B&B.
+//                        Reads the jobs through a JobSetView (a JobSet
+//                        converts in place); the pipeline calls the pooled
+//                        greedy_infinity_multi_into.
 #pragma once
 
 #include <cstddef>
@@ -63,38 +66,17 @@ struct GreedyScratch {
 /// Greedy ∞-preemptive heuristic: jobs in descending density order, each
 /// accepted iff the accepted set stays EDF-feasible.  Returns the EDF
 /// schedule of the accepted set.
-MachineSchedule greedy_infinity(const JobSet& jobs,
+MachineSchedule greedy_infinity(const JobSetView& jobs,
                                 std::span<const JobId> candidates);
-
-/// Scratch-reusing form (identical result).
-MachineSchedule greedy_infinity(const JobSet& jobs,
-                                std::span<const JobId> candidates,
-                                GreedyScratch& scratch);
 
 /// Multi-machine greedy: fills machine 0 with greedy_infinity, then machine
 /// 1 with the residual, and so on.
-Schedule greedy_infinity_multi(const JobSet& jobs,
+Schedule greedy_infinity_multi(const JobSetView& jobs,
                                std::span<const JobId> candidates,
                                std::size_t machine_count);
 
-/// Scratch-reusing form (identical result).
-Schedule greedy_infinity_multi(const JobSet& jobs,
-                               std::span<const JobId> candidates,
-                               std::size_t machine_count,
-                               GreedyScratch& scratch);
-
-/// Pooled forms: write into `out` (cleared/reset first, slot storage
-/// recycled — zero heap allocations once scratch and `out` are warmed).
-void greedy_infinity_into(const JobSet& jobs, std::span<const JobId> candidates,
-                          GreedyScratch& scratch, MachineSchedule& out);
-void greedy_infinity_multi_into(const JobSet& jobs,
-                                std::span<const JobId> candidates,
-                                std::size_t machine_count,
-                                GreedyScratch& scratch, Schedule& out);
-
-/// Columnar form (identical result): the caller owns the view's column
-/// storage (SolveScratch builds it once per solve), so the O(n) SoA
-/// rebuild the JobSet overload performs per call is skipped.
+/// Pooled form: writes into `out` (reset first, slot storage recycled —
+/// zero heap allocations once scratch and `out` are warmed).
 void greedy_infinity_multi_into(const JobSetView& jobs,
                                 std::span<const JobId> candidates,
                                 std::size_t machine_count,

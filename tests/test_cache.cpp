@@ -17,7 +17,6 @@
 #include "pobp/pobp.hpp"
 #include "pobp/engine/cache.hpp"
 #include "pobp/gen/random_jobs.hpp"
-#include "pobp/schedule/columns.hpp"
 #include "pobp/util/faultinject.hpp"
 #include "pobp/util/rng.hpp"
 
@@ -49,7 +48,7 @@ std::string fingerprint(const ScheduleResult& r) {
 JobSet mutate_jobs(const JobSet& base, std::size_t count,
                    std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<Job> jobs(base.jobs().begin(), base.jobs().end());
+  std::vector<Job> jobs(base.begin(), base.end());
   for (std::size_t c = 0; c < count && !jobs.empty(); ++c) {
     Job& j = jobs[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(jobs.size()) - 1))];
@@ -83,9 +82,7 @@ std::vector<JobSet> dup_stream(const std::vector<JobSet>& distinct,
 
 CacheKey key_of(const JobSet& jobs, const ScheduleOptions& options,
                 bool approximate = false) {
-  JobColumns columns;
-  columns.build(jobs);
-  const JobSetView view = columns.view();
+  const JobSetView view = jobs;
   std::vector<std::uint64_t> subhashes(view.n);
   SolveCache::job_subhashes(view, subhashes.data());
   return SolveCache::instance_key(
@@ -117,7 +114,7 @@ TEST(CacheKey, EveryJobAttributeFeedsTheKey) {
   const ScheduleOptions options{.k = 1};
   const CacheKey k0 = key_of(base, options);
   for (int field = 0; field < 4; ++field) {
-    std::vector<Job> jobs(base.jobs().begin(), base.jobs().end());
+    std::vector<Job> jobs(base.begin(), base.end());
     switch (field) {
       case 0: jobs[1].release += 1; break;
       case 1: jobs[1].deadline += 1; break;
@@ -154,15 +151,12 @@ TEST(CacheKey, ParametersAndTierFeedTheSignature) {
 
 TEST(CacheKey, SubhashesAreIndependentPerJob) {
   const JobSet jobs = corpus(1, 99)[0];
-  JobColumns columns;
-  columns.build(jobs);
   std::vector<std::uint64_t> before(jobs.size());
-  SolveCache::job_subhashes(columns.view(), before.data());
+  SolveCache::job_subhashes(jobs, before.data());
 
   const JobSet mutated = mutate_jobs(jobs, 1, 7);
-  columns.build(mutated);
   std::vector<std::uint64_t> after(jobs.size());
-  SolveCache::job_subhashes(columns.view(), after.data());
+  SolveCache::job_subhashes(mutated, after.data());
 
   std::size_t changed = 0;
   for (std::size_t i = 0; i < jobs.size(); ++i) {

@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/solvers/solvers.hpp"
 #include "pobp/gen/random_jobs.hpp"
@@ -158,10 +159,13 @@ TEST_P(MultiMachineCombined, FeasibleNonMigrativeAcrossMachineCounts) {
   const Schedule seed = greedy_infinity_multi(jobs, all_ids(jobs), machines);
   ASSERT_TRUE(validate(jobs, seed));
 
-  const CombinedMultiResult r =
-      k_preemption_combined_multi(jobs, seed, {.k = 2});
-  const auto check = validate(jobs, r.schedule, 2);
+  SolveScratch scratch;
+  Schedule out(machines);
+  const CombinedMultiValues r = k_preemption_combined_multi_into(
+      jobs, seed, {.k = 2}, nullptr, scratch, out);
+  const auto check = validate(jobs, out, 2);
   EXPECT_TRUE(check) << check.error;
+  EXPECT_EQ(r.value, out.total_value(jobs));
   EXPECT_GE(r.value, r.strict_value);
   EXPECT_GE(r.value, r.lax_value);
 }

@@ -90,7 +90,8 @@ TEST(EdfOverflow, CompletionPastInt64MaxMissesEveryDeadline) {
   const JobSet jobs = overflow_pair();
   EdfScratch scratch;
   EXPECT_FALSE(edf_feasible(jobs, all_ids(jobs), scratch));
-  EXPECT_FALSE(edf_schedule(jobs, all_ids(jobs), scratch));
+  MachineSchedule out;
+  EXPECT_FALSE(edf_schedule_into(jobs, all_ids(jobs), scratch, out));
   EXPECT_FALSE(preemptive_feasible(jobs, all_ids(jobs)));
   for (const JobId id : all_ids(jobs)) {
     const std::vector<JobId> alone{id};

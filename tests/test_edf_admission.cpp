@@ -23,7 +23,6 @@
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/gen/schedule_gen.hpp"
 #include "pobp/io/csv.hpp"
-#include "pobp/schedule/columns.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/schedule/interval_condition.hpp"
 #include "pobp/solvers/solvers.hpp"
@@ -117,9 +116,7 @@ struct Coverage {
 void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
                     GreedyScratch& greedy, Coverage& coverage) {
   ++coverage.instances;
-  JobColumns columns;
-  columns.build(jobs);
-  const JobSetView view = columns.view();
+  const JobSetView view = jobs;
   std::vector<JobId> order = all_ids(jobs);
   for (std::size_t i = order.size(); i > 1; --i) {
     std::swap(order[i - 1],
@@ -160,8 +157,8 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
 
   for (const std::size_t machines : {1u, 2u, 3u}) {
     const Schedule reference = reference_greedy(jobs, machines);
-    const Schedule seed =
-        greedy_infinity_multi(jobs, all_ids(jobs), machines, greedy);
+    Schedule seed(machines);
+    greedy_infinity_multi_into(jobs, all_ids(jobs), machines, greedy, seed);
     ASSERT_EQ(io::schedule_to_csv(seed), io::schedule_to_csv(reference))
         << machines << " machines";
   }
@@ -391,17 +388,15 @@ TEST(EdfAdmission, WindowAbsorbsThreeLaterPeriods) {
   const JobId late = jobs.add({0, 11, 4, 1.0});
   const JobId fits = jobs.add({0, 12, 4, 1.0});
   const JobId at_end = jobs.add({12, 13, 1, 1.0});
-  JobColumns columns;
-  columns.build(jobs);
   EdfAdmission admission;
   EdfScratch scratch;
   for (JobId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(admission.try_admit(columns.view(), id, scratch));
+    EXPECT_TRUE(admission.try_admit(jobs, id, scratch));
   }
-  EXPECT_FALSE(admission.try_admit(columns.view(), late, scratch));
-  EXPECT_TRUE(admission.try_admit(columns.view(), fits, scratch));
+  EXPECT_FALSE(admission.try_admit(jobs, late, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, fits, scratch));
   // Released exactly where the merged period ends: a window of its own.
-  EXPECT_TRUE(admission.try_admit(columns.view(), at_end, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, at_end, scratch));
   EXPECT_EQ(admission.admitted().size(), 6u);
 }
 
@@ -411,15 +406,13 @@ TEST(EdfAdmission, CandidateAtAPeriodEndOpensItsOwnWindow) {
   const JobId next = jobs.add({10, 20, 10, 1.0});
   const JobId crowded = jobs.add({10, 20, 1, 1.0});
   const JobId inside = jobs.add({9, 30, 1, 1.0});
-  JobColumns columns;
-  columns.build(jobs);
   EdfAdmission admission;
   EdfScratch scratch;
-  EXPECT_TRUE(admission.try_admit(columns.view(), 0, scratch));
-  EXPECT_TRUE(admission.try_admit(columns.view(), next, scratch));
-  EXPECT_FALSE(admission.try_admit(columns.view(), crowded, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, 0, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, next, scratch));
+  EXPECT_FALSE(admission.try_admit(jobs, crowded, scratch));
   // Released inside [0, 10): the window grows to 11 and absorbs [10, 20).
-  EXPECT_TRUE(admission.try_admit(columns.view(), inside, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, inside, scratch));
   const std::vector<JobId> order{0, inside, next};
   EXPECT_TRUE(std::ranges::equal(admission.admitted(), order));
 }
@@ -429,16 +422,14 @@ TEST(EdfAdmission, OverflowingWindowRejects) {
   jobs.add({0, kMax - 1023, Duration{1} << 62, 2.0});
   jobs.add({0, kMax - 1023, Duration{1} << 62, 1.0});
   jobs.add({kMax - 2, kMax, 2, 1.0});  // fits after the first job's period
-  JobColumns columns;
-  columns.build(jobs);
   EdfAdmission admission;
   EdfScratch scratch;
-  EXPECT_TRUE(admission.try_admit(columns.view(), 0, scratch));
-  EXPECT_FALSE(admission.try_admit(columns.view(), 1, scratch));
-  EXPECT_TRUE(admission.try_admit(columns.view(), 2, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, 0, scratch));
+  EXPECT_FALSE(admission.try_admit(jobs, 1, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, 2, scratch));
   admission.clear();
   EXPECT_TRUE(admission.admitted().empty());
-  EXPECT_TRUE(admission.try_admit(columns.view(), 1, scratch));
+  EXPECT_TRUE(admission.try_admit(jobs, 1, scratch));
 }
 
 }  // namespace

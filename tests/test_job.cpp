@@ -57,6 +57,17 @@ TEST(JobSet, Aggregates) {
   EXPECT_EQ(jobs.max_laxity(), Rational(5));  // job 0: 10/2
 }
 
+// Negative ticks are valid (well_formed and the wire accept them), so the
+// horizon is the latest deadline even when every deadline is below 0.
+TEST(JobSet, HorizonIsTheLatestDeadlineWhenAllAreNegative) {
+  JobSet jobs;
+  EXPECT_EQ(jobs.horizon(), 0);  // empty set
+  jobs.add({-10, -5, 2, 1.0});
+  EXPECT_EQ(jobs.horizon(), -5);
+  jobs.add({-1000000, -999996, 2, 2.0});
+  EXPECT_EQ(jobs.horizon(), -5);
+}
+
 TEST(JobSet, ValueOfSubset) {
   JobSet jobs;
   jobs.add({0, 10, 2, 3.0});

@@ -1,8 +1,8 @@
 // The zero-allocation hot-path contract (docs/PERF.md):
 //
-//   1. every scratch-reusing entry point is bit-identical to its
-//      allocating form, including when one scratch is reused across many
-//      instances of different sizes and shapes;
+//   1. every pooled entry point is bit-identical whether its scratch is
+//      fresh or reused across many instances of different sizes and
+//      shapes (and, where one remains, to its allocating form);
 //   2. the engine's pooled sessions keep solve_batch bit-identical to the
 //      sequential one-call path for every worker count, with and without
 //      budgets and degrade policies installed;
@@ -12,11 +12,16 @@
 //      allocations (asserted live when the binary links pobp::allocspy
 //      with counting enabled, skipped otherwise);
 //   4. the greedy seed polls its budget exactly once per candidate, and a
-//      warmed GreedyScratch re-seeds without allocating.
+//      warmed GreedyScratch re-seeds without allocating;
+//   5. a JobSet is its four columns: it hands back the records it was
+//      built from bit for bit, and its view aliases its own storage.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -26,7 +31,6 @@
 #include "pobp/bas/tm.hpp"
 #include "pobp/core/scratch.hpp"
 #include "pobp/lsa/lsa.hpp"
-#include "pobp/schedule/columns.hpp"
 #include "pobp/util/faultinject.hpp"
 #include "pobp/gen/forest_gen.hpp"
 #include "pobp/gen/random_jobs.hpp"
@@ -92,38 +96,43 @@ std::vector<JobSet> mixed_corpus(std::size_t count, std::uint64_t seed) {
 
 // ------------------------------------------------- core equivalence -------
 
-// One SolveScratch reused across a shape-diverse corpus must reproduce the
-// scratch-free pipeline bit-for-bit on every instance: stale buffer
-// contents from instance i must never leak into instance i+1.
+// One SolveScratch reused across a shape-diverse corpus, with the seed in
+// its own arena as the engine keeps it, must reproduce a fresh SolveScratch
+// per instance bit-for-bit: stale buffer contents from instance i must
+// never leak into instance i+1.
 TEST(ScratchEquivalence, CombinedMultiReusedScratchIsBitIdentical) {
   const std::vector<JobSet> instances = mixed_corpus(12, 101);
-  SolveScratch scratch;
+  SolveScratch reused;
   for (std::size_t k : {1u, 2u}) {
     for (std::size_t machines : {1u, 2u}) {
       const ScheduleOptions options{.k = k, .machine_count = machines};
       const CombinedOptions combined{.k = k};
       for (const JobSet& jobs : instances) {
-        std::vector<JobId> ids(jobs.size());
-        std::iota(ids.begin(), ids.end(), JobId{0});
+        const std::vector<JobId> ids = all_ids(jobs);
+        SolveScratch fresh;
+        Schedule seed_fresh(machines);
+        Schedule out_fresh(machines);
+        seed_unbounded_schedule_into(jobs, options, ids, fresh, seed_fresh);
+        const CombinedMultiValues values_fresh =
+            k_preemption_combined_multi_into(jobs, seed_fresh, combined,
+                                             nullptr, fresh, out_fresh);
 
-        const Schedule seed_fresh = seed_unbounded_schedule(jobs, options);
-        const CombinedMultiResult fresh =
-            k_preemption_combined_multi(jobs, seed_fresh, combined);
+        reused.ids.resize(jobs.size());
+        std::iota(reused.ids.begin(), reused.ids.end(), JobId{0});
+        seed_unbounded_schedule_into(jobs, options, reused.ids, reused,
+                                     reused.seed);
+        Schedule out_reused(machines);
+        const CombinedMultiValues values_reused =
+            k_preemption_combined_multi_into(jobs, reused.seed, combined,
+                                             nullptr, reused, out_reused);
 
-        scratch.ids.resize(jobs.size());
-        std::iota(scratch.ids.begin(), scratch.ids.end(), JobId{0});
-        const Schedule seed_pooled =
-            seed_unbounded_schedule(jobs, options, scratch.ids, &scratch);
-        const CombinedMultiResult pooled = k_preemption_combined_multi(
-            jobs, seed_pooled, combined, nullptr, &scratch);
-
-        ASSERT_EQ(fingerprint(seed_pooled, 0), fingerprint(seed_fresh, 0))
+        ASSERT_EQ(fingerprint(reused.seed, 0), fingerprint(seed_fresh, 0))
             << "seed diverged (k=" << k << ", m=" << machines << ")";
-        ASSERT_EQ(fingerprint(pooled.schedule, pooled.value),
-                  fingerprint(fresh.schedule, fresh.value))
+        ASSERT_EQ(fingerprint(out_reused, values_reused.value),
+                  fingerprint(out_fresh, values_fresh.value))
             << "pipeline diverged (k=" << k << ", m=" << machines << ")";
-        EXPECT_EQ(pooled.strict_value, fresh.strict_value);
-        EXPECT_EQ(pooled.lax_value, fresh.lax_value);
+        EXPECT_EQ(values_reused.strict_value, values_fresh.strict_value);
+        EXPECT_EQ(values_reused.lax_value, values_fresh.lax_value);
       }
     }
   }
@@ -231,23 +240,121 @@ TEST(EngineScratch, WarmSessionsMatchColdSessions) {
   }
 }
 
-// ------------------------------------------- SoA/AoS equivalence ----------
+// ---------------------------------------------------- SoA equivalence -----
 
-// The columnar JobSetView is a byte-faithful mirror of the Job AoS: every
-// column holds exactly the field values of the source jobs, in id order.
-TEST(SoaEquivalence, ColumnsMirrorTheJobArrayExactly) {
-  for (const JobSet& jobs : mixed_corpus(6, 910)) {
+/// Bit pattern of a double: "bit for bit" compares patterns, not values.
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+bool same_job(const Job& a, const Job& b) {
+  return a.release == b.release && a.deadline == b.deadline &&
+         a.length == b.length && bits(a.value) == bits(b.value);
+}
+
+/// Job records to build sets from: the mixed corpus (read off the
+/// generator's columns), ticks at the int64 limits with values only a bit
+/// comparison tells apart, and a set whose deadlines are all negative.
+std::vector<std::vector<Job>> record_corpus() {
+  std::vector<std::vector<Job>> records;
+  for (const JobSet& generated : mixed_corpus(6, 910)) {
+    const JobSetView v = generated;
+    std::vector<Job>& out = records.emplace_back();
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      out.push_back({v.release[i], v.deadline[i], v.length[i], v.value[i]});
+    }
+  }
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  constexpr Time kMin = std::numeric_limits<Time>::min();
+  records.push_back({
+      {kMax - 3, kMax, 3, 1.0},
+      {kMin, kMin + 7, 7, std::numeric_limits<double>::max()},
+      {-40, -10, 30, std::numeric_limits<double>::denorm_min()},
+      {-5, kMax - 5, kMax / 7, 0.1},  // window kMax, laxity exactly 7
+      {0, 1, 1, 1.0 + std::numeric_limits<double>::epsilon()},
+      {-7, 3, 4, 0.3},
+  });
+  records.push_back({{-10, -5, 2, 1.0}, {-1000000, -999996, 2, 2.0}});
+  return records;
+}
+
+// A JobSet is its four columns.  Built from Job records, it hands every
+// record back bit for bit through operator[], iteration and a vector copy,
+// also after a malformed add() threw; its view reads its own storage in
+// place; JobColumns::build copies those columns; and every aggregate
+// equals a plain loop over the records.
+TEST(SoaEquivalence, JobSetReproducesItsInputRecords) {
+  constexpr Time kMax = std::numeric_limits<Time>::max();
+  constexpr Time kMin = std::numeric_limits<Time>::min();
+  const Job malformed[] = {
+      {0, 1, 5, 1.0},        // window shorter than the job
+      {0, 5, 0, 1.0},        // zero length
+      {0, 5, 2, 0.0},        // zero value
+      {kMin, kMax, 1, 1.0},  // window overflows int64
+      {0, 5, 2, std::numeric_limits<double>::infinity()},
+      {0, 5, 2, std::numeric_limits<double>::quiet_NaN()},
+  };
+  for (const std::vector<Job>& records : record_corpus()) {
+    const std::size_t n = records.size();
+    JobSet owner(records);
+    for (const Job& bad : malformed) {
+      EXPECT_THROW(owner.add(bad), InternalError);
+    }
+    ASSERT_EQ(owner.size(), n);
+    std::size_t i = 0;
+    for (const Job& job : owner) {
+      ASSERT_LT(i, n);
+      ASSERT_TRUE(same_job(job, records[i])) << "iteration, job " << i;
+      ASSERT_TRUE(same_job(owner[static_cast<JobId>(i)], records[i]))
+          << "operator[], job " << i;
+      ++i;
+    }
+    ASSERT_EQ(i, n);
+    const std::vector<Job> copied(owner.begin(), owner.end());
+    ASSERT_EQ(copied.size(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_TRUE(same_job(copied[j], records[j])) << "vector copy, job " << j;
+    }
+
+    // The view is the set's storage, not a copy: it moves with the set.
+    const JobSetView before = owner;
+    const JobSet jobs = std::move(owner);
+    const JobSetView view = jobs;
+    EXPECT_EQ(view.release, before.release);
+    EXPECT_EQ(view.deadline, before.deadline);
+    EXPECT_EQ(view.length, before.length);
+    EXPECT_EQ(view.value, before.value);
+    ASSERT_EQ(view.size(), n);
     JobColumns columns;
     columns.build(jobs);
-    const JobSetView view = columns.view();
-    ASSERT_EQ(view.size(), jobs.size());
-    for (JobId id = 0; id < jobs.size(); ++id) {
-      const Job& job = jobs[id];
-      ASSERT_EQ(view.release[id], job.release) << "job " << id;
-      ASSERT_EQ(view.deadline[id], job.deadline) << "job " << id;
-      ASSERT_EQ(view.length[id], job.length) << "job " << id;
-      ASSERT_EQ(view.value[id], job.value) << "job " << id;
+    ASSERT_EQ(columns.size(), n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const Job rebuilt{columns.release[j], columns.deadline[j],
+                        columns.length[j], columns.value[j]};
+      const Job viewed{view.release[j], view.deadline[j], view.length[j],
+                       view.value[j]};
+      ASSERT_TRUE(same_job(viewed, records[j])) << "view, job " << j;
+      ASSERT_TRUE(same_job(rebuilt, records[j])) << "build, job " << j;
     }
+
+    Value total = 0;
+    Duration min_length = records[0].length;
+    Duration max_length = records[0].length;
+    Time horizon = records[0].deadline;
+    Time earliest = records[0].release;
+    Rational max_laxity = records[0].laxity();
+    for (const Job& r : records) {
+      total += r.value;
+      min_length = std::min(min_length, r.length);
+      max_length = std::max(max_length, r.length);
+      horizon = std::max(horizon, r.deadline);
+      earliest = std::min(earliest, r.release);
+      max_laxity = std::max(max_laxity, r.laxity());
+    }
+    EXPECT_EQ(bits(jobs.total_value()), bits(total));
+    EXPECT_EQ(jobs.min_length(), min_length);
+    EXPECT_EQ(jobs.max_length(), max_length);
+    EXPECT_EQ(jobs.horizon(), horizon);
+    EXPECT_EQ(jobs.earliest_release(), earliest);
+    EXPECT_EQ(jobs.max_laxity(), max_laxity);
   }
 }
 
@@ -259,7 +366,6 @@ TEST(SoaEquivalence, LsaClassifyMatchesScalarReference) {
   for (const JobSet& jobs : mixed_corpus(10, 412)) {
     std::vector<JobId> ids(jobs.size());
     std::iota(ids.begin(), ids.end(), JobId{0});
-    scratch.columns.build(jobs);
     for (std::size_t k : {0u, 1u, 2u, 5u}) {
       const std::size_t base = std::max<std::size_t>(k + 1, 2);
       std::vector<std::pair<std::size_t, JobId>> expected;
@@ -275,8 +381,8 @@ TEST(SoaEquivalence, LsaClassifyMatchesScalarReference) {
         if (i == 0 || expected[i].first != expected[i - 1].first) ++distinct;
       }
 
-      const std::size_t got = lsa_classify(scratch.columns.view(), ids, k,
-                                           ClassifyBy::kLength, scratch);
+      const std::size_t got =
+          lsa_classify(jobs, ids, k, ClassifyBy::kLength, scratch);
       EXPECT_EQ(got, distinct) << "k=" << k;
       ASSERT_EQ(scratch.classes, expected) << "k=" << k;
     }
@@ -416,14 +522,11 @@ JobSet congested_jobs(std::size_t n, std::uint64_t seed) {
 // count (read from the guard) stays comparable across versions.
 TEST(GreedySeed, PollsTheBudgetOncePerCandidate) {
   const JobSet jobs = congested_jobs(300, 77);
-  JobColumns columns;
-  columns.build(jobs);
   const std::vector<JobId> ids = all_ids(jobs);
   GreedyScratch scratch;
   const auto seed = [&](BudgetGuard& guard, Schedule& out) {
     const BudgetGuard::Scope scope(&guard);
-    greedy_infinity_multi_into(columns.view(), ids, out.machine_count(),
-                               scratch, out);
+    greedy_infinity_multi_into(jobs, ids, out.machine_count(), scratch, out);
   };
   for (const std::size_t machines : {1u, 2u, 3u}) {
     Schedule out(machines);
@@ -461,13 +564,11 @@ TEST(GreedySeed, WarmScratchReseedsWithoutAllocating) {
     corpus.push_back(congested_jobs(n, n));
   }
   GreedyScratch scratch;
-  JobColumns columns;
   std::vector<JobId> ids;
   Schedule out(2);
   const auto seed = [&](const JobSet& jobs) {
-    columns.build(jobs);
     ids = all_ids(jobs);
-    greedy_infinity_multi_into(columns.view(), ids, 2, scratch, out);
+    greedy_infinity_multi_into(jobs, ids, 2, scratch, out);
   };
   for (const JobSet& jobs : corpus) seed(jobs);
   const JobSet& largest = corpus[1];
@@ -477,9 +578,8 @@ TEST(GreedySeed, WarmScratchReseedsWithoutAllocating) {
   if (!alloccount::arm()) {
     GTEST_SKIP() << "allocation counting disabled in this build";
   }
-  columns.build(largest);
   alloccount::Scope scope;
-  greedy_infinity_multi_into(columns.view(), ids, 2, scratch, out);
+  greedy_infinity_multi_into(largest, ids, 2, scratch, out);
   EXPECT_EQ(scope.allocations(), 0u)
       << "warmed greedy re-seed must be allocation-free";
   EXPECT_EQ(io::schedule_to_csv(out), expected);

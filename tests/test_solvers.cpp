@@ -202,6 +202,20 @@ TEST(OptKSlots, MonotoneInK) {
   }
 }
 
+// The slot DP spans [earliest release, horizon), so its answer and its
+// state space depend only on relative timing: shifting every tick, even
+// below 0, changes neither.
+TEST(OptKSlots, InvariantUnderTimeShift) {
+  for (const Time shift : {Time{0}, Time{-1000000}, Time{1000000}}) {
+    JobSet jobs;
+    jobs.add({shift, shift + 4, 2, 1.0});
+    jobs.add({shift, shift + 4, 2, 2.0});
+    const auto v = opt_k_slots(jobs, 1, std::size_t{1} << 24);
+    ASSERT_TRUE(v.has_value()) << "shift " << shift;
+    EXPECT_DOUBLE_EQ(*v, 3.0) << "shift " << shift;
+  }
+}
+
 TEST(OptKSlots, RefusesHugeStateSpaces) {
   JobSet jobs;
   for (int i = 0; i < 20; ++i) jobs.add({0, 1 << 20, 1 << 10, 1.0});

@@ -140,6 +140,13 @@ if [ "$SKIP_PERF" -eq 0 ]; then
       bench/baselines/BENCH_engine.json build-release/BENCH_engine.json
   build-release/tools/bench_compare "${COMPARE_FLAGS[@]}" \
       bench/baselines/BENCH_runtime.json build-release/BENCH_runtime.json
+
+  # The end-to-end benchmark (perfbench/, BENCHMARK.json) compiles against
+  # the library's stage API and checks every answer it replays, so an API
+  # change that breaks it, or a changed answer, fails here rather than at
+  # the next benchmark run.  Builds into .bench_build/.
+  say "perfbench selftest"
+  python3 perfbench/run.py --selftest
 else
   say "perf smoke: skipped"
 fi

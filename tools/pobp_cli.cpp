@@ -896,10 +896,10 @@ int cmd_chaos(const Flags& flags) {
     bool shrunk = true;
     while (shrunk && !plain_reason(bad_jobs).empty() && bad_jobs.size() > 1) {
       shrunk = false;
-      for (std::size_t drop = 0; drop < bad_jobs.size(); ++drop) {
+      for (JobId drop = 0; drop < bad_jobs.size(); ++drop) {
         JobSet smaller;
-        for (std::size_t j = 0; j < bad_jobs.size(); ++j) {
-          if (j != drop) smaller.add(bad_jobs.jobs()[j]);
+        for (JobId j = 0; j < bad_jobs.size(); ++j) {
+          if (j != drop) smaller.add(bad_jobs[j]);
         }
         if (!plain_reason(smaller).empty()) {
           bad_jobs = std::move(smaller);
