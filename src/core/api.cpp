@@ -13,6 +13,7 @@
 #include "pobp/solvers/solvers.hpp"
 #include "pobp/util/assert.hpp"
 #include "pobp/util/budget.hpp"
+#include "pobp/util/faultinject.hpp"
 
 namespace pobp {
 
@@ -35,10 +36,10 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
     BudgetGuard::poll();
     const SubsetSolution sol = opt_infinity(jobs, remaining);
     if (!sol.members.empty()) {
-      auto schedule = edf_schedule(jobs, sol.members);
-      POBP_CHECK_MSG(schedule.has_value(),
+      POBP_CHECK_MSG(laminar_edf_schedule_into(jobs, sol.members,
+                                               scratch.greedy.laminar,
+                                               out.machine(m)),
                      "B&B returned an infeasible subset");
-      out.machine(m).assign_from(*schedule);
     }
     std::erase_if(remaining,
                   [&](JobId id) { return out.machine(m).contains(id); });
@@ -67,6 +68,31 @@ diag::Report check_schedule_options(const JobSet& jobs,
 }
 
 namespace {
+
+/// λ_j ≥ k + 1 (Def. 4.4) in integers: d − r ≥ (k+1)·p.  The window d − r
+/// fits an int64 (a well-formed job), and a product past INT64_MAX
+/// exceeds every window.
+bool is_lax(const JobSetView& jobs, JobId id, std::size_t k) {
+  std::int64_t need = 0;
+  if (__builtin_mul_overflow(k + 1, jobs.length[id], &need)) return false;
+  return jobs.deadline[id] - jobs.release[id] >= need;
+}
+
+/// True when `ms` is exactly the EDF schedule of its own job set — the
+/// schedule laminarize_into would rebuild from it.  Debug builds check
+/// every seed machine the full-reduction branch reads as laminar.
+bool is_edf_schedule_of_its_jobs(const JobSet& jobs, const MachineSchedule& ms,
+                                 LaminarScratch& scratch,
+                                 MachineSchedule& edf) {
+  scratch.ids.clear();
+  for (const Assignment& a : ms.assignments()) scratch.ids.push_back(a.job);
+  return edf_schedule_into(jobs, scratch.ids, scratch.edf, edf) &&
+         std::ranges::equal(ms.assignments(), edf.assignments(),
+                            [](const Assignment& a, const Assignment& b) {
+                              return a.job == b.job &&
+                                     a.segments == b.segments;
+                            });
+}
 
 /// True when machine `m` of the current seed is stage-for-stage identical
 /// to the delta neighbor's: same assignments (job ids, segment lists, in
@@ -106,7 +132,6 @@ CombinedMultiValues k_preemption_combined_multi_into(
     SolveScratch& s, Schedule& out, const SolveDeltaHint* delta) {
   CombinedMultiValues values;
   const std::size_t machines = unbounded.machine_count();
-  const Rational threshold(static_cast<std::int64_t>(options.k) + 1);
   ReductionScratch& rs = s.reduction;
   if (!delta_usable(delta, machines)) delta = nullptr;
 
@@ -123,7 +148,7 @@ CombinedMultiValues k_preemption_combined_multi_into(
     auto& strict_ids = s.strict_ids;
     strict_ids.clear();
     for (const Assignment& a : unbounded.machine(m).assignments()) {
-      (jobs[a.job].laxity() >= threshold ? lax_ids : strict_ids)
+      (is_lax(jobs, a.job, options.k) ? lax_ids : strict_ids)
           .push_back(a.job);
     }
     if (strict_ids.empty()) continue;
@@ -164,12 +189,18 @@ CombinedMultiValues k_preemption_combined_multi_into(
 
   // Full-reduction branch (Theorem 4.2, per machine): the same four stages
   // as the strict branch on each machine's whole job set, always pruned
-  // with the exact TM DP (mirrors reduce_to_k_preemptive, pooled).
+  // with the exact TM DP (mirrors reduce_to_k_preemptive, pooled).  The
+  // seed machine is already the schedule laminarize_into would rebuild —
+  // the EDF schedule of the same job set in the same (deadline, id) order,
+  // checked laminar where the seed built it — so the forest is built from
+  // it directly; the stage keeps its fault site and budget poll.
   Schedule& full_schedule = s.full_sched;
   full_schedule.reset(machines);
   for (std::size_t m = 0; m < machines; ++m) {
     const MachineSchedule& input = unbounded.machine(m);
     if (input.empty()) continue;
+    POBP_DASSERT(is_edf_schedule_of_its_jobs(jobs, input, rs.laminar,
+                                             s.laminar_stage));
     if (delta != nullptr &&
         delta_machine_reusable(input, delta->seed->machine(m),
                                delta->job_changed)) {
@@ -177,9 +208,10 @@ CombinedMultiValues k_preemption_combined_multi_into(
       continue;
     }
     sw.lap();
-    laminarize_into(jobs, input, rs.laminar, s.laminar_stage);
+    POBP_FAULT_POINT(kLaminarize);
+    BudgetGuard::poll();
     if (timings) timings->laminarize_s += sw.lap();
-    build_schedule_forest(jobs, s.laminar_stage, rs.sf, rs.forest_build);
+    build_schedule_forest(jobs, input, rs.sf, rs.forest_build);
     if (timings) timings->forest_s += sw.lap();
     tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
                           options.tm_fork_min_nodes);

@@ -99,8 +99,10 @@ struct SolveScratch;
 
 /// Seed ∞-preemptive schedule across machines (stage 1 of the pipeline):
 /// the density-greedy heuristic or the exact B&B applied iteratively to the
-/// residual set, per ScheduleOptions::seed.  `ids` must be all job ids
-/// [0, n).  Writes into `out` (reset first, segment capacity retained);
+/// residual set, per ScheduleOptions::seed.  Each machine of `out` is the
+/// EDF schedule of its own jobs, checked laminar where it is built — the
+/// form k_preemption_combined_multi_into requires.  `ids` must be all job
+/// ids [0, n).  Writes into `out` (reset first, segment capacity retained);
 /// allocation-free once the scratch and `out` are warmed (greedy seed; the
 /// exact B&B seed is a cold path and still allocates internally).  `out`
 /// must not alias a schedule owned by `scratch`.
@@ -140,13 +142,17 @@ struct SolveDeltaHint {
 /// given ∞-preemptive schedule separately (§4.1 remark); the lax branch
 /// runs the iterative multi-machine LSA_CS (§4.3.4); the full-reduction
 /// branch (Theorem 4.2) reduces each machine's whole job set.  The best
-/// branch wins.  All three branch schedules are materialized in the
-/// scratch's result arena and the winner is deep-copied (pooled,
-/// capacity-retaining) into `out`.  Allocation-free once scratch and `out`
-/// are warmed.  `out` must not alias a schedule owned by `scratch` and
-/// `unbounded` may be `scratch.seed` (it is only read).  A non-null
-/// `delta` enables per-machine neighbor reuse (see SolveDeltaHint); the
-/// result is bit-identical with or without it.
+/// branch wins.  Each machine of `unbounded` must be the EDF schedule of
+/// its own jobs, as seed_unbounded_schedule_into and greedy_infinity_multi
+/// produce: the full-reduction branch reads it as its laminar form instead
+/// of re-running EDF (debug builds check this).  All three branch
+/// schedules are materialized in the scratch's result arena and the
+/// winner is deep-copied (pooled, capacity-retaining) into `out`.
+/// Allocation-free once scratch and `out` are warmed.  `out` must not
+/// alias a schedule owned by `scratch` and `unbounded` may be
+/// `scratch.seed` (it is only read).  A non-null `delta` enables
+/// per-machine neighbor reuse (see SolveDeltaHint); the result is
+/// bit-identical with or without it.
 CombinedMultiValues k_preemption_combined_multi_into(
     const JobSet& jobs, const Schedule& unbounded,
     const CombinedOptions& options, PipelineTimings* timings,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "pobp/util/assert.hpp"
@@ -203,58 +204,77 @@ bool EdfAdmission::try_admit(const JobSetView& jobs, JobId id, EdfScratch& s) {
     }
   }
   const std::size_t pos = lo;
+  // An admitted id sits exactly at its own slot.  Checked here because a
+  // probe the bounds decide never reaches edf_simulate's duplicate check.
+  POBP_ASSERT_MSG(pos == n || ids_[pos] != id, "job is already admitted");
 
   // The window opens at the start of the busy period holding r, or at r
   // when the machine is idle then (no admitted job is released at an idle
-  // instant).  [first, last) are the admitted slots inside it so far: the
-  // holding period's jobs, or none.
+  // instant).  `latest` is the latest deadline among the window's jobs.
   const auto after = std::upper_bound(
       periods_.begin(), periods_.end(), r,
       [](Time t, const BusyPeriod& b) { return t < b.start; });
   auto first_period = after;  // first busy period the window covers
   Time start = r;
   Time end = r;
-  std::size_t first = pos;
-  std::size_t last = pos;
+  Time latest = jobs.deadline[id];
   if (after != periods_.begin() && std::prev(after)->end > r) {
     first_period = std::prev(after);
     start = first_period->start;
     end = first_period->end;
-    first = static_cast<std::size_t>(
-        std::lower_bound(rel_.begin(), rel_.begin() + pos, start) -
-        rel_.begin());
-    last = static_cast<std::size_t>(
-        std::lower_bound(rel_.begin() + pos, rel_.end(), end) - rel_.begin());
+    latest = std::max(latest, first_period->latest);
   }
 
-  // Grow the window by p_id, then absorb every later job released before
-  // it drains (whole busy periods at a time: each one's jobs arrive before
-  // it ends).  An end past INT64_MAX means the window's last job finishes
-  // after every representable deadline.
+  // Grow the window by p_id, then absorb every later busy period that
+  // starts before it drains, whole: each one's jobs arrive before it ends.
+  // An end past INT64_MAX means the window's last job finishes after every
+  // representable deadline.  A period's span end − start can itself exceed
+  // INT64_MAX (a start near INT64_MIN), so it is added in unsigned
+  // arithmetic against the exact headroom INT64_MAX − end.
   if (add_overflows(end, jobs.length[id])) return false;
   end += jobs.length[id];
-  for (; last < n && rel_[last] < end; ++last) {
-    if (add_overflows(end, jobs.length[ids_[last]])) return false;
-    end += jobs.length[ids_[last]];
+  auto covered_end = after;  // one past the last busy period absorbed
+  for (; covered_end != periods_.end() && covered_end->start < end;
+       ++covered_end) {
+    const auto span = static_cast<std::uint64_t>(covered_end->end) -
+                      static_cast<std::uint64_t>(covered_end->start);
+    const auto headroom =
+        static_cast<std::uint64_t>(std::numeric_limits<Time>::max()) -
+        static_cast<std::uint64_t>(end);
+    if (span > headroom) return false;
+    end = static_cast<Time>(static_cast<std::uint64_t>(end) + span);
+    latest = std::max(latest, covered_end->latest);
   }
 
-  // Simulate the window's admitted jobs plus id, presorted (id at pos).
-  s.by_release.assign(ids_.begin() + first, ids_.begin() + last);
-  s.rel_sorted.assign(rel_.begin() + first, rel_.begin() + last);
-  s.by_release.insert(s.by_release.begin() + (pos - first), id);
-  s.rel_sorted.insert(s.rel_sorted.begin() + (pos - first), r);
-  if (!edf_simulate</*Record=*/false>(jobs, s)) return false;
+  // The machine runs the window's jobs back to back from start to end, so
+  // the last of them completes at end.  Two bounds settle most probes:
+  //  * end > latest: that last job is late, whatever EDF runs first.
+  //  * end ≤ d_id: id and every job EDF ranks below it — deadline ≥ d_id —
+  //    complete by end, so on time, and the jobs ranked above id run
+  //    exactly as without it (lower-ranked work never delays them).
+  // Only d_id < end ≤ latest needs the window's EDF run.
+  if (end > latest) return false;
+  if (end > jobs.deadline[id]) {
+    const std::size_t first = static_cast<std::size_t>(
+        std::lower_bound(rel_.begin(), rel_.begin() + pos, start) -
+        rel_.begin());
+    const std::size_t last = static_cast<std::size_t>(
+        std::lower_bound(rel_.begin() + pos, rel_.end(), end) - rel_.begin());
+    // The window's admitted jobs plus id, presorted (id at pos).
+    s.by_release.assign(ids_.begin() + first, ids_.begin() + last);
+    s.rel_sorted.assign(rel_.begin() + first, rel_.begin() + last);
+    s.by_release.insert(s.by_release.begin() + (pos - first), id);
+    s.rel_sorted.insert(s.rel_sorted.begin() + (pos - first), r);
+    if (!edf_simulate</*Record=*/false>(jobs, s)) return false;
+  }
 
   // Commit: the merged window replaces every busy period it covers.
   ids_.insert(ids_.begin() + pos, id);
   rel_.insert(rel_.begin() + pos, r);
-  const auto covered_end = std::lower_bound(
-      after, periods_.end(), end,
-      [](const BusyPeriod& b, Time t) { return b.start < t; });
   if (first_period == covered_end) {
-    periods_.insert(first_period, {start, end});
+    periods_.insert(first_period, {start, end, latest});
   } else {
-    *first_period = {start, end};
+    *first_period = {start, end, latest};
     periods_.erase(first_period + 1, covered_end);
   }
   return true;

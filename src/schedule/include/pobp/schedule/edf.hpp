@@ -12,8 +12,9 @@
 //   * edf_schedule  — the full laminar schedule.
 //   * EdfAdmission  — yes/no for "admitted set plus one job", the greedy
 //     seed's trial acceptance.  It keeps the admitted set release-sorted
-//     with its busy periods and simulates only the one window the new job
-//     can change (docs/PERF.md, "Greedy seed: busy-window admission").
+//     with its busy periods, finds the one window the new job can change,
+//     and simulates it only when two deadline bounds leave the answer open
+//     (docs/PERF.md, "Greedy seed: busy-window admission").
 // All read the jobs through a JobSetView — a JobSet converts to one in
 // place, without a copy — take an EdfScratch, and perform zero heap
 // allocations once it (and the admission's own buffers) have warmed up to
@@ -71,8 +72,16 @@ bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
 /// holding r_c (or r_c itself, if the machine is idle then) to the point
 /// where that period, grown by p_c and by every later period it reaches,
 /// drains.  Before the window nothing is pending, and from its end on the
-/// run is the feasible one without c, so try_admit simulates the admitted
-/// jobs released inside the window plus c, already in release order.
+/// run is the feasible one without c.  Inside it the machine never idles,
+/// so the window's last job completes exactly at its end, and two bounds
+/// decide most probes without simulating:
+///   * end > the latest deadline among the window's jobs and c: reject —
+///     whichever job completes at the end is late;
+///   * end ≤ d_c: accept — c and every job EDF ranks below it (deadline
+///     ≥ d_c) complete by the end, and the jobs ranked above c run exactly
+///     as they did without it.
+/// Only a window with d_c < end ≤ latest is simulated: the admitted jobs
+/// released inside it plus c, already in release order.
 class EdfAdmission {
  public:
   /// Forgets every admitted job; keeps the buffers' capacity.
@@ -80,8 +89,8 @@ class EdfAdmission {
 
   /// True iff EDF meets every deadline of admitted ∪ {id} — exactly
   /// edf_feasible(jobs, admitted ∪ {id}) — and if so admits `id`.  `jobs`
-  /// must be the view of every earlier call since clear(), and `id` must
-  /// not be admitted yet.
+  /// must be the view of every earlier call since clear().  `id` must not
+  /// be admitted yet; a repeat aborts, whichever way the probe is decided.
   bool try_admit(const JobSetView& jobs, JobId id, EdfScratch& scratch);
 
   /// The admitted set in (release, id) order.
@@ -89,8 +98,9 @@ class EdfAdmission {
 
  private:
   struct BusyPeriod {
-    Time start;  ///< release of its first job
-    Time end;    ///< start + Σ p over its jobs (exclusive)
+    Time start;   ///< release of its first job
+    Time end;     ///< start + Σ p over its jobs (exclusive)
+    Time latest;  ///< latest deadline among its jobs
   };
 
   std::vector<JobId> ids_;           ///< admitted, (release, id) order

@@ -44,6 +44,17 @@ struct LaminarScratch {
   std::vector<JobId> ids;                ///< scheduled_jobs staging
 };
 
+/// The EDF schedule of the subset `ids`, written into `out` (cleared
+/// first, slot storage recycled — zero allocations once warmed) and
+/// checked laminar on its run log: the always-on defense against simulator
+/// regressions (POBP_CHECK).  Every laminarize form below is this run; the
+/// greedy seed builds its machines with it too, so the full-reduction
+/// branch reads a seed machine as its laminar form directly.  Returns
+/// false, leaving `out` empty, when the subset is infeasible.
+bool laminar_edf_schedule_into(const JobSetView& jobs,
+                               std::span<const JobId> ids,
+                               LaminarScratch& scratch, MachineSchedule& out);
+
 /// Rearranges `ms` into an equivalent laminar schedule of the same job set
 /// (same value, still feasible).  Precondition: `ms` validates against
 /// `jobs` with unbounded k.

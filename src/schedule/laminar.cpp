@@ -118,13 +118,20 @@ void diagnose_laminar(const MachineSchedule& ms, diag::Report& report,
   });
 }
 
+bool laminar_edf_schedule_into(const JobSetView& jobs,
+                               std::span<const JobId> ids,
+                               LaminarScratch& scratch, MachineSchedule& out) {
+  if (!edf_schedule_into(jobs, ids, scratch.edf, out)) return false;
+  POBP_CHECK(runs_are_laminar(scratch.edf.runs, jobs.size(), scratch));
+  return true;
+}
+
 void laminarize_subset_into(const JobSet& jobs, std::span<const JobId> ids,
                             LaminarScratch& scratch, MachineSchedule& out) {
   POBP_FAULT_POINT(kLaminarize);
   BudgetGuard::poll();
-  POBP_CHECK_MSG(edf_schedule_into(jobs, ids, scratch.edf, out),
+  POBP_CHECK_MSG(laminar_edf_schedule_into(jobs, ids, scratch, out),
                  "laminarize: input schedule's job set must be feasible");
-  POBP_CHECK(runs_are_laminar(scratch.edf.runs, jobs.size(), scratch));
 }
 
 void laminarize_into(const JobSet& jobs, const MachineSchedule& ms,

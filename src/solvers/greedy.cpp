@@ -1,7 +1,7 @@
 // Greedy ∞-preemptive heuristic (density order + EDF admission check).
 #include <algorithm>
 
-#include "pobp/schedule/edf.hpp"
+#include "pobp/schedule/laminar.hpp"
 #include "pobp/solvers/solvers.hpp"
 #include "pobp/util/assert.hpp"
 #include "pobp/util/budget.hpp"
@@ -30,15 +30,15 @@ void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> candidates,
   admission.clear();
   for (const JobId id : order) {
     BudgetGuard::poll();
-    (void)admission.try_admit(jobs, id, scratch.edf);
+    (void)admission.try_admit(jobs, id, scratch.laminar.edf);
   }
   if (admission.admitted().empty()) {
     out.clear();
     return;
   }
-  POBP_CHECK_MSG(
-      edf_schedule_into(jobs, admission.admitted(), scratch.edf, out),
-      "greedy accepted set must be EDF-feasible");
+  POBP_CHECK_MSG(laminar_edf_schedule_into(jobs, admission.admitted(),
+                                           scratch.laminar, out),
+                 "greedy accepted set must be EDF-feasible");
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "pobp/schedule/edf.hpp"
+#include "pobp/schedule/laminar.hpp"
 #include "pobp/schedule/schedule.hpp"
 
 namespace pobp {
@@ -52,15 +53,16 @@ std::optional<Value> opt_k_slots(const JobSet& jobs, std::size_t k,
                                  std::size_t max_states = 50'000'000);
 
 /// Reusable buffers for the greedy seed.  Each candidate probe is one
-/// EdfAdmission::try_admit, which EDF-simulates only the busy window the
-/// candidate touches — only the final accepted set is materialized as a
-/// schedule, which is identical because EDF is a pure function of the job
-/// set.
+/// EdfAdmission::try_admit, which settles most probes from two deadline
+/// bounds and EDF-simulates only the busy window the rest touch — only the
+/// final accepted set is materialized as a schedule, which is identical
+/// because EDF is a pure function of the job set.  That schedule is built
+/// by laminar_edf_schedule_into, so it leaves the seed checked laminar.
 struct GreedyScratch {
   std::vector<JobId> order;     ///< density-sorted consideration order
   std::vector<JobId> residual;  ///< multi-machine leftover staging
   EdfAdmission admission;       ///< one machine pass's accepted set
-  EdfScratch edf;
+  LaminarScratch laminar;       ///< EDF probes and the final schedule
 };
 
 /// Greedy ∞-preemptive heuristic: jobs in descending density order, each

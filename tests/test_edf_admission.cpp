@@ -10,6 +10,13 @@
 // three or more later periods, negative releases, and ticks near the int64
 // limits.  Each family also checks, with its own busy-period computation,
 // that the shape it exists for really occurred.
+//
+// The same computation predicts how try_admit must decide each probe: by
+// the reject bound (the window ends after its latest deadline), by the
+// accept bound (it ends by the candidate's deadline), or by simulating the
+// window.  Each probe checks the prediction against the oracle's answer
+// and against what try_admit did — only a simulated probe loads its
+// window into the scratch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -59,12 +66,16 @@ Schedule reference_greedy(const JobSet& jobs, std::size_t machines) {
   return out;
 }
 
+/// How a probe is decided: by one of the two bounds, or by simulation.
+enum class Decision { kBoundRejected, kBoundAccepted, kSimulated };
+
 /// What one probe looked like, from the admitted set's busy periods
 /// (computed here independently of EdfAdmission).
 struct Shape {
   bool at_period_end = false;  ///< r_id equals some busy period's end
   std::size_t absorbed = 0;    ///< later periods the grown window reaches
   bool past_int64 = false;     ///< the window would end past INT64_MAX
+  Decision decision = Decision::kSimulated;
 };
 
 Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
@@ -72,32 +83,55 @@ Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
     return jobs[a].release < jobs[b].release;
   });
   struct Period {
-    Time start, end;
+    Time start, end, latest;
   };
   std::vector<Period> periods;  // feasible set: every end is a valid Time
   for (const JobId j : admitted) {
     if (periods.empty() || jobs[j].release >= periods.back().end) {
-      periods.push_back({jobs[j].release, jobs[j].release});
+      periods.push_back({jobs[j].release, jobs[j].release, jobs[j].deadline});
     }
     periods.back().end += jobs[j].length;
+    periods.back().latest = std::max(periods.back().latest, jobs[j].deadline);
   }
   // Window arithmetic in 128 bits: here an end past INT64_MAX is just a
-  // number.
+  // number, and a period's span past INT64_MAX too.
   Shape shape;
-  const Time r = jobs[id].release;
-  __int128 end = r;
+  const Job c = jobs[id];
+  __int128 end = c.release;
+  Time latest = c.deadline;  // over the window's jobs, c included
   std::size_t next = 0;
-  for (; next < periods.size() && periods[next].start <= r; ++next) {
-    shape.at_period_end |= periods[next].end == r;
-    if (periods[next].end > r) end = periods[next].end;
+  for (; next < periods.size() && periods[next].start <= c.release; ++next) {
+    shape.at_period_end |= periods[next].end == c.release;
+    if (periods[next].end > c.release) {  // the period holding r_c
+      end = periods[next].end;
+      latest = std::max(latest, periods[next].latest);
+    }
   }
-  end += jobs[id].length;
+  end += c.length;
   for (; next < periods.size() && periods[next].start < end; ++next) {
     ++shape.absorbed;
     end += static_cast<__int128>(periods[next].end) - periods[next].start;
+    latest = std::max(latest, periods[next].latest);
   }
   shape.past_int64 = end > kMax;
+  shape.decision = end > latest       ? Decision::kBoundRejected
+                   : end <= c.deadline ? Decision::kBoundAccepted
+                                       : Decision::kSimulated;
   return shape;
+}
+
+/// try_admit's answer, and whether it simulated: only a simulated probe
+/// loads its window (at least the candidate) into scratch.by_release.
+struct Probe {
+  bool admitted = false;
+  bool simulated = false;
+};
+
+Probe probe(EdfAdmission& admission, const JobSetView& jobs, JobId id,
+            EdfScratch& scratch) {
+  scratch.by_release.clear();
+  const bool admitted = admission.try_admit(jobs, id, scratch);
+  return {admitted, !scratch.by_release.empty()};
 }
 
 struct Coverage {
@@ -108,6 +142,9 @@ struct Coverage {
   std::size_t at_period_end = 0;
   std::size_t absorbed_three = 0;
   std::size_t past_int64 = 0;
+  std::size_t bound_rejected = 0;
+  std::size_t bound_accepted = 0;
+  std::size_t simulated = 0;
 };
 
 /// Admits every job of `jobs` in a random order through one reused
@@ -141,8 +178,25 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
       ASSERT_EQ(preemptive_feasible(jobs, accepted), expected)
           << "EDF and the interval condition disagree, job " << id;
     }
-    ASSERT_EQ(admission.try_admit(view, id, scratch), expected)
+    // The bounds are exact: each one's verdict is the oracle's.
+    switch (shape.decision) {
+      case Decision::kBoundRejected:
+        ++coverage.bound_rejected;
+        ASSERT_FALSE(expected) << "reject bound wrong, job " << id;
+        break;
+      case Decision::kBoundAccepted:
+        ++coverage.bound_accepted;
+        ASSERT_TRUE(expected) << "accept bound wrong, job " << id;
+        break;
+      case Decision::kSimulated:
+        ++coverage.simulated;
+        break;
+    }
+    const Probe got = probe(admission, view, id, scratch);
+    ASSERT_EQ(got.admitted, expected)
         << "job " << id << " after " << accepted.size() - 1 << " admitted";
+    ASSERT_EQ(got.simulated, shape.decision == Decision::kSimulated)
+        << "job " << id << " decided the wrong way";
     if (!expected) accepted.pop_back();
     (expected ? coverage.accepted : coverage.rejected) += 1;
   }
@@ -184,6 +238,13 @@ Coverage run_family(const Family& family, std::uint64_t seed,
   return coverage;
 }
 
+/// Every way of deciding a probe occurred.
+void expect_every_decision(const Coverage& c) {
+  EXPECT_GT(c.bound_rejected, 0u);
+  EXPECT_GT(c.bound_accepted, 0u);
+  EXPECT_GT(c.simulated, 0u);
+}
+
 std::size_t draw_n(Rng& rng, std::size_t lo, std::size_t hi) {
   return static_cast<std::size_t>(rng.uniform_int(
       static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
@@ -218,6 +279,7 @@ TEST(EdfAdmissionDifferential, RandomJobs) {
                                 101, 400);
   EXPECT_GT(c.accepted, 0u);
   EXPECT_GT(c.rejected, 0u);
+  expect_every_decision(c);
 }
 
 TEST(EdfAdmissionDifferential, LaminarInstances) {
@@ -233,8 +295,11 @@ TEST(EdfAdmissionDifferential, LaminarInstances) {
       },
       202, 250);
   // Each instance comes with a schedule of all its jobs: nothing is
-  // rejected, so every probe exercises the accepting path.
+  // rejected, so every probe exercises the accepting path — by the bound
+  // or by simulation.
   EXPECT_EQ(c.rejected, 0u);
+  EXPECT_GT(c.bound_accepted, 0u);
+  EXPECT_GT(c.simulated, 0u);
 }
 
 TEST(EdfAdmissionDifferential, Fig2GeometricChains) {
@@ -247,6 +312,8 @@ TEST(EdfAdmissionDifferential, Fig2GeometricChains) {
     check_instance(k0_geometric_instance(n).jobs, rng, admission, greedy, c);
     ASSERT_FALSE(HasFatalFailure()) << "n = " << n;
   }
+  EXPECT_GT(c.bound_accepted, 0u);
+  EXPECT_GT(c.simulated, 0u);
 }
 
 // -------------------------------------------------------- edge shapes ------
@@ -266,6 +333,7 @@ TEST(EdfAdmissionDifferential, EveryReleaseEqualIsOneBusyPeriod) {
       },
       303, 250);
   EXPECT_GT(c.rejected, 0u);
+  expect_every_decision(c);
 }
 
 TEST(EdfAdmissionDifferential, ZeroLaxity) {
@@ -283,6 +351,13 @@ TEST(EdfAdmissionDifferential, ZeroLaxity) {
       404, 250);
   EXPECT_GT(c.accepted, c.instances);
   EXPECT_GT(c.rejected, 0u);
+  // A feasible zero-laxity set runs every job exactly in its window, so
+  // no deadline in a busy period passes its end.  A candidate alone in
+  // its window ends at d_c (accepted); otherwise the window ends p_c past
+  // every period it covers, after its latest deadline (rejected).
+  EXPECT_GT(c.bound_accepted, 0u);
+  EXPECT_GT(c.bound_rejected, 0u);
+  EXPECT_EQ(c.simulated, 0u);
 }
 
 TEST(EdfAdmissionDifferential, ReleasesOnBusyPeriodEnds) {
@@ -302,6 +377,7 @@ TEST(EdfAdmissionDifferential, ReleasesOnBusyPeriodEnds) {
       },
       505, 250);
   EXPECT_GT(c.at_period_end, c.instances);
+  expect_every_decision(c);
 }
 
 TEST(EdfAdmissionDifferential, WindowsAbsorbThreeOrMorePeriods) {
@@ -328,6 +404,7 @@ TEST(EdfAdmissionDifferential, WindowsAbsorbThreeOrMorePeriods) {
       },
       606, 250);
   EXPECT_GT(c.absorbed_three, c.instances);
+  expect_every_decision(c);
 }
 
 TEST(EdfAdmissionDifferential, NegativeReleases) {
@@ -340,6 +417,7 @@ TEST(EdfAdmissionDifferential, NegativeReleases) {
       },
       707, 250);
   EXPECT_GT(c.rejected, 0u);
+  expect_every_decision(c);
 }
 
 TEST(EdfAdmissionDifferential, TicksNearTheInt64Limits) {
@@ -375,6 +453,7 @@ TEST(EdfAdmissionDifferential, TicksNearTheInt64Limits) {
       },
       808, 250);
   EXPECT_GT(c.past_int64, c.instances);
+  expect_every_decision(c);
 }
 
 // ---------------------------------------------------- pinned shapes -------
@@ -430,6 +509,112 @@ TEST(EdfAdmission, OverflowingWindowRejects) {
   admission.clear();
   EXPECT_TRUE(admission.admitted().empty());
   EXPECT_TRUE(admission.try_admit(jobs, 1, scratch));
+}
+
+TEST(EdfAdmission, WindowEndingAtTheCandidatesDeadlineIsAcceptedUnsimulated) {
+  // Busy period [0, 5); the candidate's window grows it to 8 = d_c.  EDF
+  // runs c in [2, 5) ahead of the d = 10 job, which finishes at 8.
+  JobSet jobs;
+  jobs.add({0, 10, 5, 1.0});
+  const JobId c = jobs.add({2, 8, 3, 1.0});
+  EdfAdmission admission;
+  EdfScratch scratch;
+  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
+  const Probe got = probe(admission, jobs, c, scratch);
+  EXPECT_TRUE(got.admitted);
+  EXPECT_FALSE(got.simulated);
+}
+
+TEST(EdfAdmission, WindowEndingAtTheLatestDeadlineIsNotRejected) {
+  // Busy period [0, 5) with deadline 8; the candidate (d = 6) grows the
+  // window to 8: end == latest, so only simulation settles it — c runs
+  // first and ends at 3, the other job at 8.  One tick later is the
+  // reject bound.
+  JobSet jobs;
+  jobs.add({0, 8, 5, 1.0});
+  const JobId c = jobs.add({0, 6, 3, 1.0});
+  const JobId longer = jobs.add({0, 6, 4, 1.0});
+  EdfAdmission admission;
+  EdfScratch scratch;
+  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
+  const Probe too_long = probe(admission, jobs, longer, scratch);
+  EXPECT_FALSE(too_long.admitted);
+  EXPECT_FALSE(too_long.simulated);
+  const Probe got = probe(admission, jobs, c, scratch);
+  EXPECT_TRUE(got.admitted);
+  EXPECT_TRUE(got.simulated);
+}
+
+TEST(EdfAdmission, EqualDeadlinesOnEitherSideOfTheIdTieBreak) {
+  // Candidates whose deadline equals an admitted job's, ranked above it
+  // (smaller id) and below it (larger id) by EDF's tie-break, decided by
+  // the accept bound (window end 10 = d) and by simulation (end 17 > 10,
+  // with a d = 20 job in the window).  The answer never depends on the
+  // side.
+  for (const bool candidate_first : {true, false}) {
+    JobSet jobs;
+    const JobId tie = candidate_first ? 1 : 0;
+    const JobId c = candidate_first ? 0 : 1;
+    for (JobId id = 0; id < 2; ++id) {
+      jobs.add(id == tie ? Job{0, 10, 6, 1.0} : Job{0, 10, 4, 1.0});
+    }
+    EdfAdmission admission;
+    EdfScratch scratch;
+    ASSERT_TRUE(admission.try_admit(jobs, tie, scratch));
+    const Probe bound = probe(admission, jobs, c, scratch);
+    EXPECT_TRUE(bound.admitted) << candidate_first;
+    EXPECT_FALSE(bound.simulated) << candidate_first;
+
+    JobSet wider;
+    for (JobId id = 0; id < 2; ++id) {
+      wider.add(id == tie ? Job{0, 10, 4, 1.0} : Job{0, 10, 5, 1.0});
+    }
+    const JobId later = wider.add({0, 20, 8, 1.0});
+    admission.clear();
+    ASSERT_TRUE(admission.try_admit(wider, tie, scratch));
+    ASSERT_TRUE(admission.try_admit(wider, later, scratch));
+    const Probe simulated = probe(admission, wider, c, scratch);
+    EXPECT_TRUE(simulated.admitted) << candidate_first;
+    EXPECT_TRUE(simulated.simulated) << candidate_first;
+  }
+}
+
+TEST(EdfAdmission, LatestDeadlineFromAnAbsorbedPeriod) {
+  // Busy periods [0, 5) (deadline 5) and [6, 8).  A candidate released at
+  // 0 with p = 3 grows the window to 8, past 6, so it absorbs [6, 8) and
+  // ends at 10 > d_c = 9.  With the absorbed job's deadline at 30, that
+  // is the window's latest deadline: the reject bound does not apply, and
+  // EDF fits everything (c in [5, 8), the absorbed job in [8, 10)).  At 8
+  // the latest is d_c = 9, and the end 10 is past it: rejected without
+  // simulating.
+  for (const Time absorbed_deadline : {Time{30}, Time{8}}) {
+    JobSet jobs;
+    jobs.add({0, 5, 5, 1.0});
+    jobs.add({6, absorbed_deadline, 2, 1.0});
+    const JobId c = jobs.add({0, 9, 3, 1.0});
+    EdfAdmission admission;
+    EdfScratch scratch;
+    ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
+    ASSERT_TRUE(admission.try_admit(jobs, 1, scratch));
+    const Probe got = probe(admission, jobs, c, scratch);
+    const bool fits = absorbed_deadline == 30;
+    EXPECT_EQ(got.admitted, fits) << absorbed_deadline;
+    EXPECT_EQ(got.simulated, fits) << absorbed_deadline;
+    EXPECT_EQ(got.admitted,
+              edf_feasible(jobs, std::vector<JobId>{0, 1, c}, scratch));
+  }
+}
+
+TEST(EdfAdmissionDeath, RepeatedCandidateAborts) {
+  // The repeat's window [0, 2) ends long before its deadline: the accept
+  // bound would admit it a second time without simulating.
+  JobSet jobs;
+  jobs.add({0, 100, 1, 1.0});
+  EdfAdmission admission;
+  EdfScratch scratch;
+  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
+  EXPECT_DEATH((void)admission.try_admit(jobs, 0, scratch),
+               "already admitted");
 }
 
 }  // namespace

@@ -168,5 +168,27 @@ TEST(EdgeCases, CompletionsPastInt64MaxAcrossKAndMachines) {
   }
 }
 
+// Algorithm 3's strict/lax split (λ ≥ k+1) on windows near INT64_MAX
+// whose laxity has a denominator near 2^62 in lowest terms: comparing it
+// with k+1 as a Rational overflowed int64 and aborted the process.
+TEST(EdgeCases, LaxitySplitNearInt64MaxIsAnswered) {
+  struct Case {
+    Time window;
+    Duration length;
+    std::size_t k;
+  };
+  constexpr Duration kCoprime = (Duration{1} << 53) - 1;
+  for (const Case c : {Case{Time{1} << 62, (Duration{1} << 62) - 1, 2},
+                       Case{((Time{1} << 53) - 3) << 10, kCoprime << 9, 1100},
+                       Case{Time{1} << 62, (Duration{1} << 62) - 1, 1}}) {
+    JobSet jobs;
+    jobs.add({0, c.window, c.length, 1.0});
+    const auto result = try_schedule_bounded(jobs, {.k = c.k});
+    ASSERT_TRUE(result.has_value()) << "k " << c.k;
+    EXPECT_DOUBLE_EQ(result->value, 1.0) << "k " << c.k;
+    EXPECT_TRUE(validate(jobs, result->schedule, c.k));
+  }
+}
+
 }  // namespace
 }  // namespace pobp
