@@ -12,6 +12,14 @@
 namespace pobp {
 namespace {
 
+/// The selection's value against the DP's: the same values summed in a
+/// different order, so equal up to a tolerance — or one order overflowed
+/// to +inf where the other stayed just below DBL_MAX.
+[[maybe_unused]] bool same_value_up_to_order(Value selected, Value dp) {
+  if (std::isinf(selected) || std::isinf(dp)) return true;
+  return std::abs(selected - dp) <= 1e-9 * (1.0 + std::abs(dp));
+}
+
 // The DP tables are kept in two layouts (see TmScratch): node-indexed
 // t/m in the TmResult (outputs, and what the root decisions read), and
 // slot-indexed slot_t/slot_m keyed by the forest's flat CSR child arena.
@@ -139,9 +147,8 @@ void tm_optimal_bas_impl(const Forest& forest, BoundFn&& k_of,
   }
   result.value = total;
 
-  // Different summation order than the DP, so compare with a tolerance.
-  POBP_DASSERT(std::abs(result.selection.value(forest) - result.value) <=
-               1e-9 * (1.0 + std::abs(result.value)));
+  POBP_DASSERT(same_value_up_to_order(result.selection.value(forest),
+                                      result.value));
 }
 
 /// One root's share of the DP: bottom-up over the root's subtree (reverse
@@ -222,8 +229,8 @@ void tm_optimal_bas_forked(const Forest& forest, std::size_t k,
   }
   out.value = total;
 
-  POBP_DASSERT(std::abs(out.selection.value(forest) - out.value) <=
-               1e-9 * (1.0 + std::abs(out.value)));
+  POBP_DASSERT(same_value_up_to_order(out.selection.value(forest),
+                                      out.value));
 }
 
 void tm_optimal_bas(const Forest& forest, std::size_t k, TmScratch& scratch,

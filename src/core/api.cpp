@@ -1,4 +1,7 @@
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "pobp/bas/contraction.hpp"
@@ -114,14 +117,76 @@ bool delta_machine_reusable(const MachineSchedule& cur,
 }
 
 /// Validates hint shape once per solve: a malformed hint (machine-count
-/// mismatch) disables reuse rather than corrupting the solve.
+/// mismatch) disables reuse rather than corrupting the solve.  A neighbor
+/// that settled its strict branch carries no strict schedule.
 bool delta_usable(const SolveDeltaHint* delta, std::size_t machines) {
   return delta != nullptr && delta->seed != nullptr &&
-         delta->strict_sched != nullptr && delta->full_sched != nullptr &&
-         delta->job_changed != nullptr &&
+         delta->full_sched != nullptr && delta->job_changed != nullptr &&
          delta->seed->machine_count() == machines &&
-         delta->strict_sched->machine_count() == machines &&
+         (delta->strict_sched == nullptr ||
+          delta->strict_sched->machine_count() == machines) &&
          delta->full_sched->machine_count() == machines;
+}
+
+/// What the two losing branches could at most report, before inflation.
+struct BranchTotals {
+  Value strict = 0;  ///< Σ val over the strict jobs
+  Value lax = 0;     ///< Σ of the M largest length-class totals of lax jobs
+};
+
+/// Length classes a lax job can be in: base ≥ 2 and p < 2^63.
+constexpr std::size_t kMaxLengthClasses = 64;
+
+/// Splits the seed into strict jobs (s.strict_ids, machine m's at
+/// [strict_begin[m], strict_begin[m+1])) and lax jobs (s.lax_ids, in
+/// machine then assignment order — the order LSA_CS receives them), and
+/// totals their values.  LSA_CS places each machine's jobs from a single
+/// length class, and several machines on one class share that class's
+/// jobs, so M machines place at most the M largest class totals.  The
+/// classes come from lsa_classify, the classification LSA_CS runs.
+BranchTotals split_seed(const JobSetView& jobs, const Schedule& unbounded,
+                        std::size_t k, SolveScratch& s) {
+  BranchTotals totals;
+  s.strict_ids.clear();
+  s.strict_begin.clear();
+  s.lax_ids.clear();
+  for (const MachineSchedule& ms : unbounded.machines()) {
+    s.strict_begin.push_back(s.strict_ids.size());
+    for (const Assignment& a : ms.assignments()) {
+      if (is_lax(jobs, a.job, k)) {
+        s.lax_ids.push_back(a.job);
+      } else {
+        s.strict_ids.push_back(a.job);
+        totals.strict += jobs.value[a.job];
+      }
+    }
+  }
+  s.strict_begin.push_back(s.strict_ids.size());
+  if (s.lax_ids.empty()) return totals;
+
+  lsa_classify(jobs, s.lax_ids, k, ClassifyBy::kLength, s.lsa);
+  std::array<Value, kMaxLengthClasses> class_total{};
+  for (std::size_t i = 0; i < s.lax_ids.size(); ++i) {
+    class_total[s.lsa.class_of[i]] += jobs.value[s.lax_ids[i]];
+  }
+  const auto top = static_cast<std::ptrdiff_t>(
+      std::min(unbounded.machine_count(), kMaxLengthClasses));
+  std::partial_sort(class_total.begin(), class_total.begin() + top,
+                    class_total.end(), std::greater<>());
+  for (std::ptrdiff_t c = 0; c < top; ++c) totals.lax += class_total[c];
+  return totals;
+}
+
+/// The bound a losing branch is settled against: `total` (a sum of the
+/// values the branch may place) scaled by 1 + (4N+4)·2^-53, N = n + M.  It
+/// dominates the double the branch would report from any subset of those
+/// values summed with at most N roundings per value, subnormals and sums
+/// that overflow to +inf included (docs/PERF.md, "Algorithm 3: settled
+/// branches").  4N + 4 < 2^53 is exact, scaling it by 2^-53 is exact, and
+/// 1 + x rounds by at most 2^-53, so the factor is at least 1 + (4N+3)·2^-53.
+Value settled_branch_bound(Value total, std::size_t n, std::size_t machines) {
+  const auto terms = static_cast<double>(n + machines);
+  return total * (1.0 + (4.0 * terms + 4.0) * 0x1p-53);
 }
 
 }  // namespace
@@ -134,66 +199,17 @@ CombinedMultiValues k_preemption_combined_multi_into(
   const std::size_t machines = unbounded.machine_count();
   ReductionScratch& rs = s.reduction;
   if (!delta_usable(delta, machines)) delta = nullptr;
+  const BranchTotals totals = split_seed(jobs, unbounded, options.k, s);
 
-  // Strict branch: reduce each machine's restriction separately.  The
-  // restriction itself is never materialized — the laminar rearrangement is
-  // a pure function of the strict job subset (see laminarize_subset_into).
+  // Full-reduction branch (Theorem 4.2, per machine), first: the branch
+  // that wins ties, and the value the other two are settled against.  The
+  // §4.1 stages on each machine's whole job set, always pruned with the
+  // exact TM DP (mirrors reduce_to_k_preemptive, pooled).  The seed machine
+  // is already the schedule laminarize_into would rebuild — the EDF
+  // schedule of the same job set in the same (deadline, id) order, checked
+  // laminar where the seed built it — so the forest is built from it
+  // directly; the stage keeps its fault site and budget poll.
   Stopwatch sw;
-  Schedule& strict_schedule = s.strict_sched;
-  strict_schedule.reset(machines);
-  auto& lax_ids = s.lax_ids;
-  lax_ids.clear();
-  for (std::size_t m = 0; m < machines; ++m) {
-    BudgetGuard::poll();
-    auto& strict_ids = s.strict_ids;
-    strict_ids.clear();
-    for (const Assignment& a : unbounded.machine(m).assignments()) {
-      (is_lax(jobs, a.job, options.k) ? lax_ids : strict_ids)
-          .push_back(a.job);
-    }
-    if (strict_ids.empty()) continue;
-    if (delta != nullptr &&
-        delta_machine_reusable(unbounded.machine(m), delta->seed->machine(m),
-                               delta->job_changed)) {
-      strict_schedule.machine(m).assign_from(delta->strict_sched->machine(m));
-      continue;
-    }
-    sw.lap();
-    laminarize_subset_into(jobs, strict_ids, rs.laminar, s.laminar_stage);
-    if (timings) timings->laminarize_s += sw.lap();
-    build_schedule_forest(jobs, s.laminar_stage, rs.sf, rs.forest_build);
-    if (timings) timings->forest_s += sw.lap();
-    const SubForest* sel;
-    if (options.use_tm) {
-      tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
-                            options.tm_fork_min_nodes);
-      sel = &rs.tm_result.selection;
-    } else {
-      levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
-                                  rs.contraction_sel);
-      sel = &rs.contraction_sel;
-    }
-    if (timings) timings->prune_s += sw.lap();
-    rebuild_schedule_into(jobs, rs.sf, *sel, rs.rebuild,
-                          strict_schedule.machine(m));
-    if (timings) timings->merge_s += sw.lap();
-  }
-  values.strict_value = strict_schedule.total_value(jobs);
-
-  // Lax branch: iterative multi-machine LSA_CS on all lax jobs.
-  sw.lap();
-  Schedule& lax_schedule = s.lax_sched;
-  lsa_cs_multi_into(jobs, lax_ids, options.k, machines, s.lsa, lax_schedule);
-  if (timings) timings->lsa_s += sw.lap();
-  values.lax_value = lax_schedule.total_value(jobs);
-
-  // Full-reduction branch (Theorem 4.2, per machine): the same four stages
-  // as the strict branch on each machine's whole job set, always pruned
-  // with the exact TM DP (mirrors reduce_to_k_preemptive, pooled).  The
-  // seed machine is already the schedule laminarize_into would rebuild —
-  // the EDF schedule of the same job set in the same (deadline, id) order,
-  // checked laminar where the seed built it — so the forest is built from
-  // it directly; the stage keeps its fault site and budget poll.
   Schedule& full_schedule = s.full_sched;
   full_schedule.reset(machines);
   for (std::size_t m = 0; m < machines; ++m) {
@@ -222,6 +238,81 @@ CombinedMultiValues k_preemption_combined_multi_into(
   }
   const Value full_value = full_schedule.total_value(jobs);
 
+  // Strict branch: reduce each machine's restriction separately, unless
+  // the full value already reaches the strict jobs' total.  The
+  // restriction itself is never materialized — the laminar rearrangement
+  // is a pure function of the strict job subset (see
+  // laminarize_subset_into).  On a machine whose seed jobs are all strict
+  // that subset's EDF schedule is the seed machine itself, so under TM the
+  // stages repeat the full branch's exactly and its machine is copied.
+  const Value strict_bound =
+      settled_branch_bound(totals.strict, jobs.size(), machines);
+  Schedule& strict_schedule = s.strict_sched;
+  if (full_value >= strict_bound) {
+    values.strict_settled = true;
+    values.strict_value = strict_bound;
+  } else {
+    strict_schedule.reset(machines);
+    for (std::size_t m = 0; m < machines; ++m) {
+      BudgetGuard::poll();
+      const std::span<const JobId> strict_ids(
+          s.strict_ids.data() + s.strict_begin[m],
+          s.strict_begin[m + 1] - s.strict_begin[m]);
+      if (strict_ids.empty()) continue;
+      if (options.use_tm &&
+          strict_ids.size() == unbounded.machine(m).job_count()) {
+        strict_schedule.machine(m).assign_from(full_schedule.machine(m));
+        ++values.strict_machines_copied;
+        continue;
+      }
+      if (delta != nullptr && delta->strict_sched != nullptr &&
+          delta_machine_reusable(unbounded.machine(m),
+                                 delta->seed->machine(m),
+                                 delta->job_changed)) {
+        strict_schedule.machine(m).assign_from(
+            delta->strict_sched->machine(m));
+        continue;
+      }
+      sw.lap();
+      laminarize_subset_into(jobs, strict_ids, rs.laminar, s.laminar_stage);
+      if (timings) timings->laminarize_s += sw.lap();
+      build_schedule_forest(jobs, s.laminar_stage, rs.sf, rs.forest_build);
+      if (timings) timings->forest_s += sw.lap();
+      const SubForest* sel;
+      if (options.use_tm) {
+        tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
+                              options.tm_fork_min_nodes);
+        sel = &rs.tm_result.selection;
+      } else {
+        levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
+                                    rs.contraction_sel);
+        sel = &rs.contraction_sel;
+      }
+      if (timings) timings->prune_s += sw.lap();
+      rebuild_schedule_into(jobs, rs.sf, *sel, rs.rebuild,
+                            strict_schedule.machine(m));
+      if (timings) timings->merge_s += sw.lap();
+    }
+    values.strict_value = strict_schedule.total_value(jobs);
+  }
+
+  // Lax branch: iterative multi-machine LSA_CS on all lax jobs, unless the
+  // full value already reaches the M largest lax length-class totals.
+  const Value lax_bound = settled_branch_bound(totals.lax, jobs.size(),
+                                               machines);
+  Schedule& lax_schedule = s.lax_sched;
+  if (full_value >= lax_bound) {
+    values.lax_settled = true;
+    values.lax_value = lax_bound;
+  } else {
+    sw.lap();
+    lsa_cs_multi_into(jobs, s.lax_ids, options.k, machines, s.lsa,
+                      lax_schedule);
+    if (timings) timings->lsa_s += sw.lap();
+    values.lax_value = lax_schedule.total_value(jobs);
+  }
+
+  // A settled branch's bound is at most full_value, so it never wins here.
   if (full_value >= values.strict_value && full_value >= values.lax_value) {
     out.assign_from(full_schedule);
     values.value = full_value;

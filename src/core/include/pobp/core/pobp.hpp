@@ -111,12 +111,23 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
                                   std::span<const JobId> ids,
                                   SolveScratch& scratch, Schedule& out);
 
-/// Branch values of a pooled Algorithm-3 run (the winning schedule itself
-/// goes to the caller's `out`).
+/// Branch values and provenance of a pooled Algorithm-3 run (the winning
+/// schedule itself goes to the caller's `out`).  A losing branch is either
+/// run or *settled*: skipped because the full-reduction branch's value
+/// already reaches a bound on what that branch could report (docs/PERF.md,
+/// "Algorithm 3: settled branches").  A settled branch's value field holds
+/// the bound that settled it, which is at least the value the branch would
+/// have reported and at most `value`.
 struct CombinedMultiValues {
   Value value = 0;         ///< val(out) — the winning branch
-  Value strict_value = 0;  ///< strict (reduction) branch value
-  Value lax_value = 0;     ///< lax (LSA_CS) branch value
+  Value strict_value = 0;  ///< strict (reduction) branch value, or its bound
+  Value lax_value = 0;     ///< lax (LSA_CS) branch value, or its bound
+  bool strict_settled = false;  ///< strict branch skipped by its bound
+  bool lax_settled = false;     ///< lax branch skipped by its bound
+  /// Strict-branch machines copied from the full branch: machines whose
+  /// seed jobs are all strict, where both branches reduce the same EDF
+  /// schedule with the TM DP (0 when the strict branch was settled).
+  std::size_t strict_machines_copied = 0;
 };
 
 /// Neighbor-reuse hint for an incremental (delta) re-solve, produced by
@@ -131,9 +142,11 @@ struct CombinedMultiValues {
 /// — with a bit-identical outcome.  Machines that fail the check (a
 /// changed job landed there, or the greedy seed rearranged it, which is
 /// the "patch invalidates laminarity" case) fall back to the full stages.
+/// `strict_sched` is null when the neighbor settled its strict branch and
+/// so has no strict schedule; no strict machine is reused then.
 struct SolveDeltaHint {
   const Schedule* seed = nullptr;          ///< neighbor's ∞-preemptive seed
-  const Schedule* strict_sched = nullptr;  ///< neighbor's strict branch
+  const Schedule* strict_sched = nullptr;  ///< neighbor's strict branch or null
   const Schedule* full_sched = nullptr;    ///< neighbor's full-reduction branch
   const std::uint8_t* job_changed = nullptr;  ///< size n, 1 = attrs differ
 };
@@ -142,17 +155,28 @@ struct SolveDeltaHint {
 /// given ∞-preemptive schedule separately (§4.1 remark); the lax branch
 /// runs the iterative multi-machine LSA_CS (§4.3.4); the full-reduction
 /// branch (Theorem 4.2) reduces each machine's whole job set.  The best
-/// branch wins.  Each machine of `unbounded` must be the EDF schedule of
-/// its own jobs, as seed_unbounded_schedule_into and greedy_infinity_multi
-/// produce: the full-reduction branch reads it as its laminar form instead
-/// of re-running EDF (debug builds check this).  All three branch
-/// schedules are materialized in the scratch's result arena and the
-/// winner is deep-copied (pooled, capacity-retaining) into `out`.
-/// Allocation-free once scratch and `out` are warmed.  `out` must not
-/// alias a schedule owned by `scratch` and `unbounded` may be
-/// `scratch.seed` (it is only read).  A non-null `delta` enables
-/// per-machine neighbor reuse (see SolveDeltaHint); the result is
-/// bit-identical with or without it.
+/// branch wins, ties going to full, then strict.  Each machine of
+/// `unbounded` must be the EDF schedule of its own jobs, as
+/// seed_unbounded_schedule_into and greedy_infinity_multi produce: the
+/// full-reduction branch reads it as its laminar form instead of re-running
+/// EDF (debug builds check this).
+///
+/// The full branch runs first.  The strict and lax branches run only when
+/// its value is below their value bounds: the strict jobs' total value, and
+/// the M largest lax length-class totals, each scaled up by a proven
+/// floating-point factor.  A settled branch cannot win, so the winner, its
+/// schedule and `value` are bit-identical to running all three
+/// (CombinedMultiValues says which branches ran).  When
+/// the strict branch runs under `use_tm`, a machine whose seed jobs are
+/// all strict copies the full branch's machine, which the same stages
+/// built from the same EDF schedule.  The branches that ran are
+/// materialized in the scratch's result arena (`full_sched`, `strict_sched`,
+/// `lax_sched`; a settled branch's slot is left stale) and the winner is
+/// deep-copied (pooled, capacity-retaining) into `out`.  Allocation-free
+/// once scratch and `out` are warmed.  `out` must not alias a schedule
+/// owned by `scratch` and `unbounded` may be `scratch.seed` (it is only
+/// read).  A non-null `delta` enables per-machine neighbor reuse (see
+/// SolveDeltaHint); the result is bit-identical with or without it.
 CombinedMultiValues k_preemption_combined_multi_into(
     const JobSet& jobs, const Schedule& unbounded,
     const CombinedOptions& options, PipelineTimings* timings,

@@ -37,7 +37,8 @@ struct SolveScratch {
   std::vector<JobId> ids;        ///< all-ids staging
   std::vector<std::uint64_t> subhashes;  ///< solve-cache per-job sub-hashes
   std::vector<JobId> remaining;  ///< k = 0 residual staging
-  std::vector<JobId> strict_ids; ///< per-machine strict partition
+  std::vector<JobId> strict_ids; ///< strict jobs of every seed machine
+  std::vector<std::size_t> strict_begin;  ///< machine m: [begin[m], begin[m+1])
   std::vector<JobId> lax_ids;    ///< accumulated lax partition
 
   // --- result arena (docs/PERF.md) -----------------------------------------

@@ -65,7 +65,8 @@ struct SolveCache::Shard {
     std::uint32_t n = 0;
     bool live = false;
     bool referenced = false;     ///< CLOCK second-chance bit
-    bool delta_capable = false;  ///< seed/strict/full schedules populated
+    bool delta_capable = false;  ///< seed/full schedules populated
+    bool has_strict = false;     ///< strict schedule populated too
 
     // Verbatim copy of the instance's job columns: the collision guard on
     // hits and the ground truth for the delta changed-mask.
@@ -252,16 +253,14 @@ std::size_t SolveCache::insert(const CacheKey& key, const JobSetView& jobs,
                                const Schedule* seed,
                                const Schedule* strict_sched,
                                const Schedule* full_sched) {
-  const bool delta_capable =
-      seed != nullptr && strict_sched != nullptr && full_sched != nullptr;
+  const bool delta_capable = seed != nullptr && full_sched != nullptr;
+  const bool has_strict = delta_capable && strict_sched != nullptr;
   std::size_t need = sizeof(Shard::Entry) +
                      jobs.n * (2 * sizeof(Time) + sizeof(Duration) +
                                sizeof(Value) + sizeof(std::uint64_t)) +
                      schedule_bytes(result.schedule);
-  if (delta_capable) {
-    need += schedule_bytes(*seed) + schedule_bytes(*strict_sched) +
-            schedule_bytes(*full_sched);
-  }
+  if (delta_capable) need += schedule_bytes(*seed) + schedule_bytes(*full_sched);
+  if (has_strict) need += schedule_bytes(*strict_sched);
   if (need > shard_budget_) return 0;  // would monopolize the shard
 
   Shard& shard = shard_for(params_sig, jobs.n);
@@ -292,11 +291,12 @@ std::size_t SolveCache::insert(const CacheKey& key, const JobSetView& jobs,
   e.subhashes.assign(subhashes, subhashes + jobs.n);
   assign_result(result, e.result);
   e.delta_capable = delta_capable;
+  e.has_strict = has_strict;
   if (delta_capable) {
     e.seed.assign_from(*seed);
-    e.strict_sched.assign_from(*strict_sched);
     e.full_sched.assign_from(*full_sched);
   }
+  if (has_strict) e.strict_sched.assign_from(*strict_sched);
   e.bytes = need;
   e.live = true;
   e.referenced = true;
@@ -358,7 +358,8 @@ bool SolveCache::copy_delta_neighbor(const JobSetView& jobs,
     if (!confirmed || out.changed_count == 0) continue;
 
     out.seed.assign_from(e.seed);
-    out.strict_sched.assign_from(e.strict_sched);
+    out.has_strict = e.has_strict;
+    if (e.has_strict) out.strict_sched.assign_from(e.strict_sched);
     out.full_sched.assign_from(e.full_sched);
     e.referenced = true;
     ++shard.delta_hits;

@@ -266,6 +266,7 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
 
   if (!approximate) POBP_FAULT_POINT(kAlloc);
   PipelineTimings timings;
+  bool strict_ran = false;
   out.value = 0;
   out.unbounded_value = 0;
   out.degraded = approximate;
@@ -325,14 +326,16 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
         cache->copy_delta_neighbor(jobs, s.subhashes.data(), params_sig,
                                    delta_)) {
       hint.seed = &delta_.seed;
-      hint.strict_sched = &delta_.strict_sched;
+      hint.strict_sched = delta_.has_strict ? &delta_.strict_sched : nullptr;
       hint.full_sched = &delta_.full_sched;
       hint.job_changed = delta_.changed.data();
       delta = &hint;
       ++metrics_.cache_delta_patches;
     }
-    k_preemption_combined_multi_into(jobs, s.seed, combined, &timings, s,
-                                     out.schedule, delta);
+    const CombinedMultiValues branches = k_preemption_combined_multi_into(
+        jobs, s.seed, combined, &timings, s, out.schedule, delta);
+    metrics_.record_branches(branches);
+    strict_ran = !branches.strict_settled;
   }
   out.value = out.schedule.total_value(jobs);
 
@@ -348,16 +351,16 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
   // Publish only after the pipeline returned cleanly AND the validator
   // passed: any fault above propagates out before this point, so a
   // mid-solve fault can never leave a partial entry behind.  The exact
-  // tier's stage schedules (seed + both reduction branches) make the entry
-  // a delta neighbor for future near-duplicates; the k = 0 path has no
-  // reduction branches and approximate entries none at all, so theirs are
-  // result-only.
+  // tier's stage schedules (seed + the reduction branches) make the entry
+  // a delta neighbor for future near-duplicates; a settled strict branch
+  // has no schedule to publish.  The k = 0 path has no reduction branches
+  // and approximate entries none at all, so theirs are result-only.
   if (cache != nullptr && valid && cache_mode == CacheMode::kReadWrite) {
     const bool delta_capable = !approximate && options.k != 0;
     const std::size_t evicted = cache->insert(
         key, jobs, s.subhashes.data(), params_sig, out,
         delta_capable ? &s.seed : nullptr,
-        delta_capable ? &s.strict_sched : nullptr,
+        delta_capable && strict_ran ? &s.strict_sched : nullptr,
         delta_capable ? &s.full_sched : nullptr);
     ++metrics_.cache_insertions;
     metrics_.cache_evictions += evicted;

@@ -121,9 +121,11 @@ class SolveCache {
 
   /// Publishes a finished solve.  Pass the stage schedules (seed / strict
   /// branch / full-reduction branch) to make the entry a delta-solve
-  /// neighbor for future near-duplicates; pass nullptr (k = 0 path,
-  /// degraded path) for a result-only entry.  Idempotent on an existing
-  /// key.  Returns the number of entries evicted to make room.
+  /// neighbor for future near-duplicates; `strict_sched` may be nullptr
+  /// when the solve settled its strict branch (the entry then carries the
+  /// seed and full schedules only).  Pass nullptr seed and full (k = 0
+  /// path, degraded path) for a result-only entry.  Idempotent on an
+  /// existing key.  Returns the number of entries evicted to make room.
   std::size_t insert(const CacheKey& key, const JobSetView& jobs,
                      const std::uint64_t* subhashes, std::uint64_t params_sig,
                      const ScheduleResult& result, const Schedule* seed,
@@ -136,17 +138,22 @@ class SolveCache {
   /// shard lock).
   struct DeltaNeighbor {
     Schedule seed{1};
-    Schedule strict_sched{1};
+    Schedule strict_sched{1};  ///< meaningful only when has_strict
     Schedule full_sched{1};
     std::vector<std::uint8_t> changed;  ///< per-job "attributes differ" mask
     std::size_t changed_count = 0;
+    /// The neighbor ran its strict branch and published its schedule.
+    /// When false, strict_sched is left as it was and must not be passed
+    /// on as SolveDeltaHint::strict_sched.
+    bool has_strict = false;
   };
 
   /// Finds a delta-capable entry with the same (params, n) differing from
   /// `jobs` in at most delta_max_jobs positions (pre-filtered on the
   /// per-job sub-hashes, confirmed on the columns themselves) and copies
-  /// its stage schedules + changed mask into `out`.  False when delta
-  /// solving is disabled or no neighbor qualifies.
+  /// its stage schedules + changed mask into `out` (the strict schedule
+  /// only when the entry has one; see DeltaNeighbor::has_strict).  False
+  /// when delta solving is disabled or no neighbor qualifies.
   bool copy_delta_neighbor(const JobSetView& jobs,
                            const std::uint64_t* subhashes,
                            std::uint64_t params_sig, DeltaNeighbor& out);

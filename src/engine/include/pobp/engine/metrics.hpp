@@ -83,6 +83,15 @@ struct EngineMetrics {
   std::size_t cache_evictions = 0;
   std::size_t cache_delta_patches = 0;
 
+  // Algorithm-3 branch provenance (docs/PERF.md, "Algorithm 3: settled
+  // branches"): exact k ≥ 1 solves that ran Algorithm 3, how many settled
+  // their strict / lax branch from its value bound instead of running it,
+  // and the strict-branch machines copied from the full branch.
+  std::size_t alg3_runs = 0;
+  std::size_t strict_settled = 0;
+  std::size_t lax_settled = 0;
+  std::size_t strict_machines_copied = 0;
+
   Value value_bounded = 0;              ///< Σ val(schedule)
   Value value_unbounded = 0;            ///< Σ val(seed schedule)
   double batch_seconds = 0;             ///< wall time of solve_batch calls
@@ -99,6 +108,9 @@ struct EngineMetrics {
   /// toward solve_seconds, but no stage sample is added.
   void record(const JobSet& jobs, const ScheduleResult& result,
               const PipelineTimings* timings, double seconds, bool valid);
+
+  /// Folds one Algorithm-3 run's provenance into the branch counters.
+  void record_branches(const CombinedMultiValues& branches);
 
   void merge(const EngineMetrics& other);
 

@@ -146,6 +146,13 @@ void EngineMetrics::record(const JobSet& jobs, const ScheduleResult& result,
       timings->validate_s);
 }
 
+void EngineMetrics::record_branches(const CombinedMultiValues& branches) {
+  ++alg3_runs;
+  if (branches.strict_settled) ++strict_settled;
+  if (branches.lax_settled) ++lax_settled;
+  strict_machines_copied += branches.strict_machines_copied;
+}
+
 void EngineMetrics::merge(const EngineMetrics& other) {
   instances += other.instances;
   validation_failures += other.validation_failures;
@@ -163,6 +170,10 @@ void EngineMetrics::merge(const EngineMetrics& other) {
   cache_insertions += other.cache_insertions;
   cache_evictions += other.cache_evictions;
   cache_delta_patches += other.cache_delta_patches;
+  alg3_runs += other.alg3_runs;
+  strict_settled += other.strict_settled;
+  lax_settled += other.lax_settled;
+  strict_machines_copied += other.strict_machines_copied;
   value_bounded += other.value_bounded;
   value_unbounded += other.value_unbounded;
   batch_seconds += other.batch_seconds;
@@ -207,6 +218,11 @@ std::string EngineMetrics::to_table() const {
   summary.add_row({"cache insertions / evictions",
                    Table::fmt(cache_insertions) + " / " +
                        Table::fmt(cache_evictions)});
+  summary.add_row({"alg. 3 runs / strict settled / lax settled",
+                   Table::fmt(alg3_runs) + " / " + Table::fmt(strict_settled) +
+                       " / " + Table::fmt(lax_settled)});
+  summary.add_row({"strict machines copied from full",
+                   Table::fmt(strict_machines_copied)});
   summary.add_row({"batch wall time [s]", Table::fmt(batch_seconds, 4)});
   summary.add_row({"instances / second",
                    batch_seconds > 0 ? Table::fmt(instances_per_second(), 2)
@@ -262,6 +278,10 @@ std::string EngineMetrics::to_json() const {
      << ",\"insertions\":" << cache_insertions
      << ",\"evictions\":" << cache_evictions
      << ",\"delta_patches\":" << cache_delta_patches << '}'
+     << ",\"alg3\":{\"runs\":" << alg3_runs
+     << ",\"strict_settled\":" << strict_settled
+     << ",\"lax_settled\":" << lax_settled
+     << ",\"strict_machines_copied\":" << strict_machines_copied << '}'
      << ",\"batch_seconds\":" << fmt_double(batch_seconds)
      << ",\"instances_per_second\":" << fmt_double(instances_per_second())
      << ',';

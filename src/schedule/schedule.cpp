@@ -300,9 +300,19 @@ Duration JobSet::max_length() const {
 
 Rational JobSet::max_laxity() const {
   POBP_ASSERT(!empty());
-  Rational best = (*this)[0].laxity();
-  for (const Job& j : *this) best = std::max(best, j.laxity());
-  return best;
+  // λ_a < λ_b ⟺ w_a·p_b < w_b·p_a, exact in 128 bits: Rational's int64
+  // cross-multiplication overflows on well-formed windows near INT64_MAX.
+  const auto window = [&](JobId id) {
+    return static_cast<__int128>(columns_.deadline[id]) - columns_.release[id];
+  };
+  JobId best = 0;
+  for (JobId id = 1; id < size(); ++id) {
+    if (window(best) * columns_.length[id] <
+        window(id) * columns_.length[best]) {
+      best = id;
+    }
+  }
+  return (*this)[best].laxity();
 }
 
 Time JobSet::horizon() const {

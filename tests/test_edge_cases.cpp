@@ -190,5 +190,24 @@ TEST(EdgeCases, LaxitySplitNearInt64MaxIsAnswered) {
   }
 }
 
+// λ_max on windows near 2^62: comparing the laxities as Rationals
+// cross-multiplied past INT64_MAX, and `pobp info` / `pobp price` aborted
+// (exit 134) on this well-formed two-job instance.
+TEST(EdgeCases, MaxLaxityNearInt64MaxIsCompared) {
+  JobSet jobs;
+  jobs.add({0, 4611686018427387903, 5, 1.0});
+  jobs.add({0, 4611686018427387901, 7, 1.0});
+  EXPECT_EQ(jobs.max_laxity(), Rational(4611686018427387903, 5));
+  EXPECT_DOUBLE_EQ(compute_metrics(jobs).lambda_max,
+                   4611686018427387903.0 / 5.0);
+
+  // Two laxities one part in 2^62 apart, the larger second: the double
+  // values coincide, the exact comparison still picks it.
+  JobSet close;
+  close.add({0, 4611686018427387902, 3, 1.0});
+  close.add({0, 4611686018427387903, 3, 1.0});
+  EXPECT_EQ(close.max_laxity(), Rational(4611686018427387903, 3));
+}
+
 }  // namespace
 }  // namespace pobp
