@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "pobp/bas/contraction.hpp"
@@ -388,58 +387,8 @@ BENCHMARK(BM_TmChildMergeScalarRef)
     ->Range(1 << 12, 1 << 16)
     ->Complexity(benchmark::oN);
 
-/// Pre-SoA EDF feasibility probe: comparator release sort through
-/// `jobs[id]` plus a scalar admission scan inside the event loop.
-bool scalar_ref_edf(const JobSet& jobs, std::span<const JobId> subset,
-                    EdfScratch& s) {
-  auto& by_release = s.by_release;
-  by_release.assign(subset.begin(), subset.end());
-  std::sort(by_release.begin(), by_release.end(), [&](JobId a, JobId b) {
-    if (jobs[a].release != jobs[b].release) {
-      return jobs[a].release < jobs[b].release;
-    }
-    return a < b;
-  });
-  if (s.remaining.size() < jobs.size()) s.remaining.resize(jobs.size(), 0);
-  for (const JobId id : by_release) s.remaining[id] = jobs[id].length;
-  auto& ready = s.ready;
-  ready.clear();
-  const bool feasible = [&] {
-    std::size_t next_release = 0;
-    Time now = 0;
-    if (!by_release.empty()) now = jobs[by_release.front()].release;
-    while (next_release < by_release.size() || !ready.empty()) {
-      while (next_release < by_release.size() &&
-             jobs[by_release[next_release]].release <= now) {
-        const JobId id = by_release[next_release++];
-        ready.emplace_back(jobs[id].deadline, id);
-        std::push_heap(ready.begin(), ready.end(), std::greater<>{});
-      }
-      if (ready.empty()) {
-        now = jobs[by_release[next_release]].release;
-        continue;
-      }
-      const JobId top = ready.front().second;
-      Time until = now + s.remaining[top];
-      if (next_release < by_release.size()) {
-        until = std::min(until, jobs[by_release[next_release]].release);
-      }
-      s.remaining[top] -= until - now;
-      now = until;
-      if (s.remaining[top] == 0) {
-        if (now > jobs[top].deadline) return false;
-        std::pop_heap(ready.begin(), ready.end(), std::greater<>{});
-        ready.pop_back();
-      } else if (now > jobs[top].deadline) {
-        return false;
-      }
-    }
-    return true;
-  }();
-  for (const JobId id : by_release) s.remaining[id] = 0;
-  return feasible;
-}
-
+// The EDF loop has no vectorized part left, so this row has no scalar
+// twin; tests/test_edf.cpp keeps the earlier loop as its exactness oracle.
 void BM_EdfSweep(benchmark::State& state) {
   const LaminarInstance inst =
       make_laminar(static_cast<std::size_t>(state.range(0)));
@@ -454,22 +403,6 @@ void BM_EdfSweep(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_EdfSweep)->Range(1 << 12, 1 << 16)->Complexity(benchmark::oNLogN);
-
-void BM_EdfSweepScalarRef(benchmark::State& state) {
-  const LaminarInstance inst =
-      make_laminar(static_cast<std::size_t>(state.range(0)));
-  const std::vector<JobId> ids = all_ids(inst.jobs);
-  EdfScratch scratch;
-  POBP_CHECK(scalar_ref_edf(inst.jobs, ids, scratch) ==
-             edf_feasible(inst.jobs, ids, scratch));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scalar_ref_edf(inst.jobs, ids, scratch));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EdfSweepScalarRef)
-    ->Range(1 << 12, 1 << 16)
-    ->Complexity(benchmark::oNLogN);
 
 /// Pre-SoA LSA_CS classification: per-job ilogb / floor_log class and a
 /// stable_sort of (class, id) pairs.

@@ -30,7 +30,9 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
     return;
   }
   // Exact B&B seed — a cold path (n ≤ kExactSeedJobLimit): the output is
-  // pooled, but the solver's own allocations are not worth chasing.
+  // pooled, but the solver's own allocations are not worth chasing.  It
+  // makes no admission probes.
+  scratch.greedy.probes = {};
   out.reset(options.machine_count);
   auto& remaining = scratch.remaining;
   remaining.assign(ids.begin(), ids.end());

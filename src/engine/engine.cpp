@@ -293,6 +293,7 @@ void Session::solve_tier(const JobSet& jobs, const ScheduleOptions& options,
     seed_unbounded_schedule_into(jobs, options, s.ids, s, s.seed);
   }
   timings.seed_s = sw.lap();
+  metrics_.seed_probes += s.greedy.probes;
   out.unbounded_value = s.seed.total_value(jobs);
 
   if (approximate) {

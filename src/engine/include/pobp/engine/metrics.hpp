@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "pobp/core/pobp.hpp"
+#include "pobp/schedule/edf.hpp"
 #include "pobp/util/stats.hpp"
 #include "pobp/util/timing.hpp"
 
@@ -91,6 +92,11 @@ struct EngineMetrics {
   std::size_t strict_settled = 0;
   std::size_t lax_settled = 0;
   std::size_t strict_machines_copied = 0;
+
+  // How the greedy seeds' admission probes were decided, summed over every
+  // seed stage that ran (docs/PERF.md, "Greedy seed"); the exact seed
+  // makes none.
+  AdmissionCounts seed_probes;
 
   Value value_bounded = 0;              ///< Σ val(schedule)
   Value value_unbounded = 0;            ///< Σ val(seed schedule)

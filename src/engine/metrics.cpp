@@ -174,6 +174,7 @@ void EngineMetrics::merge(const EngineMetrics& other) {
   strict_settled += other.strict_settled;
   lax_settled += other.lax_settled;
   strict_machines_copied += other.strict_machines_copied;
+  seed_probes += other.seed_probes;
   value_bounded += other.value_bounded;
   value_unbounded += other.value_unbounded;
   batch_seconds += other.batch_seconds;
@@ -223,6 +224,13 @@ std::string EngineMetrics::to_table() const {
                        " / " + Table::fmt(lax_settled)});
   summary.add_row({"strict machines copied from full",
                    Table::fmt(strict_machines_copied)});
+  summary.add_row(
+      {"seed probes: bound rejected / bound accepted / simulated",
+       Table::fmt(seed_probes.bound_rejected) + " / " +
+           Table::fmt(seed_probes.bound_accepted) + " / " +
+           Table::fmt(seed_probes.simulated)});
+  summary.add_row({"simulated windows past the sorted ready cap",
+                   Table::fmt(seed_probes.past_sorted_cap)});
   summary.add_row({"batch wall time [s]", Table::fmt(batch_seconds, 4)});
   summary.add_row({"instances / second",
                    batch_seconds > 0 ? Table::fmt(instances_per_second(), 2)
@@ -282,6 +290,10 @@ std::string EngineMetrics::to_json() const {
      << ",\"strict_settled\":" << strict_settled
      << ",\"lax_settled\":" << lax_settled
      << ",\"strict_machines_copied\":" << strict_machines_copied << '}'
+     << ",\"seed\":{\"bound_rejected\":" << seed_probes.bound_rejected
+     << ",\"bound_accepted\":" << seed_probes.bound_accepted
+     << ",\"simulated\":" << seed_probes.simulated
+     << ",\"past_sorted_cap\":" << seed_probes.past_sorted_cap << '}'
      << ",\"batch_seconds\":" << fmt_double(batch_seconds)
      << ",\"instances_per_second\":" << fmt_double(instances_per_second())
      << ',';

@@ -13,10 +13,17 @@
 //   * EdfAdmission  — yes/no for "admitted set plus one job", the greedy
 //     seed's trial acceptance.  It keeps the admitted set release-sorted
 //     with its busy periods, finds the one window the new job can change,
-//     and simulates it only when two deadline bounds leave the answer open
-//     (docs/PERF.md, "Greedy seed: busy-window admission").
-// All read the jobs through a JobSetView — a JobSet converts to one in
-// place, without a copy — take an EdfScratch, and perform zero heap
+//     rejects or accepts it from deadline bounds where they decide, and
+//     simulates only what they leave open (docs/PERF.md, "Greedy seed").
+// The loop runs over window-local columns, one slot per job in (release,
+// id) order: release, deadline, remaining work and id.  Its ready set is a
+// slot array kept sorted by (deadline, id), earliest at the back, while at
+// most kEdfSortedReadyCap jobs are ready — nearly every admission window —
+// and a binary heap in the same order past that.  The order is total, so
+// the schedule is the same either way.  A subset already in (release, id)
+// order (the admitted set, a laminar machine's jobs) is loaded without a
+// sort.  All read the jobs through a JobSetView — a JobSet converts to one
+// in place, without a copy — take an EdfScratch, and perform zero heap
 // allocations once it (and the admission's own buffers) have warmed up to
 // the largest instance seen; the engine's per-worker sessions keep them
 // alive across a batch.
@@ -25,6 +32,7 @@
 // representable deadline, so it is reported as infeasible, never wrapped.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -34,30 +42,56 @@
 
 namespace pobp {
 
-/// Reusable buffers for the EDF simulator.  All job-indexed arrays are
-/// maintained sparsely: every entry a simulation touches is restored before
-/// it returns, so the same scratch serves instances of any size without a
-/// full reset.
+/// Most ready jobs the EDF loop keeps in a sorted array; one more turns the
+/// array into a binary heap until the ready set next drains.
+inline constexpr std::size_t kEdfSortedReadyCap = 16;
+
+/// Reusable buffers for the EDF simulator.  The window columns hold one
+/// entry per simulated job (slot), in (release, id) order; every array is
+/// sized by the subset simulated, never by the instance, so nothing needs
+/// resetting between simulations.
 struct EdfScratch {
   /// One maximal run of one job on the machine, in machine-time order.
   /// Adjacent runs of the same job are merged, so the run log is exactly
   /// the sorted segment timeline of the resulting schedule.
   struct Run {
     Segment segment;
-    JobId job;
+    std::uint32_t slot;  ///< the job's window slot; its id is id[slot]
   };
 
-  std::vector<JobId> by_release;              ///< subset, release-sorted
-  std::vector<Duration> remaining;            ///< per job id, sparse
-  std::vector<std::pair<Time, JobId>> ready;  ///< (deadline, id) min-heap
-  std::vector<Run> runs;                      ///< recorded timeline
-  std::vector<std::uint32_t> seg_count;       ///< per job id, sparse
-  std::vector<Segment> seg_buf;               ///< run-bucketing staging
-  std::vector<std::uint32_t> seg_cursor;      ///< per subset slot
-  std::vector<std::uint32_t> slot;            ///< per job id, sparse
-  std::vector<std::uint64_t> keys;            ///< packed (release, id) keys
-  std::vector<std::uint64_t> keys_tmp;        ///< radix-sort scatter buffer
-  std::vector<Time> rel_sorted;   ///< releases aligned with by_release
+  std::vector<Time> release;         ///< per slot
+  std::vector<Time> deadline;        ///< per slot
+  std::vector<Duration> remaining;   ///< per slot, work left
+  std::vector<JobId> id;             ///< per slot
+  std::vector<std::uint32_t> ready;  ///< ready slots, sorted or a heap
+  std::vector<Run> runs;             ///< recorded timeline
+  std::vector<Segment> seg_buf;      ///< run-bucketing staging
+  std::vector<std::uint32_t> seg_cursor;  ///< per slot
+  /// Whether the last simulation's ready set outgrew kEdfSortedReadyCap.
+  bool ready_heaped = false;
+};
+
+/// How an EdfAdmission settled its probes since clear() (docs/PERF.md,
+/// "Greedy seed").  Every probe lands in exactly one of the first three;
+/// the fourth counts the simulated windows whose ready set outgrew
+/// kEdfSortedReadyCap.
+struct AdmissionCounts {
+  std::size_t bound_rejected = 0;  ///< a window stage overran its deadlines
+  std::size_t bound_accepted = 0;  ///< the window ends by d of the candidate
+  std::size_t simulated = 0;       ///< the window's EDF run decided
+  std::size_t past_sorted_cap = 0;
+
+  std::size_t probes() const {
+    return bound_rejected + bound_accepted + simulated;
+  }
+  AdmissionCounts& operator+=(const AdmissionCounts& other) {
+    bound_rejected += other.bound_rejected;
+    bound_accepted += other.bound_accepted;
+    simulated += other.simulated;
+    past_sorted_cap += other.past_sorted_cap;
+    return *this;
+  }
+  bool operator==(const AdmissionCounts&) const = default;
 };
 
 /// True iff EDF completes every job of `subset` by its deadline, i.e. the
@@ -72,19 +106,22 @@ bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
 /// holding r_c (or r_c itself, if the machine is idle then) to the point
 /// where that period, grown by p_c and by every later period it reaches,
 /// drains.  Before the window nothing is pending, and from its end on the
-/// run is the feasible one without c.  Inside it the machine never idles,
-/// so the window's last job completes exactly at its end, and two bounds
-/// decide most probes without simulating:
-///   * end > the latest deadline among the window's jobs and c: reject —
-///     whichever job completes at the end is late;
+/// run is the feasible one without c.  The window grows in stages — the
+/// holding period plus c, then one absorbed period at a time — and the
+/// jobs of the stages so far are all released at or after the window's
+/// start, so the last of them completes no earlier than the running end.
+/// Two bounds decide most probes without simulating:
+///   * some stage's running end > the latest deadline among the stages so
+///     far: reject — one of their jobs is late, whatever runs first;
 ///   * end ≤ d_c: accept — c and every job EDF ranks below it (deadline
 ///     ≥ d_c) complete by the end, and the jobs ranked above c run exactly
 ///     as they did without it.
-/// Only a window with d_c < end ≤ latest is simulated: the admitted jobs
-/// released inside it plus c, already in release order.
+/// Only a window no bound decides is simulated: the admitted jobs released
+/// inside it plus c, loaded straight into the scratch's window columns.
 class EdfAdmission {
  public:
-  /// Forgets every admitted job; keeps the buffers' capacity.
+  /// Forgets every admitted job and zeroes counts(); keeps the buffers'
+  /// capacity.
   void clear();
 
   /// True iff EDF meets every deadline of admitted ∪ {id} — exactly
@@ -96,6 +133,9 @@ class EdfAdmission {
   /// The admitted set in (release, id) order.
   std::span<const JobId> admitted() const { return ids_; }
 
+  /// How the probes since clear() were decided.
+  const AdmissionCounts& counts() const { return counts_; }
+
  private:
   struct BusyPeriod {
     Time start;   ///< release of its first job
@@ -106,6 +146,7 @@ class EdfAdmission {
   std::vector<JobId> ids_;           ///< admitted, (release, id) order
   std::vector<Time> rel_;            ///< releases aligned with ids_
   std::vector<BusyPeriod> periods_;  ///< disjoint, ascending
+  AdmissionCounts counts_;
 };
 
 /// Simulates preemptive EDF of `subset` on one machine.

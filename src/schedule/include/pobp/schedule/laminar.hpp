@@ -38,9 +38,9 @@ void diagnose_laminar(const MachineSchedule& ms, diag::Report& report,
 /// state plus the laminarity-check sweep state.
 struct LaminarScratch {
   EdfScratch edf;
-  std::vector<std::uint32_t> remaining;  ///< per job id, sweep counter
-  std::vector<char> on_stack;            ///< per job id, sweep membership
-  std::vector<JobId> stack;              ///< open jobs, outermost first
+  std::vector<std::uint32_t> remaining;  ///< per window slot, sweep counter
+  std::vector<char> on_stack;            ///< per window slot, sweep membership
+  std::vector<std::uint32_t> stack;      ///< open slots, outermost first
   std::vector<JobId> ids;                ///< scheduled_jobs staging
 };
 

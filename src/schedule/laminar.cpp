@@ -56,36 +56,28 @@ void laminar_sweep(const MachineSchedule& ms, ViolationFn&& on_violation) {
 /// Laminarity check over an EDF run log using scratch buffers only.  EDF
 /// output is laminar by construction; this is the always-on defense against
 /// simulator regressions, same as the is_laminar() check on the allocating
-/// path.  The sparse per-job arrays are restored to zero before returning.
+/// path.  The sweep state is indexed by the runs' window slots, so it is
+/// sized by the subset and rebuilt on every call.
 bool runs_are_laminar(std::span<const EdfScratch::Run> runs,
-                      std::size_t job_count, LaminarScratch& s) {
-  if (s.remaining.size() < job_count) s.remaining.resize(job_count, 0);
-  if (s.on_stack.size() < job_count) s.on_stack.resize(job_count, 0);
-  for (const auto& run : runs) ++s.remaining[run.job];
+                      std::size_t slot_count, LaminarScratch& s) {
+  s.remaining.assign(slot_count, 0);
+  s.on_stack.assign(slot_count, 0);
+  for (const auto& run : runs) ++s.remaining[run.slot];
 
   s.stack.clear();
-  bool laminar = true;
   for (const auto& run : runs) {
     while (!s.stack.empty() && s.remaining[s.stack.back()] == 0) {
       s.on_stack[s.stack.back()] = 0;
       s.stack.pop_back();
     }
-    if (s.stack.empty() || s.stack.back() != run.job) {
-      if (s.on_stack[run.job]) {
-        laminar = false;
-        break;
-      }
-      s.stack.push_back(run.job);
-      s.on_stack[run.job] = 1;
+    if (s.stack.empty() || s.stack.back() != run.slot) {
+      if (s.on_stack[run.slot]) return false;
+      s.stack.push_back(run.slot);
+      s.on_stack[run.slot] = 1;
     }
-    --s.remaining[run.job];
+    --s.remaining[run.slot];
   }
-  // Restore sparse cleanliness (the early break can leave both counters and
-  // membership flags set).
-  for (const auto& run : runs) s.remaining[run.job] = 0;
-  for (const JobId id : s.stack) s.on_stack[id] = 0;
-  s.stack.clear();
-  return laminar;
+  return true;
 }
 
 }  // namespace
@@ -122,7 +114,8 @@ bool laminar_edf_schedule_into(const JobSetView& jobs,
                                std::span<const JobId> ids,
                                LaminarScratch& scratch, MachineSchedule& out) {
   if (!edf_schedule_into(jobs, ids, scratch.edf, out)) return false;
-  POBP_CHECK(runs_are_laminar(scratch.edf.runs, jobs.size(), scratch));
+  POBP_CHECK(
+      runs_are_laminar(scratch.edf.runs, scratch.edf.id.size(), scratch));
   return true;
 }
 

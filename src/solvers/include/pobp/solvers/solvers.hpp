@@ -63,11 +63,22 @@ struct GreedyScratch {
   std::vector<JobId> residual;  ///< multi-machine leftover staging
   EdfAdmission admission;       ///< one machine pass's accepted set
   LaminarScratch laminar;       ///< EDF probes and the final schedule
+  /// How the last greedy_infinity_multi_into decided its probes, summed
+  /// over its machine passes: one probe per candidate per pass.  The
+  /// exact seed (seed_unbounded_schedule_into) zeroes it.
+  AdmissionCounts probes;
 };
 
-/// Greedy ∞-preemptive heuristic: jobs in descending density order, each
-/// accepted iff the accepted set stays EDF-feasible.  Returns the EDF
-/// schedule of the accepted set.
+/// The greedy's consideration order: true iff `a` is strictly denser than
+/// `b` — v_a·p_b > v_b·p_a, compared exactly on the values and the lengths
+/// as doubles — or as dense with a smaller id.  A strict total order on
+/// distinct ids, as std::sort requires; it differs from comparing the
+/// rounded cross-products only where those tie.
+bool denser_first(const JobSetView& jobs, JobId a, JobId b);
+
+/// Greedy ∞-preemptive heuristic: jobs in descending density order
+/// (denser_first), each accepted iff the accepted set stays EDF-feasible.
+/// Returns the EDF schedule of the accepted set.
 MachineSchedule greedy_infinity(const JobSetView& jobs,
                                 std::span<const JobId> candidates);
 

@@ -12,18 +12,23 @@
 // that the shape it exists for really occurred.
 //
 // The same computation predicts how try_admit must decide each probe: by
-// the reject bound (the window ends after its latest deadline), by the
-// accept bound (it ends by the candidate's deadline), or by simulating the
-// window.  Each probe checks the prediction against the oracle's answer
-// and against what try_admit did — only a simulated probe loads its
-// window into the scratch.
+// the reject bound (some stage of the growing window — the holding period
+// plus the candidate, then each absorbed period — ends after the latest
+// deadline among the stages so far), by the accept bound (the window ends
+// by the candidate's deadline), or by simulating the window.  Each probe
+// checks the prediction against the oracle's answer and against the
+// counter try_admit bumped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pobp/gen/lower_bounds.hpp"
@@ -41,8 +46,49 @@ namespace {
 constexpr Time kMax = std::numeric_limits<Time>::max();
 constexpr Time kMin = std::numeric_limits<Time>::min();
 
-/// The seed's previous algorithm, kept as the oracle: density order, and
-/// each candidate re-probes the whole accepted set from scratch.
+/// Sign of x1·y1 − x2·y2 for finite x ≥ 0 and integer-valued y ≥ 1,
+/// computed in integers: each product is M·2^E with M < 2^106.
+int exact_product_sign(double x1, double y1, double x2, double y2) {
+  const auto product = [](double x, double y) {
+    int ex = 0;
+    int ey = 0;
+    // frexp's fractions times 2^53 are exact integers, subnormals included.
+    const auto mx = static_cast<__int128>(std::ldexp(std::frexp(x, &ex), 53));
+    const auto my = static_cast<__int128>(std::ldexp(std::frexp(y, &ey), 53));
+    return std::pair{mx * my, ex + ey - 106};
+  };
+  auto [m1, e1] = product(x1, y1);
+  auto [m2, e2] = product(x2, y2);
+  if (m1 == 0 || m2 == 0) return (m1 != 0) - (m2 != 0);
+  const auto bits = [](__int128 m) {
+    const auto u = static_cast<unsigned __int128>(m);
+    const auto hi = static_cast<std::uint64_t>(u >> 64);
+    const auto width = hi != 0 ? 64 + std::bit_width(hi)
+                               : std::bit_width(static_cast<std::uint64_t>(u));
+    return static_cast<int>(width);
+  };
+  const int top1 = bits(m1) + e1;
+  const int top2 = bits(m2) + e2;
+  if (top1 != top2) return top1 < top2 ? -1 : 1;
+  // Same leading bit: the exponents differ by less than 107, and the
+  // shifted mantissa keeps the other's width.
+  if (e1 > e2) m1 <<= e1 - e2;
+  if (e2 > e1) m2 <<= e2 - e1;
+  return (m1 > m2) - (m1 < m2);
+}
+
+/// The greedy's density order computed apart from denser_first: the exact
+/// cross-products v_a·p_b and v_b·p_a compared in integers, then the id.
+bool exact_denser_first(const JobSet& jobs, JobId a, JobId b) {
+  const int sign = exact_product_sign(
+      jobs[a].value, static_cast<double>(jobs[b].length), jobs[b].value,
+      static_cast<double>(jobs[a].length));
+  return sign != 0 ? sign > 0 : a < b;
+}
+
+/// The seed's previous algorithm, kept as the oracle: density order
+/// (exact_denser_first), and each candidate re-probes the whole accepted
+/// set from scratch.
 Schedule reference_greedy(const JobSet& jobs, std::size_t machines) {
   Schedule out(machines);
   std::vector<JobId> remaining = all_ids(jobs);
@@ -50,9 +96,7 @@ Schedule reference_greedy(const JobSet& jobs, std::size_t machines) {
   for (std::size_t m = 0; m < machines && !remaining.empty(); ++m) {
     std::vector<JobId> order = remaining;
     std::sort(order.begin(), order.end(), [&](JobId a, JobId b) {
-      const double lhs = jobs[a].value * static_cast<double>(jobs[b].length);
-      const double rhs = jobs[b].value * static_cast<double>(jobs[a].length);
-      return lhs != rhs ? lhs > rhs : a < b;
+      return exact_denser_first(jobs, a, b);
     });
     std::vector<JobId> accepted;
     for (const JobId id : order) {
@@ -75,6 +119,9 @@ struct Shape {
   bool at_period_end = false;  ///< r_id equals some busy period's end
   std::size_t absorbed = 0;    ///< later periods the grown window reaches
   bool past_int64 = false;     ///< the window would end past INT64_MAX
+  /// An earlier stage overran its latest deadline while the whole window
+  /// ends by its own: only the stage-wise rule rejects without simulating.
+  bool early_stage_only = false;
   Decision decision = Decision::kSimulated;
 };
 
@@ -108,30 +155,43 @@ Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
     }
   }
   end += c.length;
+  bool overran = end > latest;  // stage 0: the holding period plus c
   for (; next < periods.size() && periods[next].start < end; ++next) {
     ++shape.absorbed;
     end += static_cast<__int128>(periods[next].end) - periods[next].start;
     latest = std::max(latest, periods[next].latest);
+    overran |= end > latest;
   }
   shape.past_int64 = end > kMax;
-  shape.decision = end > latest       ? Decision::kBoundRejected
+  shape.early_stage_only = overran && end <= latest;
+  shape.decision = overran             ? Decision::kBoundRejected
                    : end <= c.deadline ? Decision::kBoundAccepted
                                        : Decision::kSimulated;
   return shape;
 }
 
-/// try_admit's answer, and whether it simulated: only a simulated probe
-/// loads its window (at least the candidate) into scratch.by_release.
+/// try_admit's answer, and how it decided, read from the one count the
+/// probe bumped.
 struct Probe {
   bool admitted = false;
   bool simulated = false;
+  Decision decision = Decision::kSimulated;
 };
 
 Probe probe(EdfAdmission& admission, const JobSetView& jobs, JobId id,
             EdfScratch& scratch) {
-  scratch.by_release.clear();
-  const bool admitted = admission.try_admit(jobs, id, scratch);
-  return {admitted, !scratch.by_release.empty()};
+  const AdmissionCounts before = admission.counts();
+  Probe got;
+  got.admitted = admission.try_admit(jobs, id, scratch);
+  const AdmissionCounts& after = admission.counts();
+  EXPECT_EQ(after.probes(), before.probes() + 1) << "job " << id;
+  got.simulated = after.simulated != before.simulated;
+  got.decision = after.bound_rejected != before.bound_rejected
+                     ? Decision::kBoundRejected
+                 : after.bound_accepted != before.bound_accepted
+                     ? Decision::kBoundAccepted
+                     : Decision::kSimulated;
+  return got;
 }
 
 struct Coverage {
@@ -143,9 +203,22 @@ struct Coverage {
   std::size_t absorbed_three = 0;
   std::size_t past_int64 = 0;
   std::size_t bound_rejected = 0;
+  std::size_t early_stage_only = 0;  ///< of bound_rejected
   std::size_t bound_accepted = 0;
   std::size_t simulated = 0;
+  std::size_t past_sorted_cap = 0;   ///< of simulated, from try_admit
 };
+
+/// The candidates a greedy seed of `seed.machine_count()` passes
+/// considered: every job the earlier passes left, per pass.
+std::size_t greedy_candidates(std::size_t n, const Schedule& seed) {
+  std::size_t candidates = 0;
+  for (std::size_t m = 0; m < seed.machine_count() && n > 0; ++m) {
+    candidates += n;
+    n -= seed.machine(m).job_count();
+  }
+  return candidates;
+}
 
 /// Admits every job of `jobs` in a random order through one reused
 /// EdfAdmission, checking each answer against from-scratch probes, then
@@ -182,6 +255,7 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
     switch (shape.decision) {
       case Decision::kBoundRejected:
         ++coverage.bound_rejected;
+        coverage.early_stage_only += shape.early_stage_only;
         ASSERT_FALSE(expected) << "reject bound wrong, job " << id;
         break;
       case Decision::kBoundAccepted:
@@ -197,9 +271,12 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
         << "job " << id << " after " << accepted.size() - 1 << " admitted";
     ASSERT_EQ(got.simulated, shape.decision == Decision::kSimulated)
         << "job " << id << " decided the wrong way";
+    ASSERT_EQ(got.decision, shape.decision)
+        << "job " << id << " counted the wrong way";
     if (!expected) accepted.pop_back();
     (expected ? coverage.accepted : coverage.rejected) += 1;
   }
+  coverage.past_sorted_cap += admission.counts().past_sorted_cap;
 
   // admitted() is the accepted set in (release, id) order.
   std::sort(accepted.begin(), accepted.end(), [&](JobId a, JobId b) {
@@ -214,6 +291,9 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
     Schedule seed(machines);
     greedy_infinity_multi_into(jobs, all_ids(jobs), machines, greedy, seed);
     ASSERT_EQ(io::schedule_to_csv(seed), io::schedule_to_csv(reference))
+        << machines << " machines";
+    // One probe per candidate per pass, each counted once.
+    ASSERT_EQ(greedy.probes.probes(), greedy_candidates(jobs.size(), seed))
         << machines << " machines";
   }
 }
@@ -280,6 +360,7 @@ TEST(EdfAdmissionDifferential, RandomJobs) {
   EXPECT_GT(c.accepted, 0u);
   EXPECT_GT(c.rejected, 0u);
   expect_every_decision(c);
+  EXPECT_GT(c.early_stage_only, 0u);
 }
 
 TEST(EdfAdmissionDifferential, LaminarInstances) {
@@ -334,6 +415,8 @@ TEST(EdfAdmissionDifferential, EveryReleaseEqualIsOneBusyPeriod) {
       303, 250);
   EXPECT_GT(c.rejected, 0u);
   expect_every_decision(c);
+  // One busy period: stage 0 is the whole window.
+  EXPECT_EQ(c.early_stage_only, 0u);
 }
 
 TEST(EdfAdmissionDifferential, ZeroLaxity) {
@@ -378,6 +461,7 @@ TEST(EdfAdmissionDifferential, ReleasesOnBusyPeriodEnds) {
       505, 250);
   EXPECT_GT(c.at_period_end, c.instances);
   expect_every_decision(c);
+  EXPECT_GT(c.early_stage_only, 0u);
 }
 
 TEST(EdfAdmissionDifferential, WindowsAbsorbThreeOrMorePeriods) {
@@ -405,6 +489,7 @@ TEST(EdfAdmissionDifferential, WindowsAbsorbThreeOrMorePeriods) {
       606, 250);
   EXPECT_GT(c.absorbed_three, c.instances);
   expect_every_decision(c);
+  EXPECT_GT(c.early_stage_only, 0u);
 }
 
 TEST(EdfAdmissionDifferential, NegativeReleases) {
@@ -418,6 +503,7 @@ TEST(EdfAdmissionDifferential, NegativeReleases) {
       707, 250);
   EXPECT_GT(c.rejected, 0u);
   expect_every_decision(c);
+  EXPECT_GT(c.early_stage_only, 0u);
 }
 
 TEST(EdfAdmissionDifferential, TicksNearTheInt64Limits) {
@@ -454,6 +540,34 @@ TEST(EdfAdmissionDifferential, TicksNearTheInt64Limits) {
       808, 250);
   EXPECT_GT(c.past_int64, c.instances);
   expect_every_decision(c);
+  EXPECT_GT(c.early_stage_only, 0u);
+}
+
+TEST(EdfAdmissionDifferential, CrowdedWindowsPassTheSortedCap) {
+  // Up to 80 short jobs released within 4 ticks, their deadlines drawn from
+  // four values: a simulated window has well over kEdfSortedReadyCap jobs
+  // ready at once, and runs of equal deadlines, ordered by id against
+  // their release order, straddle the switch to the heap.
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 20, 80);
+        const Time base = 2 * static_cast<Time>(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Time r = rng.uniform_int(0, 3);
+          const Duration p = rng.uniform_int(1, 6);
+          const Time d = std::max<Time>(r + p, base * rng.uniform_int(1, 4));
+          jobs.add({r, d, p, static_cast<Value>(rng.uniform_int(1, 9))});
+        }
+        return jobs;
+      },
+      909, 150);
+  // One busy period whose latest deadline is far out: only the EDF run
+  // rejects.
+  EXPECT_GT(c.rejected, 0u);
+  EXPECT_GT(c.bound_accepted, 0u);
+  EXPECT_GT(c.simulated, 0u);
+  EXPECT_GT(c.past_sorted_cap, c.instances);
 }
 
 // ---------------------------------------------------- pinned shapes -------
@@ -603,6 +717,155 @@ TEST(EdfAdmission, LatestDeadlineFromAnAbsorbedPeriod) {
     EXPECT_EQ(got.admitted,
               edf_feasible(jobs, std::vector<JobId>{0, 1, c}, scratch));
   }
+}
+
+TEST(EdfAdmission, EarlyStageOverrunIsRejectedUnsimulated) {
+  // Busy periods [0, 5) (deadline 5) and [6, 8) (deadline 30).  A
+  // candidate released at 0 with p = 3 makes stage 0 — [0, 5) plus it —
+  // end at 8, past that stage's latest deadline max(5, d_c): one of those
+  // two jobs is late.  Absorbing [6, 8) ends the window at 10 ≤ 30, so only
+  // the stage rule rejects it without simulating.  With d_c = 8 stage 0
+  // ends exactly at its latest deadline: not rejected, and the window's EDF
+  // run fits every job (c in [5, 8), the absorbed job in [8, 10)).
+  for (const Time d_c : {Time{7}, Time{8}}) {
+    JobSet jobs;
+    jobs.add({0, 5, 5, 1.0});
+    jobs.add({6, 30, 2, 1.0});
+    const JobId c = jobs.add({0, d_c, 3, 1.0});
+    EdfAdmission admission;
+    EdfScratch scratch;
+    ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
+    ASSERT_TRUE(admission.try_admit(jobs, 1, scratch));
+    const Probe got = probe(admission, jobs, c, scratch);
+    const bool fits = d_c == 8;
+    EXPECT_EQ(got.admitted, fits) << d_c;
+    EXPECT_EQ(got.decision,
+              fits ? Decision::kSimulated : Decision::kBoundRejected)
+        << d_c;
+    EXPECT_EQ(got.admitted,
+              edf_feasible(jobs, std::vector<JobId>{0, 1, c}, scratch));
+    const AdmissionCounts want{.bound_rejected = fits ? 0u : 1u,
+                               .bound_accepted = 2,
+                               .simulated = fits ? 1u : 0u};
+    EXPECT_EQ(admission.counts(), want) << d_c;
+    admission.clear();
+    EXPECT_EQ(admission.counts(), AdmissionCounts{});
+  }
+}
+
+// -------------------------------------------------------- density order ---
+
+/// The greedy's order before it compared exactly: rounded cross-products.
+bool rounded_denser_first(const JobSet& jobs, JobId a, JobId b) {
+  const double lhs = jobs[a].value * static_cast<double>(jobs[b].length);
+  const double rhs = jobs[b].value * static_cast<double>(jobs[a].length);
+  return lhs != rhs ? lhs > rhs : a < b;
+}
+
+/// Pairs whose rounded cross-products tie, by where they tie, and how many
+/// of them the exact comparison ordered against the id.
+struct TieCoverage {
+  std::size_t overflowed = 0;  ///< both products +inf
+  std::size_t subnormal = 0;   ///< both products below DBL_MIN
+  std::size_t exact_over_id = 0;
+};
+
+/// Irreflexive, asymmetric and transitive over every triple of the jobs,
+/// equal to the integer comparison of the exact cross-products (then the
+/// id) on every pair, and so to the rounded comparison wherever the
+/// rounded products differ.
+void expect_strict_total_order(const JobSet& jobs, TieCoverage& ties) {
+  const auto before = [&](JobId a, JobId b) {
+    return denser_first(jobs, a, b);
+  };
+  const JobId n = static_cast<JobId>(jobs.size());
+  for (JobId a = 0; a < n; ++a) {
+    ASSERT_FALSE(before(a, a)) << a;
+    for (JobId b = 0; b < n; ++b) {
+      if (a == b) continue;
+      ASSERT_NE(before(a, b), before(b, a)) << a << " vs " << b;
+      ASSERT_EQ(before(a, b), exact_denser_first(jobs, a, b))
+          << a << " vs " << b;
+      const double lhs = jobs[a].value * static_cast<double>(jobs[b].length);
+      const double rhs = jobs[b].value * static_cast<double>(jobs[a].length);
+      if (lhs != rhs) {
+        ASSERT_EQ(before(a, b), rounded_denser_first(jobs, a, b))
+            << a << " vs " << b;
+      } else {
+        ties.overflowed += std::isinf(lhs);
+        ties.subnormal += lhs < std::numeric_limits<double>::min();
+        ties.exact_over_id += before(a, b) != (a < b);
+      }
+      for (JobId c = 0; c < n; ++c) {
+        if (before(a, b) && before(b, c)) {
+          ASSERT_TRUE(before(a, c)) << a << " < " << b << " < " << c;
+        }
+      }
+    }
+  }
+}
+
+TEST(DensityOrder, RoundedProductCycleIsOrdered) {
+  // Three (p, value) pairs whose rounded cross-products give a < b < c < a
+  // — a and b, and b and c, tie and fall to the id; c beats a — a
+  // comparator std::sort may not be handed.  Exactly, b is the densest,
+  // then c, then a.
+  JobSet jobs;
+  const JobId a = jobs.add({0, 10'000, 764, 1148.9508510505807});
+  const JobId b = jobs.add({0, 10'000, 169, 254.15274061197402});
+  const JobId c = jobs.add({0, 10'000, 876, 1317.3834365449068});
+  EXPECT_TRUE(rounded_denser_first(jobs, a, b));
+  EXPECT_TRUE(rounded_denser_first(jobs, b, c));
+  EXPECT_TRUE(rounded_denser_first(jobs, c, a));
+  TieCoverage ties;
+  expect_strict_total_order(jobs, ties);
+  EXPECT_GT(ties.exact_over_id, 0u);
+  std::vector<JobId> order = all_ids(jobs);
+  std::sort(order.begin(), order.end(),
+            [&](JobId x, JobId y) { return denser_first(jobs, x, y); });
+  EXPECT_EQ(order, (std::vector<JobId>{b, c, a}));
+}
+
+TEST(DensityOrder, NearTiesFormAStrictTotalOrder) {
+  // Values a few ulps from k·p for one density k, so rounded cross-products
+  // tie often; lengths up to 2^62, tiny and huge values for the subnormal
+  // and overflowing products, and exact duplicates for the id tie-break.
+  Rng rng(4242);
+  TieCoverage ties;
+  for (int round = 0; round < 60; ++round) {
+    JobSet jobs;
+    // Densities whose products land in the subnormal range, near 1, or
+    // past DBL_MAX.
+    const int scale = static_cast<int>(
+        std::array{rng.uniform_int(-1074, -1040), rng.uniform_int(-20, 20),
+                   rng.uniform_int(950, 960)}[static_cast<std::size_t>(
+            rng.uniform_int(0, 2))]);
+    const double density = std::ldexp(rng.uniform_real(1.0, 2.0), scale);
+    const std::size_t n = draw_n(rng, 3, 24);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Duration p = rng.bernoulli(0.3)
+                             ? rng.uniform_int(1, 4) << rng.uniform_int(50, 60)
+                             : rng.uniform_int(1, 1000);
+      double v = density * static_cast<double>(p);
+      if (!(v > 0) || !(v <= std::numeric_limits<double>::max())) {
+        v = rng.bernoulli(0.5) ? std::numeric_limits<double>::denorm_min()
+                               : std::numeric_limits<double>::max();
+      }
+      for (std::int64_t step = rng.uniform_int(-3, 3); step != 0;
+           step += step > 0 ? -1 : 1) {
+        v = std::nextafter(v, step > 0 ? std::numeric_limits<double>::max()
+                                       : 0.0);
+      }
+      if (!(v > 0)) v = std::numeric_limits<double>::denorm_min();
+      jobs.add({0, kMax, p, v});
+      if (rng.bernoulli(0.2)) jobs.add({0, kMax, p, v});
+    }
+    expect_strict_total_order(jobs, ties);
+    ASSERT_FALSE(HasFatalFailure()) << "round " << round;
+  }
+  EXPECT_GT(ties.overflowed, 0u);
+  EXPECT_GT(ties.subnormal, 0u);
+  EXPECT_GT(ties.exact_over_id, 0u);
 }
 
 TEST(EdfAdmissionDeath, RepeatedCandidateAborts) {

@@ -11,6 +11,7 @@
 
 #include "pobp/pobp.hpp"
 #include "pobp/gen/random_jobs.hpp"
+#include "pobp/solvers/solvers.hpp"
 #include "pobp/util/budget.hpp"
 #include "pobp/util/faultinject.hpp"
 #include "pobp/util/rng.hpp"
@@ -332,6 +333,54 @@ TEST(EngineMetrics, ExportsAreNonEmptyAndNamed) {
   EXPECT_NE(json.find("\"instances\":3"), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
   EXPECT_NE(json.find("\"histograms\""), std::string::npos);
+}
+
+// The seed's admission counts: one probe per candidate per machine pass,
+// each settled exactly one way, summed over the batch — the same sums for
+// every worker count.  The exact seed makes no probes.
+TEST(EngineMetrics, SeedProbesCountEveryCandidateForEveryWorkerCount) {
+  const std::vector<JobSet> instances = skewed_corpus(24, 4711);
+  const ScheduleOptions schedule{.k = 1, .machine_count = 2};
+  std::size_t candidates = 0;
+  for (const JobSet& jobs : instances) {
+    const Schedule seed = greedy_infinity_multi(jobs, all_ids(jobs), 2);
+    std::size_t left = jobs.size();
+    for (std::size_t m = 0; m < 2 && left > 0; ++m) {
+      candidates += left;
+      left -= seed.machine(m).job_count();
+    }
+  }
+  AdmissionCounts single;
+  for (const std::size_t workers : {1u, 3u, 8u}) {
+    Engine engine({.schedule = schedule, .workers = workers});
+    (void)engine.solve_batch(instances, {});
+    const AdmissionCounts got = engine.metrics().seed_probes;
+    EXPECT_EQ(got.probes(), candidates) << workers << " workers";
+    if (workers == 1) {
+      single = got;
+      EXPECT_GT(got.bound_rejected, 0u);
+      EXPECT_GT(got.bound_accepted, 0u);
+      EXPECT_GT(got.simulated, 0u);
+      const std::string json = engine.metrics().to_json();
+      EXPECT_NE(json.find("\"seed\":{\"bound_rejected\":" +
+                          std::to_string(got.bound_rejected) +
+                          ",\"bound_accepted\":" +
+                          std::to_string(got.bound_accepted) +
+                          ",\"simulated\":" + std::to_string(got.simulated)),
+                std::string::npos)
+          << json;
+      EXPECT_NE(engine.metrics().to_table().find("seed probes"),
+                std::string::npos);
+    } else {
+      EXPECT_EQ(got, single) << workers << " workers";
+    }
+  }
+
+  const std::vector<JobSet> small = corpus(4, 5);
+  Engine exact({.schedule = {.k = 1, .seed = ScheduleOptions::Seed::kExact},
+                .workers = 2});
+  (void)exact.solve_batch(small, {});
+  EXPECT_EQ(exact.metrics().seed_probes, AdmissionCounts{});
 }
 
 TEST(Histogram, BucketsAndMerge) {
