@@ -13,6 +13,7 @@
 #include "pobp/bas/tm.hpp"
 #include "pobp/pobp.hpp"
 #include "pobp/flow/migrative.hpp"
+#include "pobp/io/wire.hpp"
 #include "pobp/lsa/lsa.hpp"
 #include "pobp/reduction/rebuild.hpp"
 #include "pobp/schedule/edf.hpp"
@@ -253,6 +254,42 @@ void BM_FullReductionPooled(benchmark::State& state) {
 BENCHMARK(BM_FullReductionPooled)
     ->Range(1 << 10, 1 << 16)
     ->Complexity(benchmark::oNLogN);
+
+// One `pobp serve` request frame through io::try_parse_serve_request: the
+// tape pass, the field reads and the request the call returns.  The frame
+// carries n jobs of the serve workloads' shape, values written as %.17g
+// digits.  With the thread's tape warm, the only allocations left are the
+// request's own four job columns: none per job (docs/PERF.md, "Wire parse
+// and frame writer").
+void BM_ParseServeRequest(benchmark::State& state) {
+  Rng rng(48);
+  JobGenConfig config;
+  config.n = static_cast<std::size_t>(state.range(0));
+  config.max_length = 128;
+  config.horizon = 4096;
+  config.value_mode = JobGenConfig::ValueMode::kRandomDensity;
+  std::string line =
+      "{\"id\":\"req-1\",\"tenant\":\"t1\",\"k\":1,\"machines\":2,"
+      "\"jobs\":[";
+  for (const Job& j : random_jobs(config, rng)) {
+    if (line.back() != '[') line += ',';
+    line += '[' + std::to_string(j.release) + ',' +
+            std::to_string(j.deadline) + ',' + std::to_string(j.length) + ',';
+    io::append_number(line, j.value);
+    line += ']';
+  }
+  line += "],\"schedule\":true}";
+  POBP_CHECK(io::try_parse_serve_request(line, 1).has_value());  // warm
+  {
+    AllocMeter meter(state);  // closed before SetItemsProcessed allocates
+    for (auto _ : state) {
+      auto request = io::try_parse_serve_request(line, 1);
+      benchmark::DoNotOptimize(request);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ParseServeRequest)->Arg(64)->Arg(256);
 
 // BudgetGuard::poll() cost, uninstalled (the common case: a thread-local
 // pointer test) and installed (atomic op count + amortized clock check).

@@ -15,6 +15,9 @@ namespace pobp::diag {
 /// StreamEngine::stats_json() all use it.
 std::string json_quote(std::string_view s);
 
+/// Appends json_quote(s) to `out` without a temporary.
+void append_json_quote(std::string& out, std::string_view s);
+
 /// One line per finding ("RULE [severity] location: message"), followed by
 /// a severity summary line.  Empty reports render as "no findings\n".
 std::string to_text(const Report& report);

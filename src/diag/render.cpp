@@ -22,6 +22,11 @@ std::string_view sarif_level(Severity severity) {
 std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  append_json_quote(out, s);
+  return out;
+}
+
+void append_json_quote(std::string& out, std::string_view s) {
   out += '"';
   for (const char c : s) {
     switch (c) {
@@ -42,7 +47,6 @@ std::string json_quote(std::string_view s) {
     }
   }
   out += '"';
-  return out;
 }
 
 std::string to_text(const Report& report) {

@@ -307,17 +307,23 @@ std::vector<std::vector<Assignment>> group_schedule_rows(
 }
 
 std::string schedule_to_csv(const Schedule& schedule) {
-  std::ostringstream os;
-  os << "# pobp schedule v1\n";
-  os << "machine,job,begin,end\n";
+  std::string out = "# pobp schedule v1\nmachine,job,begin,end\n";
+  char buf[24];
+  const auto cell = [&](auto v, char sep) {
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+    out += sep;
+  };
   for (std::size_t m = 0; m < schedule.machine_count(); ++m) {
     for (const Assignment& a : schedule.machine(m).assignments()) {
       for (const Segment& s : a.segments) {
-        os << m << ',' << a.job << ',' << s.begin << ',' << s.end << '\n';
+        cell(m, ',');
+        cell(a.job, ',');
+        cell(s.begin, ',');
+        cell(s.end, '\n');
       }
     }
   }
-  return os.str();
+  return out;
 }
 
 Schedule schedule_from_csv(const std::string& text) {

@@ -93,6 +93,11 @@ struct ResponseStats {
                                          const ResponseStats& stats,
                                          const Schedule* schedule = nullptr);
 
+/// Appends the frames' rendering of `v` to `out`: the bytes of printf's
+/// "%.17g" (written by std::to_chars, general format, precision 17),
+/// which read back as the same double, and ±1e999 for the infinities.
+void append_number(std::string& out, double v);
+
 /// One error frame (no trailing newline), embedding diag::to_json(report).
 [[nodiscard]] std::string error_frame(const std::string& id,
                                       const diag::Report& report);

@@ -5,17 +5,17 @@
 #include <sstream>
 #include <utility>
 
-#include "json_micro.hpp"
+#include "json_tape.hpp"
 #include "pobp/diag/registry.hpp"
 
 namespace pobp::io {
 namespace {
 
+using detail::append_jobs;
 using detail::JobDomainError;
-using detail::JsonReader;
-using detail::JsonValue;
+using detail::JsonDocument;
+using detail::JsonKind;
 using detail::NumericError;
-using detail::job_from_json;
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -42,31 +42,29 @@ std::string path_stem(const std::string& path) {
   return path.substr(start, dot - start);
 }
 
-// The micro JSON reader, the JsonValue tree, and job_from_json live in
-// json_micro.hpp (shared with the serve wire protocol, wire.cpp).
-
-/// Parses one (already trimmed, non-empty) JSONL line into an instance.
+/// Parses one (already trimmed, non-empty) JSONL line into an instance,
+/// reading its fields from the line's tape in a fixed order (a repeated
+/// key reads its first occurrence).
 BatchInstance parse_jsonl_line(const std::string& line, std::size_t line_no) {
-  const JsonValue v = JsonReader(line, line_no).parse();
-  if (v.kind != JsonValue::Kind::kObject) {
+  const JsonDocument doc(line, line_no);
+  if (doc[0].kind != JsonKind::kObject) {
     throw ParseError(line_no, "each JSONL line must be a JSON object");
   }
   BatchInstance instance;
-  if (const JsonValue* name = v.find("name")) {
-    if (name->kind != JsonValue::Kind::kString) {
+  if (const std::size_t name = doc.find(0, "name");
+      name != JsonDocument::kAbsent) {
+    if (doc[name].kind != JsonKind::kString) {
       throw ParseError(line_no, "name must be a string");
     }
-    instance.name = name->string;
+    instance.name = doc.string(name);
   } else {
     instance.name = "line" + std::to_string(line_no);
   }
-  const JsonValue* jobs = v.find("jobs");
-  if (!jobs || jobs->kind != JsonValue::Kind::kArray) {
+  const std::size_t jobs = doc.find(0, "jobs");
+  if (jobs == JsonDocument::kAbsent || doc[jobs].kind != JsonKind::kArray) {
     throw ParseError(line_no, "instance needs a \"jobs\" array");
   }
-  for (const JsonValue& j : jobs->items) {
-    instance.jobs.add(job_from_json(j, line_no));
-  }
+  append_jobs(doc, jobs, instance.jobs);
   return instance;
 }
 

@@ -1,10 +1,9 @@
 #include "pobp/io/wire.hpp"
 
+#include <charconv>
 #include <cmath>
-#include <cstdio>
-#include <sstream>
 
-#include "json_micro.hpp"
+#include "json_tape.hpp"
 #include "pobp/diag/registry.hpp"
 #include "pobp/diag/render.hpp"
 #include "pobp/io/csv.hpp"
@@ -12,109 +11,108 @@
 namespace pobp::io {
 namespace {
 
+using detail::append_jobs;
 using detail::JobDomainError;
-using detail::JsonReader;
-using detail::JsonValue;
+using detail::JsonDocument;
+using detail::JsonKind;
 using detail::NumericError;
-using detail::job_from_json;
 using detail::to_tick;
 
-/// Deterministic JSON number rendering: %.17g round-trips every double
-/// bit-exactly, and infinities render as 1e999 (standard parsers read
-/// that back as +inf), matching the metrics JSON export.
-std::string format_number(double v) {
-  if (std::isinf(v)) return v > 0 ? "1e999" : "-1e999";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
+constexpr std::size_t kAbsent = JsonDocument::kAbsent;
 
 /// Non-negative integer field (k, machines, max_ops).
-std::uint64_t to_count(const JsonValue& v, const char* what,
-                       std::size_t line) {
-  const std::int64_t t = to_tick(v, what, line);
+std::uint64_t to_count(const JsonDocument& doc, std::size_t i,
+                       const char* what) {
+  const std::int64_t t = to_tick(doc, i, what);
   if (t < 0) {
-    throw NumericError(line, std::string(what) + " must be >= 0");
+    throw NumericError(doc.line(), std::string(what) + " must be >= 0");
   }
   return static_cast<std::uint64_t>(t);
 }
 
+/// Boolean field (degrade, schedule).
+bool to_bool(const JsonDocument& doc, std::size_t i, const char* what) {
+  if (doc[i].kind != JsonKind::kTrue && doc[i].kind != JsonKind::kFalse) {
+    throw ParseError(doc.line(), std::string(what) + " must be a boolean");
+  }
+  return doc[i].kind == JsonKind::kTrue;
+}
+
+/// The request's fields, read from its tape in a fixed order: the first
+/// field defect reported is the first in this order, whatever the order of
+/// the fields on the line.  A repeated key reads its first occurrence.
 ServeRequest parse_serve_request(const std::string& line,
                                  std::size_t line_no) {
-  const JsonValue v = JsonReader(line, line_no).parse();
-  if (v.kind != JsonValue::Kind::kObject) {
+  const JsonDocument doc(line, line_no);
+  if (doc[0].kind != JsonKind::kObject) {
     throw ParseError(line_no, "each request must be a JSON object");
   }
   ServeRequest request;
-  request.id = "line" + std::to_string(line_no);
-  if (const JsonValue* id = v.find("id")) {
-    if (id->kind == JsonValue::Kind::kString) {
-      request.id = id->string;
-    } else if (id->kind == JsonValue::Kind::kNumber) {
-      request.id = format_number(id->number);
+  if (const std::size_t id = doc.find(0, "id"); id != kAbsent) {
+    if (doc[id].kind == JsonKind::kString) {
+      request.id = doc.string(id);
+    } else if (doc[id].kind == JsonKind::kNumber) {
+      append_number(request.id, doc[id].number);
     } else {
       throw ParseError(line_no, "id must be a string or a number");
     }
+  } else {
+    request.id = "line" + std::to_string(line_no);
   }
-  if (const JsonValue* tenant = v.find("tenant")) {
-    if (tenant->kind != JsonValue::Kind::kString) {
+  if (const std::size_t tenant = doc.find(0, "tenant"); tenant != kAbsent) {
+    if (doc[tenant].kind != JsonKind::kString) {
       throw ParseError(line_no, "tenant must be a string");
     }
-    request.tenant = tenant->string;
+    request.tenant = doc.string(tenant);
   }
-  const JsonValue* jobs = v.find("jobs");
-  if (!jobs || jobs->kind != JsonValue::Kind::kArray) {
+  const std::size_t jobs = doc.find(0, "jobs");
+  if (jobs == kAbsent || doc[jobs].kind != JsonKind::kArray) {
     throw ParseError(line_no, "request needs a \"jobs\" array");
   }
-  for (const JsonValue& j : jobs->items) {
-    request.jobs.add(job_from_json(j, line_no));
-  }
-  if (const JsonValue* k = v.find("k")) {
-    const std::uint64_t count = to_count(*k, "k", line_no);
+  append_jobs(doc, jobs, request.jobs);
+  if (const std::size_t k = doc.find(0, "k"); k != kAbsent) {
+    const std::uint64_t count = to_count(doc, k, "k");
     if (count > kMaxWireK) {
       throw NumericError(line_no, "k exceeds the wire cap of " +
                                       std::to_string(kMaxWireK));
     }
     request.k = static_cast<std::size_t>(count);
   }
-  if (const JsonValue* machines = v.find("machines")) {
-    const std::uint64_t count = to_count(*machines, "machines", line_no);
+  if (const std::size_t machines = doc.find(0, "machines");
+      machines != kAbsent) {
+    const std::uint64_t count = to_count(doc, machines, "machines");
     if (count > kMaxWireMachines) {
       throw NumericError(line_no, "machines exceeds the wire cap of " +
                                       std::to_string(kMaxWireMachines));
     }
     request.machines = static_cast<std::size_t>(count);
   }
-  if (const JsonValue* deadline = v.find("deadline_ms")) {
-    if (deadline->kind != JsonValue::Kind::kNumber ||
-        !(deadline->number >= 0) || std::isinf(deadline->number)) {
+  if (const std::size_t deadline = doc.find(0, "deadline_ms");
+      deadline != kAbsent) {
+    if (doc[deadline].kind != JsonKind::kNumber ||
+        !(doc[deadline].number >= 0) || std::isinf(doc[deadline].number)) {
       throw NumericError(line_no, "deadline_ms must be a number >= 0");
     }
-    request.deadline_ms = deadline->number;
+    request.deadline_ms = doc[deadline].number;
   }
-  if (const JsonValue* ops = v.find("max_ops")) {
-    request.max_ops = to_count(*ops, "max_ops", line_no);
+  if (const std::size_t ops = doc.find(0, "max_ops"); ops != kAbsent) {
+    request.max_ops = to_count(doc, ops, "max_ops");
   }
-  if (const JsonValue* degrade = v.find("degrade")) {
-    if (degrade->kind != JsonValue::Kind::kBool) {
-      throw ParseError(line_no, "degrade must be a boolean");
-    }
-    request.degrade = degrade->boolean;
+  if (const std::size_t degrade = doc.find(0, "degrade"); degrade != kAbsent) {
+    request.degrade = to_bool(doc, degrade, "degrade");
   }
-  if (const JsonValue* cache = v.find("cache")) {
-    if (cache->kind != JsonValue::Kind::kString ||
-        (cache->string != "off" && cache->string != "read" &&
-         cache->string != "read_write")) {
+  if (const std::size_t cache = doc.find(0, "cache"); cache != kAbsent) {
+    if (doc[cache].kind != JsonKind::kString ||
+        (!doc.string_is(cache, "off") && !doc.string_is(cache, "read") &&
+         !doc.string_is(cache, "read_write"))) {
       throw ParseError(line_no,
                        "cache must be \"off\", \"read\" or \"read_write\"");
     }
-    request.cache = cache->string;
+    request.cache = doc.string(cache);
   }
-  if (const JsonValue* schedule = v.find("schedule")) {
-    if (schedule->kind != JsonValue::Kind::kBool) {
-      throw ParseError(line_no, "schedule must be a boolean");
-    }
-    request.want_schedule = schedule->boolean;
+  if (const std::size_t schedule = doc.find(0, "schedule");
+      schedule != kAbsent) {
+    request.want_schedule = to_bool(doc, schedule, "schedule");
   }
   return request;
 }
@@ -151,30 +149,48 @@ Expected<ServeRequest, diag::Report> try_parse_serve_request(
   }
 }
 
+void append_number(std::string& out, double v) {
+  if (std::isinf(v)) {
+    out += v > 0 ? "1e999" : "-1e999";
+    return;
+  }
+  char buf[32];
+  const auto written = std::to_chars(buf, buf + sizeof buf, v,
+                                     std::chars_format::general, 17);
+  out.append(buf, written.ptr);
+}
+
 std::string response_frame(const std::string& id, const ResponseStats& stats,
                            const Schedule* schedule) {
-  std::ostringstream os;
-  os << "{\"id\":";
-  os << diag::json_quote(id);
-  os << ",\"ok\":true,\"value\":" << format_number(stats.value)
-     << ",\"unbounded_value\":" << format_number(stats.unbounded_value)
-     << ",\"price\":" << format_number(stats.price)
-     << ",\"degraded\":" << (stats.degraded ? "true" : "false")
-     << ",\"jobs_scheduled\":" << stats.jobs_scheduled;
+  std::string out;
+  out.reserve(160 + id.size());
+  out += "{\"id\":";
+  diag::append_json_quote(out, id);
+  out += ",\"ok\":true,\"value\":";
+  append_number(out, stats.value);
+  out += ",\"unbounded_value\":";
+  append_number(out, stats.unbounded_value);
+  out += ",\"price\":";
+  append_number(out, stats.price);
+  out += stats.degraded ? ",\"degraded\":true" : ",\"degraded\":false";
+  out += ",\"jobs_scheduled\":";
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, stats.jobs_scheduled).ptr);
   if (schedule != nullptr) {
-    os << ",\"schedule_csv\":";
-    os << diag::json_quote(schedule_to_csv(*schedule));
+    out += ",\"schedule_csv\":";
+    diag::append_json_quote(out, schedule_to_csv(*schedule));
   }
-  os << '}';
-  return os.str();
+  out += '}';
+  return out;
 }
 
 std::string error_frame(const std::string& id, const diag::Report& report) {
-  std::ostringstream os;
-  os << "{\"id\":";
-  os << diag::json_quote(id);
-  os << ",\"ok\":false,\"error\":" << diag::to_json(report) << '}';
-  return os.str();
+  std::string out = "{\"id\":";
+  diag::append_json_quote(out, id);
+  out += ",\"ok\":false,\"error\":";
+  out += diag::to_json(report);
+  out += '}';
+  return out;
 }
 
 }  // namespace pobp::io

@@ -44,7 +44,7 @@ struct LsaResult {
 /// value" (§4.3.2) — kValue is the original Albagli-Kim et al. [1] order,
 /// kept for the ablation benches.
 enum class LsaOrder {
-  kDensity,  ///< descending val(j)/p_j — the paper's choice
+  kDensity,  ///< descending val(j)/p_j (denser_first) — the paper's choice
   kValue,    ///< descending val(j) — Albagli-Kim's original
 };
 

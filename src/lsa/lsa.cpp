@@ -22,11 +22,7 @@ void consideration_order(const JobSetView& jobs,
   out.assign(candidates.begin(), candidates.end());
   if (order == LsaOrder::kDensity) {
     std::sort(out.begin(), out.end(), [&](JobId a, JobId b) {
-      // Compare val_a/p_a vs val_b/p_b exactly via cross-multiplication.
-      const double lhs = jobs.value[a] * static_cast<double>(jobs.length[b]);
-      const double rhs = jobs.value[b] * static_cast<double>(jobs.length[a]);
-      if (lhs != rhs) return lhs > rhs;
-      return a < b;
+      return denser_first(jobs, a, b);
     });
   } else {
     std::sort(out.begin(), out.end(), [&](JobId a, JobId b) {

@@ -12,6 +12,7 @@
 // operator[] and iteration assemble one by value from the columns.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <iterator>
@@ -79,6 +80,49 @@ struct JobSetView {
   }
 };
 
+namespace detail {
+
+/// Sign of x1·y1 − x2·y2, exactly, for finite x ≥ 0 and integer-valued
+/// y ≥ 1 (a value and a length converted to double).
+///
+/// Rounding is monotone, so unequal rounded products already order the
+/// exact ones.  Equal finite ones are told apart by their rounding errors,
+/// which fma computes exactly: x·y is a multiple of the last bit of x
+/// (≥ 2^-1074, y being an integer), so the error is a multiple of 2^-1074
+/// holding at most 53 significant bits — and 0 when the product rounds
+/// into the subnormal range, where half an ulp is below 2^-1074.  Two
+/// products that both overflow to +inf have x ≥ 2^960 (y ≤ 2^63), so
+/// scaling both x by 2^-64 is exact and brings both products back into
+/// range.
+inline int compare_products(double x1, double y1, double x2, double y2) {
+  double p1 = x1 * y1;
+  double p2 = x2 * y2;
+  if (p1 == p2 && std::isinf(p1)) {
+    x1 = std::ldexp(x1, -64);
+    x2 = std::ldexp(x2, -64);
+    p1 = x1 * y1;
+    p2 = x2 * y2;
+  }
+  if (p1 != p2) return p1 < p2 ? -1 : 1;
+  const double e1 = std::fma(x1, y1, -p1);
+  const double e2 = std::fma(x2, y2, -p2);
+  return (e1 > e2) - (e1 < e2);
+}
+
+}  // namespace detail
+
+/// The density order of the greedy seed and of LSA: true iff `a` is
+/// strictly denser than `b` — v_a·p_b > v_b·p_a, compared exactly on the
+/// values and the lengths as doubles — or as dense with a smaller id.  A
+/// strict total order on distinct ids, as std::sort requires; it differs
+/// from comparing the rounded cross-products only where those tie.
+inline bool denser_first(const JobSetView& jobs, JobId a, JobId b) {
+  const int c = detail::compare_products(
+      jobs.value[a], static_cast<double>(jobs.length[b]), jobs.value[b],
+      static_cast<double>(jobs.length[a]));
+  return c != 0 ? c > 0 : a < b;
+}
+
 /// Owning column storage: a JobSet's own storage, and a detached copy of
 /// one wherever columns must outlive their set (the solve cache's entries).
 struct JobColumns {
@@ -132,11 +176,17 @@ class JobSet {
 
   JobSet() = default;
   explicit JobSet(const std::vector<Job>& jobs) {
-    columns_.release.reserve(jobs.size());
-    columns_.deadline.reserve(jobs.size());
-    columns_.length.reserve(jobs.size());
-    columns_.value.reserve(jobs.size());
+    reserve(jobs.size());
     for (const Job& j : jobs) add(j);
+  }
+
+  /// Room for `n` jobs in every column, so the next adds up to that size
+  /// allocate nothing.
+  void reserve(std::size_t n) {
+    columns_.release.reserve(n);
+    columns_.deadline.reserve(n);
+    columns_.length.reserve(n);
+    columns_.value.reserve(n);
   }
 
   /// Append a job; returns its id.  Malformed jobs (untrusted input can

@@ -69,13 +69,6 @@ struct GreedyScratch {
   AdmissionCounts probes;
 };
 
-/// The greedy's consideration order: true iff `a` is strictly denser than
-/// `b` — v_a·p_b > v_b·p_a, compared exactly on the values and the lengths
-/// as doubles — or as dense with a smaller id.  A strict total order on
-/// distinct ids, as std::sort requires; it differs from comparing the
-/// rounded cross-products only where those tie.
-bool denser_first(const JobSetView& jobs, JobId a, JobId b);
-
 /// Greedy ∞-preemptive heuristic: jobs in descending density order
 /// (denser_first), each accepted iff the accepted set stays EDF-feasible.
 /// Returns the EDF schedule of the accepted set.

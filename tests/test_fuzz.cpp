@@ -21,6 +21,8 @@
 #include "pobp/gen/schedule_gen.hpp"
 #include "pobp/util/rng.hpp"
 
+#include "json_tape.hpp"  // src/io: the reader's per-thread tape
+
 namespace pobp {
 namespace {
 
@@ -326,6 +328,40 @@ TEST(WireHardening, TruncatedFramesAreRejectedNotCrashed) {
     ASSERT_FALSE(outcome.has_value()) << "prefix length " << cut;
     EXPECT_FALSE(outcome.error().rule_ids().empty());
   }
+}
+
+TEST(WireHardening, MaximalFrameParsesAndLeavesNoTapePinned) {
+  // A frame of exactly the default 1 MiB cap, packed with jobs: it parses,
+  // and the tape it needed (about five tokens per job) is released rather
+  // than kept by this thread for its next line.  So is the tape of the
+  // same frame cut short, which fails mid-parse.
+  const std::string job = "[0,10,4,5.5]";
+  std::string line = "{\"id\":\"big\",\"jobs\":[" + job;
+  std::size_t jobs = 1;
+  for (; line.size() + 1 + job.size() + 2 <= io::kDefaultMaxLineBytes; ++jobs) {
+    line += ',' + job;
+  }
+  line += "]}";
+  line.resize(io::kDefaultMaxLineBytes, ' ');
+  ASSERT_GT(5 * jobs, io::detail::kRetainedTapeTokens);
+
+  const auto outcome = io::try_parse_serve_request(line, 1);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->jobs.size(), jobs);
+  EXPECT_LE(io::detail::tape_capacity(), io::detail::kRetainedTapeTokens);
+
+  const std::string cut = line.substr(0, line.size() / 2);
+  const auto rejected = io::try_parse_serve_request(cut, 2);
+  ASSERT_FALSE(rejected.has_value());
+  EXPECT_EQ(rejected.error().count(diag::rules::kIoParse), 1u);
+  EXPECT_LE(io::detail::tape_capacity(), io::detail::kRetainedTapeTokens);
+
+  // An ordinary frame afterwards parses onto a tape that is kept.
+  const auto small =
+      io::try_parse_serve_request("{\"jobs\":[[0,10,4,5.0],[2,7,3,2.5]]}", 3);
+  ASSERT_TRUE(small.has_value());
+  EXPECT_GT(io::detail::tape_capacity(), 0u);
+  EXPECT_LE(io::detail::tape_capacity(), io::detail::kRetainedTapeTokens);
 }
 
 TEST_P(IoFuzz, MutatedManifestTextNeverThrows) {

@@ -46,6 +46,24 @@ TEST(Lsa, DensityOrderWins) {
   EXPECT_EQ(r.rejected[0], 0u);
 }
 
+TEST(Lsa, DensityOrderIsExactWhereRoundedProductsTie) {
+  // The triple of DensityOrder.RoundedProductCycleIsOrdered: its rounded
+  // cross-products cycle (a before b before c before a), so a comparator on
+  // them breaks std::sort's precondition.  Exactly, b is the densest, then
+  // c, then a.  With room for all three, LSA places each leftmost in its
+  // consideration order, so the start times show that order.
+  JobSet jobs;
+  const JobId a = jobs.add({0, 10'000, 764, 1148.9508510505807});
+  const JobId b = jobs.add({0, 10'000, 169, 254.15274061197402});
+  const JobId c = jobs.add({0, 10'000, 876, 1317.3834365449068});
+  const LsaResult r = lsa(jobs, all_ids(jobs), 1);
+  EXPECT_EQ(r.scheduled, (std::vector<JobId>{b, c, a}));
+  ASSERT_TRUE(r.schedule.find(a) && r.schedule.find(b) && r.schedule.find(c));
+  EXPECT_EQ(r.schedule.find(b)->segments.front().begin, 0);
+  EXPECT_EQ(r.schedule.find(c)->segments.front().begin, 169);
+  EXPECT_EQ(r.schedule.find(a)->segments.front().begin, 169 + 876);
+}
+
 TEST(Lsa, UsesUpToKPlusOneSegments) {
   // Window [0,12) with two 2-tick obstacles; a 6-tick job needs 3 idle
   // segments — allowed for k = 2, impossible for k = 1 given the obstacles.

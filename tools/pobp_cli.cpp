@@ -784,7 +784,6 @@ int cmd_chaos(const Flags& flags) {
         .count();
   };
 
-  char buf[64];
   for (std::size_t i = 0;
        (min_requests > 0 && submitted < min_requests) ||
        (min_requests == 0 && elapsed() < seconds);
@@ -815,11 +814,11 @@ int cmd_chaos(const Flags& flags) {
     for (const Job& j : jobs) {
       if (comma) line += ',';
       comma = true;
-      std::snprintf(buf, sizeof(buf), "[%lld,%lld,%lld,%.17g]",
-                    static_cast<long long>(j.release),
-                    static_cast<long long>(j.deadline),
-                    static_cast<long long>(j.length), j.value);
-      line += buf;
+      line += '[' + std::to_string(j.release) + ',' +
+              std::to_string(j.deadline) + ',' + std::to_string(j.length) +
+              ',';
+      io::append_number(line, j.value);
+      line += ']';
     }
     line += ']';
     if (rng.bernoulli(0.15)) line += ",\"max_ops\":5000";
