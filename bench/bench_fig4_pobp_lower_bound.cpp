@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/gen/lower_bounds.hpp"
 
@@ -33,9 +34,11 @@ void run_for_k(std::size_t k) {
                     "Appendix-B instance must be fully feasible");
     POBP_ASSERT(validate_machine(inst.jobs, *witness).ok);
 
-    const CombinedResult alg =
-        k_preemption_combined(inst.jobs, *witness, {.k = k});
-    POBP_ASSERT(validate_machine(inst.jobs, alg.schedule, k).ok);
+    SolveScratch scratch;
+    Schedule schedule;
+    const CombinedMultiValues alg = k_preemption_combined_multi_into(
+        inst.jobs, Schedule(*witness), {.k = k}, nullptr, scratch, schedule);
+    POBP_ASSERT(validate(inst.jobs, schedule, k).ok);
 
     const double price = inst.total_value / alg.value;
     const double log_p = log_k1(k, inst.P);

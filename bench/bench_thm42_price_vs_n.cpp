@@ -7,7 +7,9 @@
 
 #include "bench_common.hpp"
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/gen/schedule_gen.hpp"
+#include "pobp/schedule/laminar.hpp"
 #include "pobp/util/parallel.hpp"
 #include "pobp/util/stats.hpp"
 
@@ -34,12 +36,18 @@ Row sweep(std::size_t n, std::size_t k, std::size_t seeds) {
     const LaminarInstance inst = random_laminar_instance(config, rng);
     const Value total = inst.jobs.total_value();
 
-    const CombinedResult tm = k_preemption_combined(
-        inst.jobs, inst.schedule, {.k = k, .use_tm = true});
-    const CombinedResult lc = k_preemption_combined(
-        inst.jobs, inst.schedule, {.k = k, .use_tm = false});
-    POBP_ASSERT(validate_machine(inst.jobs, tm.schedule, k).ok);
-    POBP_ASSERT(validate_machine(inst.jobs, lc.schedule, k).ok);
+    const Schedule laminar(laminarize(inst.jobs, inst.schedule));
+    SolveScratch scratch;
+    Schedule tm_schedule;
+    Schedule lc_schedule;
+    const CombinedMultiValues tm = k_preemption_combined_multi_into(
+        inst.jobs, laminar, {.k = k, .use_tm = true}, nullptr, scratch,
+        tm_schedule);
+    const CombinedMultiValues lc = k_preemption_combined_multi_into(
+        inst.jobs, laminar, {.k = k, .use_tm = false}, nullptr, scratch,
+        lc_schedule);
+    POBP_ASSERT(validate(inst.jobs, tm_schedule, k).ok);
+    POBP_ASSERT(validate(inst.jobs, lc_schedule, k).ok);
 
     std::lock_guard lock(mu);
     row.price_tm.add(total / tm.value);

@@ -9,6 +9,7 @@
 
 #include "bench_common.hpp"
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/lsa/lsa.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/solvers/solvers.hpp"
@@ -49,8 +50,11 @@ void exact_regime(std::size_t k) {
       const SubsetSolution opt = opt_infinity(jobs, all_ids(jobs));
       const auto seed_schedule = edf_schedule(jobs, opt.members);
       POBP_ASSERT(seed_schedule.has_value());
-      const CombinedResult alg =
-          k_preemption_combined(jobs, *seed_schedule, {.k = k});
+      SolveScratch scratch;
+      Schedule schedule;
+      const CombinedMultiValues alg = k_preemption_combined_multi_into(
+          jobs, Schedule(*seed_schedule), {.k = k}, nullptr, scratch,
+          schedule);
 
       std::lock_guard lock(mu);
       price.add(opt.value / alg.value);

@@ -191,26 +191,43 @@ Value settled_branch_bound(Value total, std::size_t n, std::size_t machines) {
   return total * (1.0 + (4.0 * terms + 4.0) * 0x1p-53);
 }
 
+/// Prunes the forest in `rs.sf` to a k-BAS with the pruner `options.use_tm`
+/// picks, and returns the kept subforest (owned by `rs`).
+const SubForest& prune_forest(ReductionScratch& rs,
+                              const CombinedOptions& options) {
+  if (!options.use_tm) {
+    levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
+                                rs.contraction_sel);
+    return rs.contraction_sel;
+  }
+  tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
+                        options.tm_fork_min_nodes);
+  return rs.tm_result.selection;
+}
+
 }  // namespace
 
 CombinedMultiValues k_preemption_combined_multi_into(
     const JobSet& jobs, const Schedule& unbounded,
     const CombinedOptions& options, PipelineTimings* timings,
     SolveScratch& s, Schedule& out, const SolveDeltaHint* delta) {
+  POBP_ASSERT_MSG(options.k >= 1, "use schedule_nonpreemptive for k = 0");
   CombinedMultiValues values;
   const std::size_t machines = unbounded.machine_count();
   ReductionScratch& rs = s.reduction;
   if (!delta_usable(delta, machines)) delta = nullptr;
   const BranchTotals totals = split_seed(jobs, unbounded, options.k, s);
+  values.strict_jobs = s.strict_ids.size();
+  values.lax_jobs = s.lax_ids.size();
 
   // Full-reduction branch (Theorem 4.2, per machine), first: the branch
   // that wins ties, and the value the other two are settled against.  The
-  // §4.1 stages on each machine's whole job set, always pruned with the
-  // exact TM DP (mirrors reduce_to_k_preemptive, pooled).  The seed machine
-  // is already the schedule laminarize_into would rebuild — the EDF
-  // schedule of the same job set in the same (deadline, id) order, checked
-  // laminar where the seed built it — so the forest is built from it
-  // directly; the stage keeps its fault site and budget poll.
+  // §4.1 stages on each machine's whole job set, pruned with the pruner
+  // `use_tm` picks (reduce_to_k_preemptive, pooled).  The seed machine is
+  // already the schedule laminarize_into would rebuild — the EDF schedule
+  // of the same job set in the same (deadline, id) order, checked laminar
+  // where the seed built it — so the forest is built from it directly;
+  // the stage keeps its fault site and budget poll.
   Stopwatch sw;
   Schedule& full_schedule = s.full_sched;
   full_schedule.reset(machines);
@@ -231,22 +248,22 @@ CombinedMultiValues k_preemption_combined_multi_into(
     if (timings) timings->laminarize_s += sw.lap();
     build_schedule_forest(jobs, input, rs.sf, rs.forest_build);
     if (timings) timings->forest_s += sw.lap();
-    tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
-                          options.tm_fork_min_nodes);
+    const SubForest& sel = prune_forest(rs, options);
     if (timings) timings->prune_s += sw.lap();
-    rebuild_schedule_into(jobs, rs.sf, rs.tm_result.selection, rs.rebuild,
+    rebuild_schedule_into(jobs, rs.sf, sel, rs.rebuild,
                           full_schedule.machine(m));
     if (timings) timings->merge_s += sw.lap();
   }
-  const Value full_value = full_schedule.total_value(jobs);
+  values.full_value = full_schedule.total_value(jobs);
+  const Value full_value = values.full_value;
 
   // Strict branch: reduce each machine's restriction separately, unless
   // the full value already reaches the strict jobs' total.  The
   // restriction itself is never materialized — the laminar rearrangement
   // is a pure function of the strict job subset (see
   // laminarize_subset_into).  On a machine whose seed jobs are all strict
-  // that subset's EDF schedule is the seed machine itself, so under TM the
-  // stages repeat the full branch's exactly and its machine is copied.
+  // that subset's EDF schedule is the seed machine itself, so the stages
+  // repeat the full branch's exactly and its machine is copied.
   const Value strict_bound =
       settled_branch_bound(totals.strict, jobs.size(), machines);
   Schedule& strict_schedule = s.strict_sched;
@@ -261,8 +278,7 @@ CombinedMultiValues k_preemption_combined_multi_into(
           s.strict_ids.data() + s.strict_begin[m],
           s.strict_begin[m + 1] - s.strict_begin[m]);
       if (strict_ids.empty()) continue;
-      if (options.use_tm &&
-          strict_ids.size() == unbounded.machine(m).job_count()) {
+      if (strict_ids.size() == unbounded.machine(m).job_count()) {
         strict_schedule.machine(m).assign_from(full_schedule.machine(m));
         ++values.strict_machines_copied;
         continue;
@@ -280,18 +296,9 @@ CombinedMultiValues k_preemption_combined_multi_into(
       if (timings) timings->laminarize_s += sw.lap();
       build_schedule_forest(jobs, s.laminar_stage, rs.sf, rs.forest_build);
       if (timings) timings->forest_s += sw.lap();
-      const SubForest* sel;
-      if (options.use_tm) {
-        tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
-                              options.tm_fork_min_nodes);
-        sel = &rs.tm_result.selection;
-      } else {
-        levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
-                                    rs.contraction_sel);
-        sel = &rs.contraction_sel;
-      }
+      const SubForest& sel = prune_forest(rs, options);
       if (timings) timings->prune_s += sw.lap();
-      rebuild_schedule_into(jobs, rs.sf, *sel, rs.rebuild,
+      rebuild_schedule_into(jobs, rs.sf, sel, rs.rebuild,
                             strict_schedule.machine(m));
       if (timings) timings->merge_s += sw.lap();
     }
@@ -326,6 +333,51 @@ CombinedMultiValues k_preemption_combined_multi_into(
     values.value = values.lax_value;
   }
   return values;
+}
+
+Value schedule_nonpreemptive_into(const JobSet& jobs,
+                                  std::span<const JobId> candidates,
+                                  PipelineTimings* timings,
+                                  LsaScratch& scratch, MachineSchedule& out) {
+  out.clear();
+  if (candidates.empty()) return 0;
+
+  // Branch (a): LSA_CS with k = 0 (en-bloc placement, length classes of
+  // ratio ≤ 2 — §5's adjustment of Alg. 2).  cs_best is the scratch's
+  // pooled staging result (lsa_cs_into itself stages through
+  // scratch.attempt, so the two never alias).
+  Stopwatch sw;
+  LsaResult& cs = scratch.cs_best;
+  lsa_cs_into(jobs, candidates, /*k=*/0, ClassifyBy::kLength,
+              LsaOrder::kDensity, scratch, cs);
+  if (timings) timings->lsa_s += sw.lap();
+  const Value cs_value = cs.schedule.total_value(jobs);
+
+  // Branch (b): the single most valuable job — a feasible non-preemptive
+  // schedule on its own, and the witness of the price ≤ n upper bound.
+  const JobId best_single = *std::max_element(
+      candidates.begin(), candidates.end(),
+      [&](JobId a, JobId b) { return jobs[a].value < jobs[b].value; });
+
+  if (cs_value >= jobs[best_single].value) {
+    out.assign_from(cs.schedule);
+    return cs_value;
+  }
+  const Job& j = jobs[best_single];
+  out.add_block(best_single, j.release, j.length);
+  return j.value;
+}
+
+NonPreemptiveResult schedule_nonpreemptive(const JobSet& jobs,
+                                           std::span<const JobId> candidates,
+                                           PipelineTimings* timings,
+                                           LsaScratch* scratch) {
+  NonPreemptiveResult result;
+  LsaScratch local;
+  result.value = schedule_nonpreemptive_into(
+      jobs, candidates, timings, scratch != nullptr ? *scratch : local,
+      result.schedule);
+  return result;
 }
 
 }  // namespace pobp

@@ -22,8 +22,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 
-#include "pobp/core/combined.hpp"
 #include "pobp/diag/diagnostic.hpp"
 #include "pobp/schedule/job.hpp"
 #include "pobp/schedule/schedule.hpp"
@@ -31,6 +31,11 @@
 #include "pobp/util/timing.hpp"
 
 namespace pobp {
+
+/// Default forest size above which the TM DP forks per root tree across
+/// idle threads (see tm_optimal_bas_forked; results are bit-identical
+/// either way, so this is purely a parallelism-overhead cutoff).
+inline constexpr std::size_t kDefaultTmForkMinNodes = 1024;
 
 /// Options for the one-call entry points and the engine.
 struct ScheduleOptions {
@@ -111,6 +116,46 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
                                   std::span<const JobId> ids,
                                   SolveScratch& scratch, Schedule& out);
 
+/// Options of Algorithm 3 (k_preemption_combined_multi_into).
+struct CombinedOptions {
+  std::size_t k = 1;  ///< preemption bound
+
+  /// The pruner of both reduction branches, full and strict: the optimal
+  /// TM dynamic program (default) or LevelledContraction, the algorithm
+  /// the paper's upper-bound proofs analyse — exposed so the benches can
+  /// compare both.
+  bool use_tm = true;
+
+  /// Fork the TM DP per root tree across the global thread pool when the
+  /// schedule forest has at least this many nodes; 0 disables intra-solve
+  /// parallelism.  Bit-identical results either way.
+  std::size_t tm_fork_min_nodes = kDefaultTmForkMinNodes;
+};
+
+/// The §5 algorithm for k = 0: the better of (a) LSA_CS with en-bloc
+/// placement and factor-2 length classes and (b) the single job of maximum
+/// value (which is what makes the price ≤ n tight).  Achieves
+/// OPT∞ / O(min{n, log P}).
+struct NonPreemptiveResult {
+  MachineSchedule schedule;
+  Value value = 0;
+};
+struct LsaScratch;
+NonPreemptiveResult schedule_nonpreemptive(const JobSet& jobs,
+                                           std::span<const JobId> candidates,
+                                           PipelineTimings* timings = nullptr,
+                                           LsaScratch* scratch = nullptr);
+
+/// Pooled form of schedule_nonpreemptive: writes the winning branch into
+/// `out` (cleared first, segment capacity retained) and returns its value.
+/// Bit-identical to the allocating form; allocation-free once `scratch`
+/// and `out` are warmed.  `out` must not alias a schedule owned by
+/// `scratch`.
+Value schedule_nonpreemptive_into(const JobSet& jobs,
+                                  std::span<const JobId> candidates,
+                                  PipelineTimings* timings,
+                                  LsaScratch& scratch, MachineSchedule& out);
+
 /// Branch values and provenance of a pooled Algorithm-3 run (the winning
 /// schedule itself goes to the caller's `out`).  A losing branch is either
 /// run or *settled*: skipped because the full-reduction branch's value
@@ -120,13 +165,16 @@ void seed_unbounded_schedule_into(const JobSet& jobs,
 /// have reported and at most `value`.
 struct CombinedMultiValues {
   Value value = 0;         ///< val(out) — the winning branch
+  Value full_value = 0;    ///< full-reduction branch value (always run)
   Value strict_value = 0;  ///< strict (reduction) branch value, or its bound
   Value lax_value = 0;     ///< lax (LSA_CS) branch value, or its bound
   bool strict_settled = false;  ///< strict branch skipped by its bound
   bool lax_settled = false;     ///< lax branch skipped by its bound
+  std::size_t strict_jobs = 0;  ///< seed jobs with λ_j < k + 1
+  std::size_t lax_jobs = 0;     ///< seed jobs with λ_j ≥ k + 1
   /// Strict-branch machines copied from the full branch: machines whose
   /// seed jobs are all strict, where both branches reduce the same EDF
-  /// schedule with the TM DP (0 when the strict branch was settled).
+  /// schedule with the same pruner (0 when the strict branch was settled).
   std::size_t strict_machines_copied = 0;
 };
 
@@ -151,32 +199,40 @@ struct SolveDeltaHint {
   const std::uint8_t* job_changed = nullptr;  ///< size n, 1 = attrs differ
 };
 
-/// Multi-machine Algorithm 3: the strict branch reduces each machine of the
-/// given ∞-preemptive schedule separately (§4.1 remark); the lax branch
-/// runs the iterative multi-machine LSA_CS (§4.3.4); the full-reduction
-/// branch (Theorem 4.2) reduces each machine's whole job set.  The best
-/// branch wins, ties going to full, then strict.  Each machine of
-/// `unbounded` must be the EDF schedule of its own jobs, as
-/// seed_unbounded_schedule_into and greedy_infinity_multi produce: the
-/// full-reduction branch reads it as its laminar form instead of re-running
-/// EDF (debug builds check this).
+/// Algorithm 3 (§4.3.3, k-PreemptionCombined) on M machines.  The seed
+/// jobs are split by relative laxity: strict jobs (λ_j < k+1) go through
+/// the §4.1 reduction — laminarize, build the schedule forest, prune to a
+/// k-BAS, rebuild — losing at most a log_{k+1} P factor (Lemma 4.6); lax
+/// jobs (λ_j ≥ k+1) go through LSA_CS, losing at most 6·log_{k+1} P
+/// (Lemma 4.10).  A third branch reduces each machine's whole job set,
+/// which is what Theorem 4.2's log_{k+1} n bound is proved about, so the
+/// result is within both bounds (Theorems 4.2 and 4.5).  The strict branch
+/// reduces each machine separately (§4.1 remark) and the lax branch runs
+/// the iterative multi-machine LSA_CS (§4.3.4).  The best branch wins, ties
+/// going to full, then strict.  Requires k ≥ 1 (schedule_nonpreemptive
+/// handles k = 0).  Each machine of `unbounded` must be the EDF schedule of
+/// its own jobs, as seed_unbounded_schedule_into, greedy_infinity_multi and
+/// laminarize produce: the full-reduction branch reads it as its laminar
+/// form instead of re-running EDF (debug builds check this).  A caller
+/// holding any other feasible ∞-preemptive machine schedule `ms` passes
+/// Schedule(laminarize(jobs, ms)).
 ///
 /// The full branch runs first.  The strict and lax branches run only when
 /// its value is below their value bounds: the strict jobs' total value, and
 /// the M largest lax length-class totals, each scaled up by a proven
 /// floating-point factor.  A settled branch cannot win, so the winner, its
 /// schedule and `value` are bit-identical to running all three
-/// (CombinedMultiValues says which branches ran).  When
-/// the strict branch runs under `use_tm`, a machine whose seed jobs are
-/// all strict copies the full branch's machine, which the same stages
-/// built from the same EDF schedule.  The branches that ran are
-/// materialized in the scratch's result arena (`full_sched`, `strict_sched`,
-/// `lax_sched`; a settled branch's slot is left stale) and the winner is
-/// deep-copied (pooled, capacity-retaining) into `out`.  Allocation-free
-/// once scratch and `out` are warmed.  `out` must not alias a schedule
-/// owned by `scratch` and `unbounded` may be `scratch.seed` (it is only
-/// read).  A non-null `delta` enables per-machine neighbor reuse (see
-/// SolveDeltaHint); the result is bit-identical with or without it.
+/// (CombinedMultiValues says which branches ran).  When the strict branch
+/// runs, a machine whose seed jobs are all strict copies the full branch's
+/// machine, which the same stages and the same pruner built from the same
+/// EDF schedule.  The branches that ran are materialized in the scratch's
+/// result arena (`full_sched`, `strict_sched`, `lax_sched`; a settled
+/// branch's slot is left stale) and the winner is deep-copied (pooled,
+/// capacity-retaining) into `out`.  Allocation-free once scratch and `out`
+/// are warmed.  `out` must not alias a schedule owned by `scratch` and
+/// `unbounded` may be `scratch.seed` (it is only read).  A non-null `delta`
+/// enables per-machine neighbor reuse (see SolveDeltaHint); the result is
+/// bit-identical with or without it.
 CombinedMultiValues k_preemption_combined_multi_into(
     const JobSet& jobs, const Schedule& unbounded,
     const CombinedOptions& options, PipelineTimings* timings,

@@ -28,6 +28,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <istream>
 #include <optional>
 #include <string>
 
@@ -56,9 +57,34 @@ struct ServeRequest {
 };
 
 /// Default ceiling on one request line (1 MiB).  Oversized lines are
-/// rejected with POBP-IO-001 *before* parsing, so a hostile stream cannot
-/// make the server buffer or scan unbounded frames.
+/// rejected with POBP-IO-001 *before* parsing, and read_request_line keeps
+/// no more of them than the ceiling, so a hostile stream cannot make the
+/// server buffer or scan unbounded frames.
 inline constexpr std::size_t kDefaultMaxLineBytes = std::size_t{1} << 20;
+
+/// What read_request_line saw of one line.
+struct RequestLine {
+  std::size_t bytes = 0;  ///< the whole line's length, newline excluded
+  /// Blank or a '#' comment, judged on the line's first byte other than
+  /// ' ', '\t' and '\r' — wherever it lies, past the ceiling included.
+  bool skip = false;
+};
+
+/// Reads the next line of a request stream (up to '\n', which is consumed
+/// and dropped, or the end of the stream) into `line`, keeping at most
+/// `max_line_bytes` of its bytes (0 = unlimited) and counting and
+/// discarding the rest.  `line`'s capacity grows to the ceiling at most, so
+/// an oversized line costs no more memory than a maximal one.  Returns
+/// nullopt when no line is left (std::getline's end-of-stream rule: a
+/// last line without a newline still counts).
+[[nodiscard]] std::optional<RequestLine> read_request_line(
+    std::istream& in, std::size_t max_line_bytes, std::string& line);
+
+/// The POBP-IO-001 report for request line `line_no`, `bytes` long, past
+/// `max_line_bytes`.
+[[nodiscard]] diag::Report oversized_line_report(std::size_t line_no,
+                                                 std::size_t bytes,
+                                                 std::size_t max_line_bytes);
 
 /// Sanity ceilings on the per-request overrides.  A corrupted frame
 /// asking for 2^60 machines would otherwise make the solver allocate a

@@ -1,5 +1,6 @@
 #include "pobp/io/wire.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 
@@ -123,20 +124,83 @@ diag::Report report_one(std::string_view rule, const ParseError& e) {
   return report;
 }
 
+/// Makes room for `need` bytes in `line`, need ≤ `cap`.  The capacity
+/// steps through cap / 2^i, each step at least doubling it, which
+/// std::string's reserve allocates exactly, so the last step lands on the
+/// cap itself (a cap below 30 bytes gets the 30-byte buffer std::string's
+/// first reserve allocates).
+void grow_toward(std::string& line, std::size_t need, std::size_t cap) {
+  const std::size_t at_least = std::max(need, 2 * line.capacity());
+  std::size_t target = cap;
+  while (target / 2 >= at_least) target /= 2;
+  line.reserve(target);
+}
+
 }  // namespace
+
+std::optional<RequestLine> read_request_line(std::istream& in,
+                                             std::size_t max_line_bytes,
+                                             std::string& line) {
+  line.clear();
+  RequestLine read;
+  bool blank = true;
+  // istream::getline scans the stream's buffer for the newline in bulk.
+  // It stops after a newline (extracted and counted in gcount, not
+  // stored), at the end of the stream, or with failbit set when the chunk
+  // fills first, which here only means "more of this line follows".
+  char chunk[4096];
+  for (;;) {
+    in.getline(chunk, sizeof chunk);
+    const auto got = static_cast<std::size_t>(in.gcount());
+    const bool newline = !in.fail() && !in.eof();
+    const bool filled = in.fail() && !in.eof() && got > 0;
+    const std::size_t stored = newline ? got - 1 : got;
+    if (blank) {
+      const char* first =
+          std::find_if(chunk, chunk + stored, [](char c) {
+            return c != ' ' && c != '\t' && c != '\r';
+          });
+      if (first != chunk + stored) {
+        blank = false;
+        read.skip = *first == '#';
+      }
+    }
+    const std::size_t keep =
+        max_line_bytes == 0 ? stored
+                            : std::min(stored, max_line_bytes - line.size());
+    if (max_line_bytes > 0 && line.size() + keep > line.capacity()) {
+      grow_toward(line, line.size() + keep, max_line_bytes);
+    }
+    line.append(chunk, keep);
+    read.bytes += stored;
+    if (filled) {
+      in.clear(in.rdstate() & ~std::ios::failbit);
+      continue;
+    }
+    if (!newline && read.bytes == 0) return std::nullopt;
+    if (blank) read.skip = true;
+    return read;
+  }
+}
+
+diag::Report oversized_line_report(std::size_t line_no, std::size_t bytes,
+                                   std::size_t max_line_bytes) {
+  diag::Report report;
+  report
+      .add(std::string(diag::rules::kIoParse),
+           "request line exceeds " + std::to_string(max_line_bytes) +
+               " bytes")
+      .with("line", line_no)
+      .with("bytes", bytes);
+  return report;
+}
 
 Expected<ServeRequest, diag::Report> try_parse_serve_request(
     const std::string& line, std::size_t line_no,
     std::size_t max_line_bytes) {
   if (max_line_bytes > 0 && line.size() > max_line_bytes) {
-    diag::Report report;
-    report
-        .add(std::string(diag::rules::kIoParse),
-             "request line exceeds " + std::to_string(max_line_bytes) +
-                 " bytes")
-        .with("line", line_no)
-        .with("bytes", line.size());
-    return Unexpected{std::move(report)};
+    return Unexpected{
+        oversized_line_report(line_no, line.size(), max_line_bytes)};
   }
   try {
     return parse_serve_request(line, line_no);

@@ -62,9 +62,9 @@ MachineSchedule laminarize(const JobSet& jobs, const MachineSchedule& ms);
 
 /// Laminar schedule of a bare (feasible) job subset, written into `out`
 /// (cleared first, slot storage recycled — zero allocations once warmed):
-/// exactly what laminarize(jobs, restrict_schedule(ms, ids)) produces — the
-/// laminar rearrangement never looks at the input schedule's segments, only
-/// at its job set — without materializing the restricted schedule first.
+/// exactly what laminarize produces from any schedule of the subset `ids` —
+/// the laminar rearrangement never looks at the input schedule's segments,
+/// only at its job set — without materializing such a schedule first.
 /// `out` must not alias a schedule the job set is read from.
 void laminarize_subset_into(const JobSet& jobs, std::span<const JobId> ids,
                             LaminarScratch& scratch, MachineSchedule& out);

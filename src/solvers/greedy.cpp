@@ -10,14 +10,19 @@ namespace pobp {
 
 namespace {
 
-/// One machine pass over `candidates`.
-void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> candidates,
-                      GreedyScratch& scratch, MachineSchedule& out) {
-  auto& order = scratch.order;
+/// Copies `candidates` into `scratch.residual`, sorted by denser_first.
+void sort_densest_first(const JobSetView& jobs,
+                        std::span<const JobId> candidates,
+                        GreedyScratch& scratch) {
+  auto& order = scratch.residual;
   order.assign(candidates.begin(), candidates.end());
   std::sort(order.begin(), order.end(),
             [&](JobId a, JobId b) { return denser_first(jobs, a, b); });
+}
 
+/// One machine pass over `order`, which is sorted by denser_first.
+void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> order,
+                      GreedyScratch& scratch, MachineSchedule& out) {
   // Trial acceptance needs only feasibility, and only inside the busy
   // window each candidate touches; the schedule of the final accepted set
   // is the same EDF run either way, so one materialization at the end
@@ -44,7 +49,8 @@ MachineSchedule greedy_infinity(const JobSetView& jobs,
                                 std::span<const JobId> candidates) {
   GreedyScratch scratch;
   MachineSchedule out;
-  greedy_pass_into(jobs, candidates, scratch, out);
+  sort_densest_first(jobs, candidates, scratch);
+  greedy_pass_into(jobs, scratch.residual, scratch, out);
   return out;
 }
 
@@ -55,8 +61,10 @@ void greedy_infinity_multi_into(const JobSetView& jobs,
   POBP_CHECK(machine_count >= 1);
   out.reset(machine_count);
   scratch.probes = {};
+  // denser_first is a strict total order and erase_if keeps the order of
+  // what it leaves, so the residual stays sorted across the passes.
+  sort_densest_first(jobs, candidates, scratch);
   auto& remaining = scratch.residual;
-  remaining.assign(candidates.begin(), candidates.end());
   for (std::size_t m = 0; m < machine_count && !remaining.empty(); ++m) {
     greedy_pass_into(jobs, remaining, scratch, out.machine(m));
     std::erase_if(remaining,

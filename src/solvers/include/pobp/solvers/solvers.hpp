@@ -59,8 +59,9 @@ std::optional<Value> opt_k_slots(const JobSet& jobs, std::size_t k,
 /// because EDF is a pure function of the job set.  That schedule is built
 /// by laminar_edf_schedule_into, so it leaves the seed checked laminar.
 struct GreedyScratch {
-  std::vector<JobId> order;     ///< density-sorted consideration order
-  std::vector<JobId> residual;  ///< multi-machine leftover staging
+  /// The candidates not yet placed, densest first (denser_first): the
+  /// consideration order of every machine pass.
+  std::vector<JobId> residual;
   EdfAdmission admission;       ///< one machine pass's accepted set
   LaminarScratch laminar;       ///< EDF probes and the final schedule
   /// How the last greedy_infinity_multi_into decided its probes, summed

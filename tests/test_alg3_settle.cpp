@@ -1,7 +1,7 @@
 // Algorithm 3's settled branches (docs/PERF.md, "Algorithm 3: settled
 // branches").  k_preemption_combined_multi_into runs the full-reduction
 // branch first and skips the strict and lax branches when the full value
-// already reaches their value bounds; under TM it copies the full branch's
+// already reaches their value bounds, and it copies the full branch's
 // machine wherever a machine's seed jobs are all strict.  The three-branch
 // function it replaced is frozen below as the oracle, and every answer —
 // winning schedule, value, and the value of each branch that ran — must
@@ -58,11 +58,25 @@ bool oracle_is_lax(const JobSetView& jobs, JobId id, std::size_t k) {
   return jobs.deadline[id] - jobs.release[id] >= need;
 }
 
+/// The pruner `options.use_tm` picks, over the forest in `rs.sf`.
+const SubForest& oracle_prune(ReductionScratch& rs,
+                              const CombinedOptions& options) {
+  if (options.use_tm) {
+    tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
+                          options.tm_fork_min_nodes);
+    return rs.tm_result.selection;
+  }
+  levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
+                              rs.contraction_sel);
+  return rs.contraction_sel;
+}
+
 /// The three-branch Algorithm 3 as it was before branches could be
 /// settled: strict, then lax, then full all run, and the best wins (ties
-/// to full, then strict).  No delta hint — the function under test must
-/// match it with or without one.  The branch schedules stay in the
-/// scratch's strict_sched / lax_sched / full_sched.
+/// to full, then strict).  Both reduction branches prune with the pruner
+/// `use_tm` picks.  No delta hint — the function under test must match it
+/// with or without one.  The branch schedules stay in the scratch's
+/// strict_sched / lax_sched / full_sched.
 OracleValues oracle_combined(const JobSet& jobs, const Schedule& unbounded,
                              const CombinedOptions& options, SolveScratch& s,
                              Schedule& out) {
@@ -84,17 +98,7 @@ OracleValues oracle_combined(const JobSet& jobs, const Schedule& unbounded,
     if (strict_ids.empty()) continue;
     laminarize_subset_into(jobs, strict_ids, rs.laminar, s.laminar_stage);
     build_schedule_forest(jobs, s.laminar_stage, rs.sf, rs.forest_build);
-    const SubForest* sel;
-    if (options.use_tm) {
-      tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
-                            options.tm_fork_min_nodes);
-      sel = &rs.tm_result.selection;
-    } else {
-      levelled_contraction_select(rs.sf.forest, options.k, rs.contraction,
-                                  rs.contraction_sel);
-      sel = &rs.contraction_sel;
-    }
-    rebuild_schedule_into(jobs, rs.sf, *sel, rs.rebuild,
+    rebuild_schedule_into(jobs, rs.sf, oracle_prune(rs, options), rs.rebuild,
                           strict_schedule.machine(m));
   }
   values.strict_value = strict_schedule.total_value(jobs);
@@ -109,9 +113,7 @@ OracleValues oracle_combined(const JobSet& jobs, const Schedule& unbounded,
     const MachineSchedule& input = unbounded.machine(m);
     if (input.empty()) continue;
     build_schedule_forest(jobs, input, rs.sf, rs.forest_build);
-    tm_optimal_bas_forked(rs.sf.forest, options.k, rs.tm, rs.tm_result,
-                          options.tm_fork_min_nodes);
-    rebuild_schedule_into(jobs, rs.sf, rs.tm_result.selection, rs.rebuild,
+    rebuild_schedule_into(jobs, rs.sf, oracle_prune(rs, options), rs.rebuild,
                           full_schedule.machine(m));
   }
   values.full_value = full_schedule.total_value(jobs);
@@ -310,7 +312,7 @@ TEST(Alg3Settle, RandomJobsMatchTheOracle) {
 // Laxity at most 1.9, below k + 1 for every k swept (only the shortest
 // jobs' rounded-up windows reach 2p): little or no lax value, so the lax
 // branch settles, and wherever the reduction loses value the strict branch
-// runs and copies its all-strict machines from the full branch under TM.
+// runs and copies its all-strict machines from the full branch.
 TEST(Alg3Settle, StrictHeavyJobsMatchTheOracle) {
   Tally tally;
   check_family(random_family(8, 1.0, 1.9), "strict-heavy", tally);

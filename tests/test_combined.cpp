@@ -5,8 +5,12 @@
 #include <tuple>
 
 #include "pobp/pobp.hpp"
+#include "pobp/bas/contraction.hpp"
+#include "pobp/bas/tm.hpp"
 #include "pobp/core/scratch.hpp"
+#include "pobp/reduction/rebuild.hpp"
 #include "pobp/schedule/edf.hpp"
+#include "pobp/schedule/laminar.hpp"
 #include "pobp/solvers/solvers.hpp"
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/gen/schedule_gen.hpp"
@@ -15,25 +19,15 @@
 namespace pobp {
 namespace {
 
-TEST(RestrictSchedule, KeepsOnlyRequestedJobs) {
-  MachineSchedule ms;
-  ms.add({0, {{0, 2}}});
-  ms.add({1, {{2, 4}}});
-  ms.add({2, {{4, 6}}});
-  const std::vector<JobId> keep{0, 2};
-  const MachineSchedule out = restrict_schedule(ms, keep);
-  EXPECT_EQ(out.job_count(), 2u);
-  EXPECT_TRUE(out.contains(0));
-  EXPECT_FALSE(out.contains(1));
-  EXPECT_TRUE(out.contains(2));
-}
-
 TEST(Combined, EmptyScheduleYieldsEmptyResult) {
   JobSet jobs;
   jobs.add({0, 4, 2, 1.0});
-  const CombinedResult r =
-      k_preemption_combined(jobs, MachineSchedule{}, {.k = 1});
+  SolveScratch scratch;
+  Schedule out;
+  const CombinedMultiValues r = k_preemption_combined_multi_into(
+      jobs, Schedule(1), {.k = 1}, nullptr, scratch, out);
   EXPECT_DOUBLE_EQ(r.value, 0.0);
+  EXPECT_EQ(out.job_count(), 0u);
 }
 
 TEST(CombinedDeath, KZeroRejected) {
@@ -41,7 +35,10 @@ TEST(CombinedDeath, KZeroRejected) {
   jobs.add({0, 4, 2, 1.0});
   MachineSchedule ms;
   ms.add({0, {{0, 2}}});
-  EXPECT_DEATH(k_preemption_combined(jobs, ms, {.k = 0}),
+  SolveScratch scratch;
+  Schedule out;
+  EXPECT_DEATH(k_preemption_combined_multi_into(jobs, Schedule(ms), {.k = 0},
+                                                nullptr, scratch, out),
                "schedule_nonpreemptive");
 }
 
@@ -52,6 +49,8 @@ class CombinedProperty
 TEST_P(CombinedProperty, FeasibleAndWithinTheoremBounds) {
   const auto [seed, k] = GetParam();
   Rng rng(seed);
+  SolveScratch scratch;
+  Schedule out;
   for (int trial = 0; trial < 6; ++trial) {
     // Laminar instances with slack: a mix of strict and lax jobs.
     LaminarGenConfig config;
@@ -60,9 +59,10 @@ TEST_P(CombinedProperty, FeasibleAndWithinTheoremBounds) {
     const LaminarInstance inst = random_laminar_instance(config, rng);
     const Value opt_inf = inst.jobs.total_value();  // all scheduled
 
-    const CombinedResult r =
-        k_preemption_combined(inst.jobs, inst.schedule, {.k = k});
-    const auto check = validate_machine(inst.jobs, r.schedule, k);
+    const CombinedMultiValues r = k_preemption_combined_multi_into(
+        inst.jobs, Schedule(laminarize(inst.jobs, inst.schedule)), {.k = k},
+        nullptr, scratch, out);
+    const auto check = validate(inst.jobs, out, k);
     EXPECT_TRUE(check) << check.error;
 
     // Theorem 4.2: the full-reduction branch guarantees
@@ -73,8 +73,8 @@ TEST_P(CombinedProperty, FeasibleAndWithinTheoremBounds) {
 
     EXPECT_GE(r.value, r.strict_value);
     EXPECT_GE(r.value, r.lax_value);
-    EXPECT_GE(r.value, r.full_reduction_value);
-    EXPECT_GE(r.full_reduction_value * bound, opt_inf * (1 - 1e-9));
+    EXPECT_GE(r.value, r.full_value);
+    EXPECT_GE(r.full_value * bound, opt_inf * (1 - 1e-9));
   }
 }
 
@@ -89,13 +89,47 @@ TEST(Combined, ContractionVariantAlsoFeasible) {
   LaminarGenConfig config;
   config.target_jobs = 80;
   const LaminarInstance inst = random_laminar_instance(config, rng);
-  const CombinedResult tm =
-      k_preemption_combined(inst.jobs, inst.schedule, {.k = 1, .use_tm = true});
-  const CombinedResult lc = k_preemption_combined(inst.jobs, inst.schedule,
-                                                  {.k = 1, .use_tm = false});
-  EXPECT_TRUE(validate_machine(inst.jobs, lc.schedule, 1));
-  // TM prunes optimally, so its strict branch dominates contraction's.
-  EXPECT_GE(tm.strict_value, lc.strict_value * (1 - 1e-12));
+  const Schedule seed(laminarize(inst.jobs, inst.schedule));
+  SolveScratch scratch;
+  Schedule tm_out;
+  Schedule lc_out;
+  const CombinedMultiValues tm = k_preemption_combined_multi_into(
+      inst.jobs, seed, {.k = 1, .use_tm = true}, nullptr, scratch, tm_out);
+  const CombinedMultiValues lc = k_preemption_combined_multi_into(
+      inst.jobs, seed, {.k = 1, .use_tm = false}, nullptr, scratch, lc_out);
+  EXPECT_TRUE(validate(inst.jobs, lc_out, 1));
+  // TM prunes optimally, so its full branch dominates contraction's.
+  EXPECT_GE(tm.full_value, lc.full_value * (1 - 1e-12));
+}
+
+// use_tm picks the pruner of the full-reduction branch too: its value is
+// the rebuild of the chosen pruner's selection over the seed machine's
+// schedule forest.  The instance is one where the two pruners differ.
+TEST(Combined, UseTmPicksTheFullBranchPruner) {
+  Rng rng(91);
+  LaminarGenConfig config;
+  config.target_jobs = 80;
+  const LaminarInstance inst = random_laminar_instance(config, rng);
+  const MachineSchedule laminar = laminarize(inst.jobs, inst.schedule);
+  const ScheduleForest sf = build_schedule_forest(inst.jobs, laminar);
+  const Value tm_value =
+      rebuild_schedule(inst.jobs, sf, tm_optimal_bas(sf.forest, 1).selection)
+          .total_value(inst.jobs);
+  const Value lc_value =
+      rebuild_schedule(inst.jobs, sf,
+                       levelled_contraction(sf.forest, 1).selection)
+          .total_value(inst.jobs);
+  ASSERT_LT(lc_value, tm_value);
+
+  const Schedule seed(laminar);
+  SolveScratch scratch;
+  Schedule out;
+  for (const bool use_tm : {true, false}) {
+    const CombinedMultiValues r = k_preemption_combined_multi_into(
+        inst.jobs, seed, {.k = 1, .use_tm = use_tm}, nullptr, scratch, out);
+    EXPECT_EQ(r.full_value, use_tm ? tm_value : lc_value)
+        << (use_tm ? "tm" : "lc");
+  }
 }
 
 TEST(NonPreemptive, FallsBackToBestSingleJob) {
@@ -166,8 +200,10 @@ TEST_P(MultiMachineCombined, FeasibleNonMigrativeAcrossMachineCounts) {
   const auto check = validate(jobs, out, 2);
   EXPECT_TRUE(check) << check.error;
   EXPECT_EQ(r.value, out.total_value(jobs));
+  EXPECT_GE(r.value, r.full_value);
   EXPECT_GE(r.value, r.strict_value);
   EXPECT_GE(r.value, r.lax_value);
+  EXPECT_EQ(r.strict_jobs + r.lax_jobs, seed.job_count());
 }
 
 INSTANTIATE_TEST_SUITE_P(Machines, MultiMachineCombined,

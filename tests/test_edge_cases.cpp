@@ -5,6 +5,7 @@
 #include "pobp/pobp.hpp"
 #include "pobp/bas/contraction.hpp"
 #include "pobp/bas/tm.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/reduction/rebuild.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/schedule/interval_condition.hpp"
@@ -91,11 +92,14 @@ TEST(EdgeCases, AllJobsLaxGoThroughLsaBranch) {
   config.max_laxity = 20.0;
   config.horizon = 4096;
   const JobSet jobs = random_jobs(config, rng);
-  const MachineSchedule seed = greedy_infinity(jobs, all_ids(jobs));
-  const CombinedResult r = k_preemption_combined(jobs, seed, {.k = 2});
+  const Schedule seed(greedy_infinity(jobs, all_ids(jobs)));
+  SolveScratch scratch;
+  Schedule out;
+  const CombinedMultiValues r = k_preemption_combined_multi_into(
+      jobs, seed, {.k = 2}, nullptr, scratch, out);
   EXPECT_EQ(r.strict_jobs, 0u);
   EXPECT_GT(r.lax_jobs, 0u);
-  EXPECT_TRUE(validate_machine(jobs, r.schedule, 2));
+  EXPECT_TRUE(validate(jobs, out, 2));
 }
 
 TEST(EdgeCases, AllJobsStrictGoThroughReductionBranch) {
@@ -107,11 +111,14 @@ TEST(EdgeCases, AllJobsStrictGoThroughReductionBranch) {
   config.max_laxity = 1.4;  // λ < k+1 for every k ≥ 1
   config.horizon = 4096;
   const JobSet jobs = random_jobs(config, rng);
-  const MachineSchedule seed = greedy_infinity(jobs, all_ids(jobs));
-  const CombinedResult r = k_preemption_combined(jobs, seed, {.k = 2});
+  const Schedule seed(greedy_infinity(jobs, all_ids(jobs)));
+  SolveScratch scratch;
+  Schedule out;
+  const CombinedMultiValues r = k_preemption_combined_multi_into(
+      jobs, seed, {.k = 2}, nullptr, scratch, out);
   EXPECT_EQ(r.lax_jobs, 0u);
   EXPECT_DOUBLE_EQ(r.lax_value, 0.0);
-  EXPECT_TRUE(validate_machine(jobs, r.schedule, 2));
+  EXPECT_TRUE(validate(jobs, out, 2));
 }
 
 TEST(EdgeCases, HugeKEquivalentToUnbounded) {

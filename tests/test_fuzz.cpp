@@ -2,6 +2,7 @@
 // two independent implementations together, hammered with random inputs.
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "pobp/pobp.hpp"
 #include "pobp/bas/tm.hpp"
 #include "pobp/diag/registry.hpp"
+#include "pobp/diag/render.hpp"
 #include "pobp/io/fuzz.hpp"
 #include "pobp/io/manifest.hpp"
 #include "pobp/io/wire.hpp"
@@ -305,6 +307,96 @@ TEST(WireHardening, OversizedLineIsRejectedBeforeParsing) {
   // 0 = unlimited, and the default ceiling admits normal requests.
   EXPECT_TRUE(io::try_parse_serve_request(big, 1, 0).has_value());
   EXPECT_TRUE(io::try_parse_serve_request(big, 1).has_value());
+}
+
+// The serve loop's line reader keeps at most the ceiling of a line: a
+// multi-MiB line never grows the buffer past the cap, is reported at its
+// full length, and the frame after it still parses.
+TEST(WireHardening, ReaderKeepsAnOversizedLineWithinTheCap) {
+  const std::size_t cap = io::kDefaultMaxLineBytes;
+  const std::size_t huge = 3 * cap + 17;
+  const std::string good = "{\"id\":\"after\",\"jobs\":[[0,10,4,5.0]]}";
+  std::istringstream in("{\"id\":\"" + std::string(huge - 9, 'x') + "\"}\n" +
+                        good + "\n");
+  std::string line;
+
+  const auto big = io::read_request_line(in, cap, line);
+  ASSERT_TRUE(big.has_value());
+  EXPECT_EQ(big->bytes, huge);
+  EXPECT_FALSE(big->skip);
+  EXPECT_EQ(line.size(), cap);
+  EXPECT_LE(line.capacity(), cap + 1);
+  const diag::Report report = io::oversized_line_report(1, big->bytes, cap);
+  EXPECT_EQ(report.count(diag::rules::kIoParse), 1u);
+  EXPECT_NE(diag::to_json(report).find("\"bytes\":\"" +
+                                       std::to_string(huge) + "\""),
+            std::string::npos)
+      << diag::to_json(report);
+
+  const auto next = io::read_request_line(in, cap, line);
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(next->bytes, good.size());
+  EXPECT_EQ(line, good);
+  EXPECT_LE(line.capacity(), cap + 1);
+  const auto parsed = io::try_parse_serve_request(line, 2, cap);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->id, "after");
+
+  EXPECT_FALSE(io::read_request_line(in, cap, line).has_value());
+}
+
+// Blank and '#' lines are skipped on their first byte other than ' ',
+// '\t' and '\r', even past the cap; 0 keeps whole lines; a last line
+// without a newline still counts, as with std::getline.
+TEST(WireHardening, ReaderSkipRuleAndUnlimitedCap) {
+  const std::string spaces(300, ' ');
+  std::istringstream in("\n \t\r\n" + spaces + "# note\n" + spaces +
+                        "{\"jobs\":[]}\n  #x\n{\"id\":\"last\"}");
+  std::string line;
+  const auto read = [&](std::size_t cap) {
+    const auto r = io::read_request_line(in, cap, line);
+    EXPECT_TRUE(r.has_value());
+    return r.value_or(io::RequestLine{});
+  };
+  EXPECT_TRUE(read(256).skip);
+  EXPECT_TRUE(read(256).skip);
+  const io::RequestLine comment = read(256);
+  EXPECT_TRUE(comment.skip);
+  EXPECT_EQ(comment.bytes, 306u);
+  EXPECT_EQ(line, std::string(256, ' '));
+  const io::RequestLine frame = read(256);
+  EXPECT_FALSE(frame.skip);
+  EXPECT_EQ(frame.bytes, 311u);
+  EXPECT_TRUE(read(0).skip);
+  const io::RequestLine last = read(0);
+  EXPECT_FALSE(last.skip);
+  EXPECT_EQ(line, "{\"id\":\"last\"}");
+  EXPECT_FALSE(io::read_request_line(in, 0, line).has_value());
+}
+
+// The reader scans in chunks; lines of every length around the chunk size
+// read as std::getline reads them (cap 0), or as their first `cap` bytes
+// with the full length counted.
+TEST(WireHardening, ReaderMatchesGetlineAcrossChunkBoundaries) {
+  std::string text;
+  for (const std::size_t n : {0u, 1u, 4094u, 4095u, 4096u, 4097u, 8190u,
+                              8191u, 8192u, 12289u}) {
+    text += std::string(n, static_cast<char>('a' + n % 26)) + '\n';
+  }
+  text += std::string(4095, 'z');  // a last line without a newline
+  for (const std::size_t cap : {std::size_t{0}, std::size_t{5000}}) {
+    std::istringstream want(text);
+    std::istringstream got(text);
+    std::string expected;
+    std::string line;
+    while (std::getline(want, expected)) {
+      const auto read = io::read_request_line(got, cap, line);
+      ASSERT_TRUE(read.has_value()) << expected.size();
+      EXPECT_EQ(read->bytes, expected.size());
+      EXPECT_EQ(line, cap == 0 ? expected : expected.substr(0, cap));
+    }
+    EXPECT_FALSE(io::read_request_line(got, cap, line).has_value());
+  }
 }
 
 TEST(WireHardening, DeeplyNestedJsonIsRejectedNotOverflowed) {

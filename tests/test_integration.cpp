@@ -5,6 +5,8 @@
 #include <tuple>
 
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
+#include "pobp/schedule/laminar.hpp"
 #include "pobp/solvers/solvers.hpp"
 #include "pobp/gen/lower_bounds.hpp"
 #include "pobp/gen/random_jobs.hpp"
@@ -66,11 +68,14 @@ TEST(Integration, ValueIsBroadlyMonotoneInK) {
   config.target_jobs = 150;
   config.max_children = 6;
   const LaminarInstance inst = random_laminar_instance(config, rng);
+  const Schedule seed(laminarize(inst.jobs, inst.schedule));
+  SolveScratch scratch;
+  Schedule out;
   Value at_k1 = 0;
   Value at_k8 = 0;
   for (const std::size_t k : {1u, 8u}) {
-    const CombinedResult r =
-        k_preemption_combined(inst.jobs, inst.schedule, {.k = k});
+    const CombinedMultiValues r = k_preemption_combined_multi_into(
+        inst.jobs, seed, {.k = k}, nullptr, scratch, out);
     if (k == 1) at_k1 = r.value;
     if (k == 8) at_k8 = r.value;
   }

@@ -5,6 +5,7 @@
 
 #include "pobp/bas/tm.hpp"
 #include "pobp/pobp.hpp"
+#include "pobp/core/scratch.hpp"
 #include "pobp/gen/lower_bounds.hpp"
 #include "pobp/schedule/edf.hpp"
 #include "pobp/solvers/solvers.hpp"
@@ -167,8 +168,11 @@ TEST(AppendixB, BoundedAlgorithmsStayBelowLemmaB2Cap) {
         pobp_lower_bound_instance(k, 2 * k, L);
     const auto seed = edf_schedule(inst.jobs, all_ids(inst.jobs));
     ASSERT_TRUE(seed);
-    const CombinedResult r = k_preemption_combined(inst.jobs, *seed, {.k = k});
-    const auto check = validate_machine(inst.jobs, r.schedule, k);
+    SolveScratch scratch;
+    Schedule out;
+    const CombinedMultiValues r = k_preemption_combined_multi_into(
+        inst.jobs, Schedule(*seed), {.k = k}, nullptr, scratch, out);
+    const auto check = validate(inst.jobs, out, k);
     EXPECT_TRUE(check) << check.error;
     EXPECT_LT(r.value, inst.opt_k_upper) << "L=" << L;
     // Price paid on this instance grows with L.

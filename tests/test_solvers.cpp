@@ -257,5 +257,47 @@ TEST(GreedyInfinityMulti, NonMigrativeAndMonotone) {
   }
 }
 
+// The multi-machine seed sorts its candidates once, and every machine pass
+// reads the residual in that order.  The reference re-sorts the residual
+// on each pass by running greedy_infinity on it.  Candidates arrive
+// shuffled, and kProportional values give many equal densities, so the
+// sort and its id tie-break both matter.
+TEST(GreedyInfinityMulti, SortedOnceMatchesPerPassSortedReference) {
+  Rng rng(10);
+  const JobGenConfig::ValueMode modes[] = {
+      JobGenConfig::ValueMode::kUniform, JobGenConfig::ValueMode::kProportional,
+      JobGenConfig::ValueMode::kRandomDensity};
+  for (int trial = 0; trial < 300; ++trial) {
+    JobGenConfig config;
+    config.n = static_cast<std::size_t>(20 + trial % 41);
+    config.max_length = 64;
+    config.max_laxity = 1.5 + trial % 6;
+    config.horizon = 450 + 20 * (trial % 25);
+    config.value_mode = modes[trial % 3];
+    const JobSet jobs = random_jobs(config, rng);
+    std::vector<JobId> ids = all_ids(jobs);
+    for (std::size_t i = ids.size() - 1; i > 0; --i) {
+      std::swap(ids[i], ids[static_cast<std::size_t>(rng.uniform_int(
+                            0, static_cast<std::int64_t>(i)))]);
+    }
+    for (const std::size_t machines : {2u, 3u, 5u}) {
+      const Schedule got = greedy_infinity_multi(jobs, ids, machines);
+      std::vector<JobId> residual = ids;
+      for (std::size_t m = 0; m < machines; ++m) {
+        const MachineSchedule want = greedy_infinity(jobs, residual);
+        const auto x = got.machine(m).assignments();
+        const auto y = want.assignments();
+        ASSERT_EQ(x.size(), y.size()) << "trial " << trial << " m " << m;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+          ASSERT_EQ(x[i].job, y[i].job) << "trial " << trial << " m " << m;
+          ASSERT_EQ(x[i].segments, y[i].segments)
+              << "trial " << trial << " m " << m;
+        }
+        std::erase_if(residual, [&](JobId id) { return want.contains(id); });
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pobp

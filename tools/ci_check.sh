@@ -87,6 +87,18 @@ run_preset werror
 # 2. Release build + tests (the tier-1 configuration).
 run_preset release
 
+# 2a. Paper tables: the E4–E6 experiments (EXPERIMENTS.md) print
+#     deterministic tables, and their Release output must match the
+#     goldens in bench/golden/ byte for byte.  About 4 s in Release; they
+#     stay out of ctest, where the sanitizer presets take about a minute
+#     each for E4 and E5.
+say "paper tables (E4-E6 vs bench/golden)"
+for bench in bench_fig4_pobp_lower_bound bench_thm42_price_vs_n \
+             bench_thm45_price_vs_P; do
+  "build-release/bench/$bench" > "build-release/$bench.txt"
+  diff "bench/golden/$bench.txt" "build-release/$bench.txt"
+done
+
 # 2b. Perf-regression gate (see docs/PERF.md): run the engine throughput
 #     bench and the pooled-stage google-benchmark subset in Release, write
 #     BENCH_engine.json / BENCH_runtime.json, and diff them against the

@@ -546,11 +546,15 @@ int cmd_serve(const Flags& flags) {
 
   std::string line;
   std::size_t line_no = 0;
-  while (std::getline(*in, line)) {
+  while (const auto read = io::read_request_line(*in, max_line_bytes, line)) {
     ++line_no;
-    const std::size_t first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos || line[first] == '#') continue;
-    auto parsed = io::try_parse_serve_request(line, line_no, max_line_bytes);
+    if (read->skip) continue;
+    auto parsed =
+        read->bytes > line.size()
+            ? Expected<io::ServeRequest, diag::Report>(Unexpected{
+                  io::oversized_line_report(line_no, read->bytes,
+                                            max_line_bytes)})
+            : io::try_parse_serve_request(line, line_no, max_line_bytes);
     if (!parsed) {
       ++errors;
       Pending p;
