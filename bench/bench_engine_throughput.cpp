@@ -3,9 +3,8 @@
 // Streams a fixed corpus of random instances through Engine::solve_batch_into
 // at worker counts 1/2/4/8 and reports instances/sec and speedup over the
 // 1-worker baseline.  Also re-checks the engine's determinism contract:
-// every worker count must produce bit-identical schedules (the sharded
-// work-stealing scheduler moves instances between sessions, never changes
-// their results).
+// every worker count must produce bit-identical schedules (batch dispatch
+// decides which session solves an instance, never its result).
 //
 //   bench_engine_throughput [--smoke] [--instances N] [--repeats R]
 //                           [--dup-rate R] [--json PATH] [--gate-allocs N]

@@ -209,7 +209,7 @@ constexpr RuleInfo kCatalogue[] = {
      "only sanctioned growth.  Suppress with `// POBP-SRC-002: reason`."},
     {kSrcImplicitMemoryOrder, Severity::kError,
      "atomic operation without explicit memory order",
-     "docs/PERF.md (work-stealing scheduler)",
+     "docs/PERF.md (batch dispatch)",
      "A std::atomic load/store/RMW in the concurrency-bearing modules "
      "(engine, util, solvers) relying on the implicit seq_cst default.  "
      "Every atomic op must spell its std::memory_order so the "

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -59,28 +58,6 @@ void backoff_before_retry(const RetryPolicy& policy, std::size_t attempt,
   if (report.count(diag::rules::kRunBudget) > 0) throw BudgetExhausted();
   throw InternalError(report.rule_ids().front().c_str(), __FILE__, __LINE__,
                       report.first_error().c_str());
-}
-
-// --- work-stealing shards ---------------------------------------------------
-//
-// One worker's shard of a batch: a half-open range [lo, hi) of instance
-// indices packed into a single atomic word, so the owner's front-pop and a
-// thief's steal-half are each one CAS on the same word.  Cache-line
-// aligned: a worker hammering its own slot never invalidates a neighbour's.
-// Ranges only ever shrink or split — a given packed value always denotes
-// the same instance set — so the CAS is ABA-safe without tags.
-struct alignas(64) WorkerSlot {
-  std::atomic<std::uint64_t> range{0};
-};
-
-constexpr std::uint64_t pack_range(std::uint64_t lo, std::uint64_t hi) {
-  return (lo << 32) | hi;
-}
-constexpr std::uint32_t range_lo(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r >> 32);
-}
-constexpr std::uint32_t range_hi(std::uint64_t r) {
-  return static_cast<std::uint32_t>(r);
 }
 
 }  // namespace
@@ -412,7 +389,8 @@ void Engine::solve_batch_into(std::span<const JobSet> instances,
   const bool collect_errors = static_cast<bool>(submit.on_error);
   std::vector<std::optional<diag::Report>> errors(
       collect_errors ? instances.size() : 0);
-  run_batch(instances.size(), [&](Session& session, std::size_t i) {
+  const auto job_count = [&](std::size_t i) { return instances[i].size(); };
+  run_batch(instances.size(), job_count, [&](Session& session, std::size_t i) {
     std::optional<diag::Report> failed =
         session.run(instances[i], options_.schedule, submit, i, results[i]);
     if (failed && collect_errors) errors[i] = std::move(failed);
@@ -428,7 +406,8 @@ std::vector<SolveOutcome> Engine::try_solve_batch(
     std::span<const JobSet> instances, const SubmitOptions& submit) {
   std::vector<ScheduleResult> results(instances.size());
   std::vector<std::optional<diag::Report>> errors(instances.size());
-  run_batch(instances.size(), [&](Session& session, std::size_t i) {
+  const auto job_count = [&](std::size_t i) { return instances[i].size(); };
+  run_batch(instances.size(), job_count, [&](Session& session, std::size_t i) {
     errors[i] =
         session.run(instances[i], options_.schedule, submit, i, results[i]);
   });
@@ -455,7 +434,9 @@ SolveOutcome Engine::try_solve(const JobSet& jobs,
   return inline_session_.try_solve(jobs, options);
 }
 
-void Engine::run_batch(std::size_t count, InstanceFn work) {
+void Engine::run_batch(std::size_t count,
+                       FnRef<std::size_t(std::size_t)> job_count,
+                       FnRef<void(Session&, std::size_t)> work) {
   if (count == 0) return;
   util::MutexLock lock(mutex_);
   Stopwatch batch;
@@ -474,78 +455,32 @@ void Engine::run_batch(std::size_t count, InstanceFn work) {
     return;
   }
 
-  // Sharded work stealing.  Every worker starts with a contiguous slice of
-  // the instance indices in its own cache-line-sized slot; a worker whose
-  // slice drains steals the upper half of the first non-empty victim in a
-  // round-robin sweep seeded by its own index (deterministic victim
-  // order).  Compare with the previous single shared fetch_add cursor:
-  // under short solves every worker hammered one cache line per instance,
-  // and the line bounced across every core in the pool.  Here the common
-  // case touches only the worker's own slot; cross-worker traffic happens
-  // only on the (rare) steals that rebalance skewed batches.
-  POBP_CHECK_MSG(count <= std::numeric_limits<std::uint32_t>::max(),
-                 "solve_batch: more than 2^32 instances per batch");
-  const auto slots = std::make_unique<WorkerSlot[]>(active);
-  const std::size_t base = count / active;
-  const std::size_t extra = count % active;
-  std::size_t begin = 0;
-  for (std::size_t w = 0; w < active; ++w) {
-    const std::size_t end = begin + base + (w < extra ? 1 : 0);
-    slots[w].range.store(pack_range(begin, end), std::memory_order_relaxed);
-    begin = end;
-  }
-
-  // Termination: every instance index leaves exactly one slot exactly once
-  // (a successful CAS), so `completed` reaching `count` means all work()
-  // calls have returned and every worker's spin can exit.
-  std::atomic<std::size_t> completed{0};
-  const auto run_worker = [&](std::size_t self) {
-    WorkerSlot& mine = slots[self];
+  // One shared cursor over the batch, largest job count first (ties by
+  // index).  Where solve time tracks job count, list scheduling in that
+  // order keeps the batch's wall time within 4/3 of the best split (Graham
+  // 1969); index order can leave the largest instance for last.  A worker
+  // that finds the cursor spent returns to the pool.  The order is built
+  // here, under mutex_, so concurrent batches never share the buffer.
+  order_.clear();
+  for (std::size_t i = 0; i < count; ++i) order_.emplace_back(job_count(i), i);
+  std::sort(order_.begin(), order_.end(), [](const auto& a, const auto& b) {
+    return a.first != b.first ? a.first > b.first : a.second < b.second;
+  });
+  const auto& order = order_;
+  std::atomic<std::size_t> next{0};
+  const auto run_worker = [&](Session& session) {
     for (;;) {
-      // Drain the own shard front to back.
-      for (;;) {
-        std::uint64_t cur = mine.range.load(std::memory_order_acquire);
-        const std::uint32_t lo = range_lo(cur);
-        const std::uint32_t hi = range_hi(cur);
-        if (lo >= hi) break;
-        if (!mine.range.compare_exchange_weak(cur, pack_range(lo + 1, hi),
-                                              std::memory_order_acq_rel)) {
-          continue;  // a thief moved hi; reread
-        }
-        work(*sessions_[self], lo);
-        completed.fetch_add(1, std::memory_order_acq_rel);
-      }
-      if (completed.load(std::memory_order_acquire) >= count) return;
-
-      // Steal the upper half of the first victim with ≥ 2 instances left
-      // (a single remaining instance stays with its owner — stealing it
-      // would just move the cache miss).  The stolen range is published to
-      // the empty own slot, which only its owner ever writes.
-      bool stole = false;
-      for (std::size_t step = 1; step < active && !stole; ++step) {
-        WorkerSlot& victim = slots[(self + step) % active];
-        std::uint64_t cur = victim.range.load(std::memory_order_acquire);
-        const std::uint32_t lo = range_lo(cur);
-        const std::uint32_t hi = range_hi(cur);
-        if (lo >= hi || hi - lo < 2) continue;
-        const std::uint32_t mid = lo + (hi - lo + 1) / 2;  // victim keeps ⌈·⌉
-        if (!victim.range.compare_exchange_strong(
-                cur, pack_range(lo, mid), std::memory_order_acq_rel)) {
-          continue;  // raced with the owner or another thief; next victim
-        }
-        mine.range.store(pack_range(mid, hi), std::memory_order_release);
-        stole = true;
-      }
-      if (!stole) {
-        if (completed.load(std::memory_order_acquire) >= count) return;
-        std::this_thread::yield();
-      }
+      const std::size_t at = next.fetch_add(1, std::memory_order_relaxed);
+      if (at >= count) return;
+      work(session, order[at].second);
     }
   };
 
   if (!pool_) pool_ = std::make_unique<ThreadPool>(workers_);
   for (std::size_t w = 0; w < active; ++w) {
-    pool_->submit([&run_worker, w] { run_worker(w); });
+    pool_->submit([&run_worker, &session = *sessions_[w]] {
+      run_worker(session);
+    });
   }
   pool_->wait_idle();
 

@@ -13,21 +13,20 @@
 //           .degrade = pobp::DegradePolicy::kApproximate});
 //   std::cout << engine.metrics().to_table();
 //
-// solve_batch shards the instance list over a dedicated pobp::ThreadPool
-// (one Session per worker).  Each worker owns a contiguous shard of the
-// instance indices in a cache-line-aligned slot; when its shard drains it
-// steals the upper half of the first non-empty victim's shard (sweep order
-// seeded by the worker index — see docs/PERF.md).  The schedule is
-// bit-deterministic: the results are identical for every worker count,
-// because each instance's solve is a pure function of (jobs, options).
+// solve_batch hands the instance list to a dedicated pobp::ThreadPool (one
+// Session per worker).  Workers claim whole instances from one atomic
+// cursor over the batch ordered largest job count first, so the longest
+// solves start earliest (see docs/PERF.md).  The results are identical for
+// every worker count, because each instance's solve is a pure function of
+// (jobs, options).
 //
 // Every solve, batch or streaming, goes through Session::run — the one
 // solve path (docs/ENGINE.md).
 //
 // For long-lived online serving — a bounded submission queue, admission
 // control, per-tenant quotas and futures per request — see
-// pobp::StreamEngine (engine/serve.hpp, docs/SERVING.md), which feeds this
-// batch scheduler from a pump thread.
+// pobp::StreamEngine (engine/serve.hpp, docs/SERVING.md), which feeds
+// these workers from a pump thread.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +34,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pobp/core/pobp.hpp"
@@ -260,28 +260,30 @@ class Engine {
   /// the small-object buffer), which the steady-state allocation gate
   /// counts; the callee never outlives the caller's lambda, so a borrowed
   /// pointer pair is enough.
-  class InstanceFn {
+  template <typename Signature>
+  class FnRef;
+  template <typename R, typename... Args>
+  class FnRef<R(Args...)> {
    public:
     template <typename F>
-    InstanceFn(const F& fn)  // NOLINT(google-explicit-constructor)
-        : ctx_(&fn), call_([](const void* ctx, Session& session,
-                              std::size_t i) {
-            (*static_cast<const F*>(ctx))(session, i);
+    FnRef(const F& fn)  // NOLINT(google-explicit-constructor)
+        : ctx_(&fn), call_([](const void* ctx, Args... args) -> R {
+            return (*static_cast<const F*>(ctx))(args...);
           }) {}
-    void operator()(Session& session, std::size_t i) const {
-      call_(ctx_, session, i);
-    }
+    R operator()(Args... args) const { return call_(ctx_, args...); }
 
    private:
     const void* ctx_;
-    void (*call_)(const void*, Session&, std::size_t);
+    R (*call_)(const void*, Args...);
   };
-  /// Drains instances [0, count) over the worker sessions with the sharded
-  /// work-stealing scheduler (contiguous per-worker ranges, steal-half);
+  /// Drains instances [0, count) over the worker sessions.  Workers claim
+  /// instances from one shared cursor, largest `job_count(i)` first (ties
+  /// by index); a single active worker drains inline in index order.
   /// `work(session, i)` must handle instance i completely (including error
   /// capture — an exception escaping `work` on a pool thread is fatal by
   /// ThreadPool contract).
-  void run_batch(std::size_t count, InstanceFn work);
+  void run_batch(std::size_t count, FnRef<std::size_t(std::size_t)> job_count,
+                 FnRef<void(Session&, std::size_t)> work);
 
   EngineOptions options_;
   std::size_t workers_;
@@ -292,6 +294,11 @@ class Engine {
   std::unique_ptr<ThreadPool> pool_ POBP_GUARDED_BY(mutex_);
   /// One per worker, lazy.
   std::vector<std::unique_ptr<Session>> sessions_ POBP_GUARDED_BY(mutex_);
+  /// The current batch's dispatch order as (job count, index) pairs,
+  /// rebuilt by every multi-worker run_batch; kept so steady-state batches
+  /// reuse its capacity.
+  std::vector<std::pair<std::size_t, std::size_t>> order_
+      POBP_GUARDED_BY(mutex_);
   /// Σ solve_batch wall time.
   double batch_seconds_ POBP_GUARDED_BY(mutex_) = 0;
   /// try_solve() state, serialized by its own lock so inline solves never

@@ -10,7 +10,7 @@
 // StreamEngine passes steady_clock time.  None of the classes allocate
 // after construction; TokenBucket and CircuitBreaker serialize their tiny
 // state transitions behind an internal mutex (they sit on the admission
-// path, *above* the lock-free SubmitQueue — see POBP-SRC-007), while
+// path, before the request enters the submission queue), while
 // LatencyHistogram is a fixed array of relaxed atomic counters so workers
 // record latencies contention-free.
 //

@@ -1,9 +1,9 @@
 // pobp::StreamEngine — the long-lived streaming front end over the batch
 // Engine (docs/SERVING.md).
 //
-// Requests enter through a bounded lock-free MPSC SubmitQueue
-// (engine/submit.hpp); a single pump thread drains them in admission order
-// and feeds the Engine's work-stealing batch scheduler, fulfilling one
+// Admitted requests wait in one bounded FIFO guarded by a mutex; a single
+// pump thread pops them in admission order, up to max_batch at a time, and
+// hands each batch to the Engine's workers, fulfilling one
 // std::future<SolveOutcome> per request.  Admission control happens at
 // submit time, before anything touches the queue:
 //
@@ -46,8 +46,8 @@ struct StreamOptions {
   /// validation, fault injection).
   EngineOptions engine = {};
 
-  /// Submission queue capacity (rounded up to a power of two).  A full
-  /// queue blocks submit() and sheds try_submit().
+  /// Submission queue capacity (rounded up to a power of two, at least
+  /// 2).  A full queue blocks submit() and sheds try_submit().
   std::size_t queue_capacity = 1024;
 
   /// Maximum requests the pump hands to one Engine batch.  Larger batches
@@ -150,7 +150,7 @@ class StreamEngine {
   /// the latency histograms — the `pobp serve --stats` dump.
   [[nodiscard]] std::string stats_json() const;
 
-  /// Racy occupancy estimate of the submission queue.
+  /// Requests admitted and not yet handed to the workers.
   [[nodiscard]] std::size_t queue_depth() const;
 
   const StreamOptions& options() const;

@@ -1,25 +1,17 @@
-// Submission primitives for the streaming engine: the per-request
-// SubmitOptions shared by every solve entry point, and the bounded MPSC
-// SubmitQueue that carries admitted requests to the pump thread.
+// Submission options for every solve entry point: the per-request
+// SubmitOptions shared by the batch calls and the streaming engine, with
+// the degrade and cache policies they select.
 //
-// This header is the *lock-free* layer of the serving stack.  The queue is
-// a bounded Vyukov-style MPSC ring: producers claim a slot with one CAS and
-// publish it with one release store; the single consumer acquires slots in
-// FIFO order and recycles them with one release store.  Nothing in this
-// file may block — no sleeps, no waits, no IO, no mutexes; the source rule
-// POBP-SRC-007 (docs/LINT.md) enforces that mechanically.  Blocking
-// backpressure (producers parking on a full queue) lives one layer up in
-// StreamEngine (engine/serve.hpp), outside the hot path.
+// Nothing in this file may block — no sleeps, no waits, no IO, no
+// mutexes; the source rule POBP-SRC-007 (docs/LINT.md) enforces that
+// mechanically.  The submission queue itself, with its blocking
+// backpressure, lives in StreamEngine (engine/serve.hpp).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "pobp/diag/diagnostic.hpp"
 #include "pobp/engine/resilience.hpp"
@@ -77,105 +69,6 @@ struct SubmitOptions {
   /// Streaming submissions report failures through the returned future
   /// instead; this callback is batch-only.
   std::function<void(std::size_t, const diag::Report&)> on_error;
-};
-
-/// Bounded lock-free multi-producer / single-consumer FIFO (Vyukov ring).
-///
-/// Each slot carries a sequence number: `seq == pos` means "free for the
-/// producer claiming position pos", `seq == pos + 1` means "filled, ready
-/// for the consumer at position pos", and the consumer recycles a drained
-/// slot to `pos + capacity`.  Producers race on `head_` with a single CAS;
-/// the one consumer owns `tail_` outright.  Slots are cache-line padded so
-/// two producers publishing neighbouring slots never false-share.
-///
-/// try_push/try_pop never block and never allocate — POBP-SRC-007 keeps
-/// this file free of blocking calls by construction.
-template <typename T>
-class SubmitQueue {
- public:
-  /// Capacity is rounded up to a power of two (minimum 2).
-  explicit SubmitQueue(std::size_t capacity)
-      : mask_(round_up_pow2(capacity) - 1),
-        slots_(std::make_unique<Slot[]>(mask_ + 1)) {
-    for (std::uint64_t i = 0; i <= mask_; ++i) {
-      slots_[i].sequence.store(i, std::memory_order_relaxed);
-    }
-  }
-
-  SubmitQueue(const SubmitQueue&) = delete;
-  SubmitQueue& operator=(const SubmitQueue&) = delete;
-
-  /// Enqueues `item` unless the ring is full.  Safe to call from any
-  /// number of producer threads concurrently.
-  bool try_push(T item) {
-    std::uint64_t pos = head_.load(std::memory_order_relaxed);
-    for (;;) {
-      Slot& slot = slots_[pos & mask_];
-      const std::uint64_t seq = slot.sequence.load(std::memory_order_acquire);
-      const auto diff =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (diff == 0) {
-        if (head_.compare_exchange_weak(pos, pos + 1,
-                                        std::memory_order_relaxed,
-                                        std::memory_order_relaxed)) {
-          slot.item = std::move(item);
-          slot.sequence.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-        // CAS refreshed pos; retry with the new claim point.
-      } else if (diff < 0) {
-        return false;  // the slot still holds an unconsumed item: full
-      } else {
-        pos = head_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Dequeues the oldest item.  Single consumer only.
-  bool try_pop(T& out) {
-    const std::uint64_t pos = tail_.load(std::memory_order_relaxed);
-    Slot& slot = slots_[pos & mask_];
-    const std::uint64_t seq = slot.sequence.load(std::memory_order_acquire);
-    if (static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos + 1) <
-        0) {
-      return false;  // not yet published
-    }
-    out = std::move(slot.item);
-    slot.item = T{};  // drop payload resources while the slot idles
-    slot.sequence.store(pos + mask_ + 1, std::memory_order_release);
-    tail_.store(pos + 1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Racy size estimate (producers may be mid-publish); exact when quiesced.
-  std::size_t size_approx() const {
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    return head >= tail ? static_cast<std::size_t>(head - tail) : 0;
-  }
-
-  bool empty_approx() const { return size_approx() == 0; }
-
-  std::size_t capacity() const { return mask_ + 1; }
-
- private:
-  struct alignas(64) Slot {
-    std::atomic<std::uint64_t> sequence{0};
-    T item{};
-  };
-
-  static constexpr std::uint64_t round_up_pow2(std::size_t n) {
-    std::uint64_t p = 2;
-    while (p < n) p <<= 1;
-    return p;
-  }
-
-  std::uint64_t mask_;
-  std::unique_ptr<Slot[]> slots_;
-  /// Producer claim cursor; padded away from the consumer cursor so the
-  /// producers' CAS traffic never invalidates the consumer's line.
-  alignas(64) std::atomic<std::uint64_t> head_{0};
-  alignas(64) std::atomic<std::uint64_t> tail_{0};
 };
 
 }  // namespace pobp

@@ -1,9 +1,13 @@
 #include "pobp/engine/serve.hpp"
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <deque>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -16,6 +20,14 @@ namespace pobp {
 namespace {
 
 constexpr const char* kDefaultTenant = "default";
+
+/// StreamOptions::queue_capacity rounded up to a power of two, at least 2;
+/// a request above the largest power of two gets that power.
+std::size_t rounded_queue_capacity(std::size_t requested) {
+  constexpr std::size_t kLargest =
+      std::numeric_limits<std::size_t>::max() / 2 + 1;
+  return std::bit_ceil(std::clamp<std::size_t>(requested, 2, kLargest));
+}
 
 /// An already-resolved rejection future: shed / quota outcomes use the
 /// same future-of-outcome shape as real solves, so callers handle one
@@ -72,21 +84,24 @@ struct StreamEngine::Impl {
 
   StreamOptions options;
   Engine engine;
-  SubmitQueue<Request*> queue;
+  /// queue_capacity rounded up to a power of two, at least 2.
+  const std::size_t capacity;
 
-  /// Guards the condition variables only; all shared counters are atomic.
-  /// Notifiers take it (empty critical section) between the state change
-  /// and the notify so a waiter can never sleep through a wakeup.
+  /// Guards the queue and every field below it up to the condition
+  /// variables, so each waiter's predicate reads state that changed under
+  /// this same lock.
   std::mutex wait_mutex;
+  /// Admitted requests in admission order, popped by the pump.
+  std::deque<std::unique_ptr<Request>> queue;
+  bool stopping = false;
+  bool paused = false;
+  std::uint64_t enqueued = 0;   ///< requests that entered the queue
+  std::uint64_t completed = 0;  ///< requests whose batch has finished
   std::condition_variable pump_cv;   ///< pump sleeps when idle or paused
   std::condition_variable space_cv;  ///< producers sleep on a full queue
   std::condition_variable idle_cv;   ///< drain() sleeps here
 
-  std::atomic<bool> stopping{false};
-  std::atomic<bool> paused{false};
-  std::atomic<std::uint64_t> next_id{0};   ///< admission ids (unique)
-  std::atomic<std::uint64_t> enqueued{0};  ///< requests that entered the queue
-  std::atomic<std::uint64_t> completed{0};
+  std::atomic<std::uint64_t> next_id{0};  ///< admission ids (unique)
 
   mutable std::mutex tenants_mutex;
   std::map<std::string, std::unique_ptr<Tenant>> tenants;
@@ -108,7 +123,7 @@ struct StreamEngine::Impl {
   explicit Impl(StreamOptions opts)
       : options(std::move(opts)),
         engine(options.engine),
-        queue(options.queue_capacity) {
+        capacity(rounded_queue_capacity(options.queue_capacity)) {
     pump = std::thread([this] { pump_loop(); });
     if (options.watchdog.enabled()) {
       watchdog = std::thread([this] { watchdog_loop(); });
@@ -209,28 +224,32 @@ struct StreamEngine::Impl {
     request->submit = std::move(submit);
     request->tenant = &tenant;
     request->id = next_id.fetch_add(1, std::memory_order_relaxed);
-    request->degraded_tier =
-        (options.overload_degrade == DegradePolicy::kApproximate &&
-         queue.size_approx() * 4 >= queue.capacity() * 3) ||
-        // Watchdog graceful degradation: while the pump is stalled, new
-        // admissions answer on the cheap path instead of deepening the
-        // backlog at full fidelity.
-        health_state.load(std::memory_order_relaxed) ==
-            static_cast<int>(HealthState::kStalled);
     request->admitted = std::chrono::steady_clock::now();
     std::future<SolveOutcome> future = request->promise.get_future();
 
-    bool pushed = queue.try_push(request.get());
-    if (!pushed && blocking) {
-      // Backpressure: park on space_cv until the pump drains a batch.
-      // The retry happens under wait_mutex and the pump notifies under
-      // the same mutex, so a freed slot is never missed.
+    bool pushed = false;
+    bool stopped = false;
+    {
       std::unique_lock<std::mutex> lock(wait_mutex);
-      for (;;) {
-        pushed = queue.try_push(request.get());
-        if (pushed || stopping.load(std::memory_order_acquire)) break;
-        space_cv.wait(lock);
+      if (blocking) {
+        // Backpressure: park until the pump pops a batch.
+        space_cv.wait(lock,
+                      [&] { return queue.size() < capacity || stopping; });
       }
+      pushed = queue.size() < capacity;
+      if (pushed) {
+        request->degraded_tier =
+            (options.overload_degrade == DegradePolicy::kApproximate &&
+             queue.size() * 4 >= capacity * 3) ||
+            // Watchdog graceful degradation: while the pump is stalled, new
+            // admissions answer on the cheap path instead of deepening the
+            // backlog at full fidelity.
+            health_state.load(std::memory_order_relaxed) ==
+                static_cast<int>(HealthState::kStalled);
+        queue.push_back(std::move(request));
+        ++enqueued;
+      }
+      stopped = stopping;
     }
     if (!pushed) {
       tenant.shed.fetch_add(1, std::memory_order_relaxed);
@@ -239,18 +258,12 @@ struct StreamEngine::Impl {
       diag::Report report;
       report
           .add(std::string(diag::rules::kRunAdmission),
-               stopping.load(std::memory_order_acquire)
-                   ? "submission shed: engine is stopping"
-                   : "submission shed: queue full; resubmit or use the "
-                     "blocking submit path")
+               stopped ? "submission shed: engine is stopping"
+                       : "submission shed: queue full; resubmit or use the "
+                         "blocking submit path")
           .with("tenant", std::string(tenant_name(request->submit)))
-          .with("queue_capacity", queue.capacity());
+          .with("queue_capacity", capacity);
       return resolved(std::move(report));
-    }
-    request.release();  // the queue owns it until the pump pops
-    enqueued.fetch_add(1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(wait_mutex);
     }
     pump_cv.notify_one();
     return future;
@@ -327,19 +340,20 @@ struct StreamEngine::Impl {
   /// resumed progress recovers through kDegraded back to kHealthy.
   void watchdog_loop() {
     const WatchdogPolicy& policy = options.watchdog;
-    std::uint64_t last_done = completed.load(std::memory_order_acquire);
+    std::uint64_t last_done = 0;
     double stalled_for = 0;
     for (;;) {
+      std::uint64_t done = 0;
+      bool pending = false;
       {
         std::unique_lock<std::mutex> lock(wait_mutex);
         watchdog_cv.wait_for(
             lock, std::chrono::duration<double>(policy.poll_interval_s),
-            [&] { return stopping.load(std::memory_order_acquire); });
+            [&] { return stopping; });
+        if (stopping) return;
+        done = completed;
+        pending = enqueued > done;
       }
-      if (stopping.load(std::memory_order_acquire)) return;
-      const std::uint64_t done = completed.load(std::memory_order_acquire);
-      const bool pending = enqueued.load(std::memory_order_acquire) > done ||
-                           !queue.empty_approx();
       if (done != last_done || !pending) {
         last_done = done;
         stalled_for = 0;
@@ -365,55 +379,43 @@ struct StreamEngine::Impl {
   }
 
   void pump_loop() {
+    const std::size_t max_batch = std::max<std::size_t>(1, options.max_batch);
     std::vector<std::unique_ptr<Request>> batch;
     for (;;) {
       {
         std::unique_lock<std::mutex> lock(wait_mutex);
-        pump_cv.wait(lock, [&] {
-          return stopping.load(std::memory_order_acquire) ||
-                 (!paused.load(std::memory_order_acquire) &&
-                  !queue.empty_approx());
-        });
+        // pause() freezes dispatch (admission keeps filling the queue);
+        // shutdown overrides it so the destructor always drains.
+        pump_cv.wait(lock,
+                     [&] { return stopping || (!paused && !queue.empty()); });
+        if (queue.empty()) return;  // stopping, and nothing left to drain
+        while (batch.size() < max_batch && !queue.empty()) {
+          batch.push_back(std::move(queue.front()));
+          queue.pop_front();
+        }
       }
-      const bool stop = stopping.load(std::memory_order_acquire);
-      // pause() freezes dispatch (admission keeps filling the queue);
-      // shutdown overrides it so the destructor always drains.
-      const bool frozen = paused.load(std::memory_order_acquire) && !stop;
+      space_cv.notify_all();
 
+      engine.run_batch(
+          batch.size(), [&](std::size_t i) { return batch[i]->jobs.size(); },
+          [&](Session& session, std::size_t i) {
+            complete(session, *batch[i]);
+          });
+
+      for (const std::unique_ptr<Request>& request : batch) {
+        Impl::Tenant& tenant = *request->tenant;
+        tenant.completed.fetch_add(1, std::memory_order_relaxed);
+        if (options.tenant_max_in_flight > 0) {
+          tenant.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+        }
+      }
+      const std::size_t finished = batch.size();
       batch.clear();
-      if (!frozen) {
-        Request* raw = nullptr;
-        while (batch.size() < std::max<std::size_t>(1, options.max_batch) &&
-               queue.try_pop(raw)) {
-          batch.emplace_back(raw);
-        }
+      {
+        std::lock_guard<std::mutex> lock(wait_mutex);
+        completed += finished;
       }
-      if (!batch.empty()) {
-        {
-          std::lock_guard<std::mutex> lock(wait_mutex);
-        }
-        space_cv.notify_all();
-
-        engine.run_batch(batch.size(), [&](Session& session, std::size_t i) {
-          complete(session, *batch[i]);
-        });
-
-        for (const std::unique_ptr<Request>& request : batch) {
-          Impl::Tenant& tenant = *request->tenant;
-          tenant.completed.fetch_add(1, std::memory_order_relaxed);
-          if (options.tenant_max_in_flight > 0) {
-            tenant.in_flight.fetch_sub(1, std::memory_order_acq_rel);
-          }
-        }
-        completed.fetch_add(batch.size(), std::memory_order_release);
-        batch.clear();
-        {
-          std::lock_guard<std::mutex> lock(wait_mutex);
-        }
-        idle_cv.notify_all();
-        continue;
-      }
-      if (stop && queue.empty_approx()) return;
+      idle_cv.notify_all();
     }
   }
 };
@@ -422,9 +424,9 @@ StreamEngine::StreamEngine(StreamOptions options)
     : impl_(std::make_unique<Impl>(std::move(options))) {}
 
 StreamEngine::~StreamEngine() {
-  impl_->stopping.store(true, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(impl_->wait_mutex);
+    impl_->stopping = true;
   }
   impl_->pump_cv.notify_all();
   impl_->space_cv.notify_all();
@@ -461,24 +463,22 @@ std::future<SolveOutcome> StreamEngine::try_submit(
 }
 
 void StreamEngine::pause() {
-  impl_->paused.store(true, std::memory_order_release);
+  std::lock_guard<std::mutex> lock(impl_->wait_mutex);
+  impl_->paused = true;
 }
 
 void StreamEngine::resume() {
-  impl_->paused.store(false, std::memory_order_release);
   {
     std::lock_guard<std::mutex> lock(impl_->wait_mutex);
+    impl_->paused = false;
   }
   impl_->pump_cv.notify_all();
 }
 
 void StreamEngine::drain() {
   std::unique_lock<std::mutex> lock(impl_->wait_mutex);
-  impl_->idle_cv.wait(lock, [&] {
-    return impl_->enqueued.load(std::memory_order_acquire) ==
-               impl_->completed.load(std::memory_order_acquire) &&
-           impl_->queue.empty_approx();
-  });
+  impl_->idle_cv.wait(
+      lock, [&] { return impl_->enqueued == impl_->completed; });
 }
 
 EngineMetrics StreamEngine::metrics() const { return impl_->engine.metrics(); }
@@ -573,7 +573,8 @@ std::string StreamEngine::stats_json() const {
 }
 
 std::size_t StreamEngine::queue_depth() const {
-  return impl_->queue.size_approx();
+  std::lock_guard<std::mutex> lock(impl_->wait_mutex);
+  return impl_->queue.size();
 }
 
 const StreamOptions& StreamEngine::options() const { return impl_->options; }

@@ -73,21 +73,25 @@ void parallel_for(std::size_t begin, std::size_t end,
                   std::size_t grain) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
-  ThreadPool& pool = ThreadPool::global();
-  // Serial fallback: tiny range, single-threaded pool, or nested call from a
-  // pool worker (nesting would deadlock wait_idle on the shared queue).
-  if (count <= grain || pool.thread_count() == 1 || t_inside_pool_worker) {
+  // Serial fallback: tiny range, nested call from a pool worker (nesting
+  // would deadlock wait_idle on the shared queue), or single-threaded pool.
+  // The first two are tested before the global pool exists, so a serial
+  // call never starts its threads.
+  ThreadPool* pool = count <= grain || t_inside_pool_worker
+                         ? nullptr
+                         : &ThreadPool::global();
+  if (pool == nullptr || pool->thread_count() == 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
   const std::size_t blocks =
       std::min(count / std::max<std::size_t>(grain, 1) + 1,
-               pool.thread_count() * 4);
+               pool->thread_count() * 4);
   const std::size_t block_size = (count + blocks - 1) / blocks;
   std::atomic<std::size_t> next{begin};
   // Work-stealing-lite: each submitted task grabs the next block index.
   for (std::size_t b = 0; b < blocks; ++b) {
-    pool.submit([&next, end, block_size, &body] {
+    pool->submit([&next, end, block_size, &body] {
       for (;;) {
         const std::size_t lo =
             next.fetch_add(block_size, std::memory_order_relaxed);
@@ -97,7 +101,7 @@ void parallel_for(std::size_t begin, std::size_t end,
       }
     });
   }
-  pool.wait_idle();
+  pool->wait_idle();
 }
 
 }  // namespace pobp

@@ -2,11 +2,16 @@
 // Expected-based checked entry points, and the engine metrics.
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cmath>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "pobp/pobp.hpp"
@@ -39,10 +44,15 @@ std::string fingerprint(const ScheduleResult& r) {
          "|" + std::to_string(r.unbounded_value);
 }
 
-/// A steal-heavy batch: one giant instance first, then a mixed tail of small
-/// ones.  Whichever worker owns shard 0 is pinned on the giant instance
-/// while the others drain their shards and start stealing — the worst case
-/// for the sharded deque scheduler.
+/// Disarms process-wide fault-injection triggers on scope exit so a failing
+/// assertion cannot leak armed triggers into later tests.
+struct DisarmGuard {
+  ~DisarmGuard() { fault::disarm(); }
+};
+
+/// A skewed batch: one giant instance first, then a mixed tail of small
+/// ones.  The worker that claims the giant instance is pinned on it while
+/// the others drain the tail — the worst case for balancing a batch.
 std::vector<JobSet> skewed_corpus(std::size_t count, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<JobSet> instances;
@@ -95,13 +105,12 @@ TEST(Engine, SingleSolveMatchesBatchOfOne) {
   EXPECT_EQ(fingerprint(lone), fingerprint(batch[0]));
 }
 
-// ----------------------------------------------------- work stealing ------
+// ----------------------------------------------------- batch dispatch -----
 
-// The acceptance bar of the work-stealing scheduler: a 256-instance batch
-// whose first instance dwarfs the rest forces heavy stealing (the owner of
-// shard 0 is stuck on the giant while everyone else goes idle and starts
-// raiding), and the results must still be byte-identical to the 1-worker
-// run at every worker count — including counts far above the core count.
+// The acceptance bar of batch dispatch: a 256-instance batch whose first
+// instance dwarfs the rest (one worker is stuck on the giant while the
+// others drain the tail) must still be byte-identical to the 1-worker run
+// at every worker count — including counts far above the core count.
 TEST(EngineStealing, SkewedBatchBitIdenticalAcrossWorkerCounts) {
   const std::vector<JobSet> instances = skewed_corpus(256, 20180616);
   const ScheduleOptions schedule{.k = 1, .machine_count = 2};
@@ -203,6 +212,85 @@ TEST(EngineStealing, DegradedOutcomesIdenticalAcrossWorkerCounts) {
           << "instance " << i << " diverged with " << workers << " workers";
     }
   }
+}
+
+/// The process's thread count, from the `Threads:` line of
+/// /proc/self/status (0 if the line is missing).
+std::size_t process_threads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+/// CPU seconds used so far by every thread of this process.
+double process_cpu_seconds() {
+  timespec now{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &now);
+  return static_cast<double>(now.tv_sec) +
+         1e-9 * static_cast<double>(now.tv_nsec);
+}
+
+// TM forks on an engine worker run serially (no nested pools), so they must
+// not start the process-wide pool either: a batch whose forests all pass
+// the fork threshold adds exactly the engine's own workers to the process.
+TEST(EngineStealing, ForkAttemptsOnWorkersStartNoOtherThreads) {
+  const std::vector<JobSet> instances = skewed_corpus(16, 4242);
+  ScheduleOptions schedule{.k = 1, .machine_count = 2};
+  schedule.tm_fork_min_nodes = 1;
+  // A sanitizer runtime may start a helper thread with the process's first
+  // thread; start one first so that `before` already counts it.
+  std::thread([] {}).join();
+  const std::size_t before = process_threads();
+  ASSERT_GT(before, 0u) << "no Threads: line in /proc/self/status";
+
+  Engine engine({.schedule = schedule, .workers = 3});
+  (void)engine.solve_batch(instances, {});
+  EXPECT_EQ(process_threads(), before + engine.worker_count());
+}
+
+// Workers that find the batch's cursor spent go back to the pool and sleep.
+// Instance 0's first attempt faults and its retry waits out a 0.2 s
+// backoff, so one worker stays busy for the whole batch without using CPU
+// while the other seven run out of work.  Spinning idle workers keep at
+// least one core busy (all of them, once the scheduler spreads them), so
+// the process's CPU time over the batch stays under half its wall time
+// only if they sleep.
+TEST(EngineStealing, IdleWorkersDoNotSpin) {
+  const DisarmGuard disarm;
+  Rng rng(8086);
+  JobGenConfig config;
+  config.n = 8;
+  config.max_length = 1 << 6;
+  config.horizon = 1 << 12;
+  std::vector<JobSet> instances;
+  for (int i = 0; i < 16; ++i) instances.push_back(random_jobs(config, rng));
+
+  EngineOptions options;
+  options.schedule = {.k = 1};
+  options.workers = 8;
+  options.retry = {.max_attempts = 2,
+                   .base_backoff_s = 0.2,
+                   .max_backoff_s = 0.2,
+                   .jitter_frac = 0};
+  options.fault_injection = "alloc@0:1";
+  Engine engine(options);
+  std::vector<ScheduleResult> results;
+  for (int rep = 0; rep < 3; ++rep) {
+    const double cpu_before = process_cpu_seconds();
+    const auto wall_before = std::chrono::steady_clock::now();
+    engine.solve_batch_into(instances, {}, results);
+    const double wall = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - wall_before)
+                            .count();
+    const double cpu = process_cpu_seconds() - cpu_before;
+    EXPECT_LT(cpu, 0.5 * wall)
+        << "repetition " << rep << ": " << cpu << " s CPU over " << wall
+        << " s wall";
+  }
+  EXPECT_EQ(engine.metrics().retries, 3u);  // one backoff per batch
 }
 
 // --------------------------------------------------------- sessions -------
@@ -447,12 +535,6 @@ TEST(TrySchedule, MatchesSharedEngine) {
 }
 
 // ------------------------------------------- fault containment ------------
-
-/// Disarms process-wide fault-injection triggers on scope exit so a failing
-/// assertion cannot leak armed triggers into later tests.
-struct DisarmGuard {
-  ~DisarmGuard() { fault::disarm(); }
-};
 
 // The acceptance bar of the fault-contained batch path: with 4 injected
 // faults in a 64-instance batch, exactly those 4 instances report

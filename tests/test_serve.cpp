@@ -3,6 +3,8 @@
 // and per-request fault containment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <future>
 #include <string>
 #include <utility>
@@ -155,6 +157,77 @@ TEST(StreamEngine, ShedsOnFullQueueWithRun004) {
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].second.shed, 1u);
   EXPECT_EQ(stats[0].second.completed, 4u);
+}
+
+// A blocking submit() on a full, paused queue parks until the pump makes
+// room, then completes like any other request: nothing is shed.
+TEST(StreamEngine, BlockingSubmitParksOnFullQueueUntilResume) {
+  const std::vector<JobSet> instances = corpus(3, 515);
+  StreamOptions options;
+  options.engine.schedule = {.k = 1};
+  options.engine.workers = 1;
+  options.queue_capacity = 2;
+  StreamEngine service(options);
+  service.pause();
+
+  std::vector<std::future<SolveOutcome>> futures;
+  futures.push_back(service.submit(instances[0]));
+  futures.push_back(service.submit(instances[1]));
+  std::future<std::future<SolveOutcome>> parked = std::async(
+      std::launch::async, [&] { return service.submit(instances[2]); });
+  EXPECT_EQ(parked.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout)
+      << "submit() returned on a full queue";
+  EXPECT_EQ(service.queue_depth(), 2u);
+
+  service.resume();
+  futures.push_back(parked.get());
+  for (auto& future : futures) {
+    EXPECT_TRUE(future.get().has_value());
+  }
+  service.drain();
+  const auto stats = service.tenant_stats();
+  ASSERT_EQ(stats.size(), 1u);
+  EXPECT_EQ(stats[0].second.shed, 0u);
+  EXPECT_EQ(stats[0].second.completed, 3u);
+}
+
+// queue_capacity rounds up to a power of two, at least 2: on a paused
+// queue exactly that many try_submit() calls are admitted, and the next
+// one sheds with a POBP-RUN-004 payload naming the rounded capacity.
+TEST(StreamEngine, QueueCapacityRoundsUpToAPowerOfTwo) {
+  const std::vector<JobSet> instances = corpus(9, 2718);
+  struct Case {
+    std::size_t requested, rounded;
+  };
+  for (const Case c : {Case{0, 2}, Case{1, 2}, Case{5, 8}}) {
+    StreamOptions options;
+    options.engine.schedule = {.k = 1};
+    options.engine.workers = 1;
+    options.queue_capacity = c.requested;
+    StreamEngine service(options);
+    service.pause();
+
+    std::vector<std::future<SolveOutcome>> admitted;
+    for (std::size_t i = 0; i < c.rounded; ++i) {
+      admitted.push_back(service.try_submit(instances[i]));
+    }
+    const SolveOutcome shed = service.try_submit(instances[c.rounded]).get();
+    ASSERT_FALSE(shed.has_value()) << "capacity " << c.requested;
+    ASSERT_EQ(shed.error().count("POBP-RUN-004"), 1u);
+    const auto& payload = shed.error().diagnostics().front().payload;
+    const auto field = std::find_if(
+        payload.begin(), payload.end(),
+        [](const auto& kv) { return kv.first == "queue_capacity"; });
+    ASSERT_NE(field, payload.end());
+    EXPECT_EQ(field->second, std::to_string(c.rounded))
+        << "capacity " << c.requested;
+
+    service.resume();
+    for (auto& future : admitted) {
+      EXPECT_TRUE(future.get().has_value());
+    }
+  }
 }
 
 // tenant_max_in_flight caps one tenant without touching its neighbours:

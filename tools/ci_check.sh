@@ -105,7 +105,7 @@ done
 #     checked-in baselines with bench_compare.  Time regresses at > 15%
 #     (bench_compare's default tolerance); allocs/op regress strictly —
 #     that is the zero-allocation hot-path contract.  The throughput bench
-#     additionally enforces absolute floors of the work-stealing engine:
+#     additionally enforces absolute floors of the batch engine:
 #     ≤ 8 steady-state allocs/solve (strict everywhere), w8 ≥ 3× w1
 #     throughput (a warning under lenient scaling — see the flag docs
 #     above), and the solve-cache floors (warm-cache ≥ 5× cache-off on a

@@ -494,6 +494,9 @@ int cmd_serve(const Flags& flags) {
 
   const std::string source = flags.str("jsonl", "-");
   std::ifstream file;
+  // Synced with C stdio, std::cin reads one locked getc per byte.  Frames
+  // leave through C stdio only, so no C++ stream shares stdout with them.
+  std::ios_base::sync_with_stdio(false);
   std::istream* in = &std::cin;
   if (source != "-") {
     file.open(source);
