@@ -202,42 +202,37 @@ BENCHMARK(BM_TmOptimalBasPooled)
     ->Range(1 << 10, 1 << 20)
     ->Complexity(benchmark::oN);
 
-void BM_EdfSimulatorPooled(benchmark::State& state) {
-  const LaminarInstance inst =
-      make_laminar(static_cast<std::size_t>(state.range(0)));
-  const std::vector<JobId> ids = all_ids(inst.jobs);
-  EdfScratch scratch;
-  (void)edf_feasible(inst.jobs, ids, scratch);  // warm the scratch
-  AllocMeter meter(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(edf_feasible(inst.jobs, ids, scratch));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_EdfSimulatorPooled)
-    ->Range(1 << 10, 1 << 17)
-    ->Complexity(benchmark::oNLogN);
-
-// The whole greedy ∞-preemptive seed (density sort, one EdfAdmission probe
-// per candidate, the final EDF schedule) on a warm GreedyScratch.  The lax
-// instance is about twice as long as its horizon, so roughly half the
-// candidates are rejected.
-void BM_GreedySeedPooled(benchmark::State& state) {
+// The whole greedy ∞-preemptive seed (ranking and density sort, one
+// EdfAdmission probe per candidate per pass, the final EDF schedules) on a
+// warm GreedyScratch.  The lax instance is about twice as long as its
+// horizon, so roughly half the candidates are rejected by machine 0.
+void greedy_seed_pooled(benchmark::State& state, std::size_t machines) {
   const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(jobs);
   GreedyScratch scratch;
-  Schedule out(1);
-  greedy_infinity_multi_into(jobs, ids, 1, scratch, out);  // warm
+  Schedule out(machines);
+  greedy_infinity_multi_into(jobs, ids, machines, scratch, out);  // warm
   AllocMeter meter(state);
   for (auto _ : state) {
-    greedy_infinity_multi_into(jobs, ids, 1, scratch, out);
+    greedy_infinity_multi_into(jobs, ids, machines, scratch, out);
     benchmark::DoNotOptimize(out.machine(0).job_count());
   }
   state.SetComplexityN(state.range(0));
 }
+
+void BM_GreedySeedPooled(benchmark::State& state) {
+  greedy_seed_pooled(state, 1);
+}
 BENCHMARK(BM_GreedySeedPooled)
     ->Range(1 << 10, 1 << 12)
     ->Complexity(benchmark::oNLogN);
+
+// Three machines, the shape of batch_large's (k, m) = (1, 3) group: passes
+// 2 and 3 reuse the first pass's ranking and density order.
+void BM_GreedySeedPooled3(benchmark::State& state) {
+  greedy_seed_pooled(state, 3);
+}
+BENCHMARK(BM_GreedySeedPooled3)->Arg(1 << 10);
 
 void BM_FullReductionPooled(benchmark::State& state) {
   const LaminarInstance inst =
@@ -426,16 +421,18 @@ BENCHMARK(BM_TmChildMergeScalarRef)
 
 // The EDF loop has no vectorized part left, so this row has no scalar
 // twin; tests/test_edf.cpp keeps the earlier loop as its exactness oracle.
+// The pooled schedule on a laminar instance: a warm scratch and output.
 void BM_EdfSweep(benchmark::State& state) {
   const LaminarInstance inst =
       make_laminar(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(inst.jobs);
   EdfScratch scratch;
+  MachineSchedule out;
   const JobSetView view = inst.jobs;
-  (void)edf_feasible(view, ids, scratch);  // warm the scratch
+  (void)edf_schedule_into(view, ids, scratch, out);  // warm
   AllocMeter meter(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(edf_feasible(view, ids, scratch));
+    benchmark::DoNotOptimize(edf_schedule_into(view, ids, scratch, out));
   }
   state.SetComplexityN(state.range(0));
 }

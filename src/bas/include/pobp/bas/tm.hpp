@@ -85,10 +85,11 @@ void tm_optimal_bas(const Forest& forest,
 /// but fans the roots out across the global thread pool when the forest
 /// has at least `fork_min_nodes` nodes and more than one root
 /// (`fork_min_nodes` = 0 disables forking).  Falls back to the serial DP
-/// when a SolveBudget is active: budget op accounting is thread-local and
-/// the exhaustion point must not depend on the worker count.  Inside an
-/// engine batch worker parallel_for itself degrades to a serial loop, so
-/// the fan-out only ever uses otherwise-idle threads.
+/// when a SolveBudget is active (budget op accounting is thread-local and
+/// the exhaustion point must not depend on the worker count) and on a
+/// pool worker such as an engine batch worker, where parallel_for would
+/// run the roots serially anyway: the fan-out only ever uses otherwise-idle
+/// threads, and an engine worker builds nothing for it.
 void tm_optimal_bas_forked(const Forest& forest, std::size_t k,
                            TmScratch& scratch, TmResult& out,
                            std::size_t fork_min_nodes);

@@ -190,8 +190,10 @@ void tm_optimal_bas_forked(const Forest& forest, std::size_t k,
                            TmScratch& scratch, TmResult& out,
                            std::size_t fork_min_nodes) {
   const std::span<const NodeId> roots = forest.roots();
+  // On a pool worker parallel_for would run the roots serially anyway.
   if (fork_min_nodes == 0 || forest.size() < fork_min_nodes ||
-      roots.size() < 2 || BudgetGuard::active() != nullptr) {
+      roots.size() < 2 || BudgetGuard::active() != nullptr ||
+      on_pool_worker()) {
     tm_optimal_bas(forest, k, scratch, out);
     return;
   }

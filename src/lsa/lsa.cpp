@@ -14,17 +14,23 @@
 namespace pobp {
 namespace {
 
-/// Fills `out` with the candidates in the configured greedy order (ties by
-/// id, deterministic).
+/// Fills `scratch.order` with the candidates in the configured greedy
+/// order (ties by id, deterministic).
 void consideration_order(const JobSetView& jobs,
                          std::span<const JobId> candidates, LsaOrder order,
-                         std::vector<JobId>& out) {
-  out.assign(candidates.begin(), candidates.end());
+                         LsaScratch& scratch) {
+  auto& out = scratch.order;
   if (order == LsaOrder::kDensity) {
-    std::sort(out.begin(), out.end(), [&](JobId a, JobId b) {
-      return denser_first(jobs, a, b);
-    });
+    auto& keys = scratch.density_keys;
+    keys.resize(candidates.size());
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      keys[i] = {.id = candidates[i]};
+    }
+    sort_denser_first(jobs, keys);
+    out.resize(keys.size());
+    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = keys[i].id;
   } else {
+    out.assign(candidates.begin(), candidates.end());
     std::sort(out.begin(), out.end(), [&](JobId a, JobId b) {
       if (jobs.value[a] != jobs.value[b]) return jobs.value[a] > jobs.value[b];
       return a < b;
@@ -232,7 +238,7 @@ void lsa_into(const JobSetView& jobs, std::span<const JobId> candidates,
   out.scheduled.clear();
   out.rejected.clear();
   scratch.timeline.clear();
-  consideration_order(jobs, candidates, order, scratch.order);
+  consideration_order(jobs, candidates, order, scratch);
   for (const JobId id : scratch.order) {
     BudgetGuard::poll();  // one operation per placement attempt
     if (try_place(jobs, id, k, scratch.timeline, out.schedule, scratch.working,

@@ -1,7 +1,7 @@
 #include "pobp/schedule/edf.hpp"
 
 #include <algorithm>
-#include <iterator>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -11,18 +11,40 @@
 namespace pobp {
 namespace {
 
-/// Fills the window columns from s.id, already in (release, id) order.
-void gather_columns(const JobSetView& jobs, EdfScratch& s) {
-  const std::size_t count = s.id.size();
-  s.release.resize(count);
-  s.deadline.resize(count);
-  s.remaining.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const JobId id = s.id[i];
-    s.release[i] = jobs.release[id];
-    s.deadline[i] = jobs.deadline[id];
-    s.remaining[i] = jobs.length[id];
+constexpr std::size_t kNoRank = std::numeric_limits<std::size_t>::max();
+
+/// The highest set bit of `words` at or below `pos`, or kNoRank.
+std::size_t prev_set(const std::uint64_t* words, std::size_t pos) {
+  std::size_t w = pos >> 6;
+  std::uint64_t word = words[w] & (~std::uint64_t{0} >> (63 - (pos & 63)));
+  while (word == 0) {
+    if (w == 0) return kNoRank;
+    word = words[--w];
   }
+  return (w << 6) + 63 - static_cast<std::size_t>(std::countl_zero(word));
+}
+
+/// The lowest set bit of `words` at or above `pos`, or `n` if none is
+/// below `n` (no bit at or past `n` is ever set).
+std::size_t next_set(const std::uint64_t* words, std::size_t pos,
+                     std::size_t n) {
+  if (pos >= n) return n;
+  std::size_t w = pos >> 6;
+  const std::size_t end_word = (n + 63) >> 6;
+  std::uint64_t word = words[w] & (~std::uint64_t{0} << (pos & 63));
+  while (word == 0) {
+    if (++w == end_word) return n;
+    word = words[w];
+  }
+  return (w << 6) + static_cast<std::size_t>(std::countr_zero(word));
+}
+
+/// The bits of word `w` that lie in [lo, hi); hi > lo.
+std::uint64_t range_mask(std::size_t w, std::size_t lo, std::size_t hi) {
+  std::uint64_t mask = ~std::uint64_t{0};
+  if (w == lo >> 6) mask &= ~std::uint64_t{0} << (lo & 63);
+  if (w == (hi - 1) >> 6) mask &= ~std::uint64_t{0} >> (63 - ((hi - 1) & 63));
+  return mask;
 }
 
 /// Loads `subset` into the window columns in (release, id) order.  A
@@ -45,13 +67,23 @@ void sort_by_release(const JobSetView& jobs, std::span<const JobId> subset,
     POBP_ASSERT_MSG(std::adjacent_find(s.id.begin(), s.id.end()) == s.id.end(),
                     "duplicate job id in EDF subset");
   }
-  gather_columns(jobs, s);
+  const std::size_t count = s.id.size();
+  s.release.resize(count);
+  s.deadline.resize(count);
+  s.remaining.resize(count);
+  for (std::size_t slot = 0; slot < count; ++slot) {
+    const JobId id = s.id[slot];
+    s.release[slot] = jobs.release[id];
+    s.deadline[slot] = jobs.deadline[id];
+    s.remaining[slot] = jobs.length[id];
+  }
 }
 
 /// The EDF loop, over the window columns (slots in (release, id) order, as
-/// sort_by_release or EdfAdmission leave them).  Record=false skips all
-/// segment bookkeeping (the feasibility probes); Record=true leaves the
-/// merged run log in scratch.runs.  Consumes scratch.remaining.
+/// sort_by_release or EdfAdmission::gather_window leave them).
+/// Record=false skips all segment bookkeeping (the admission probes);
+/// Record=true leaves the merged run log in scratch.runs.  Consumes
+/// scratch.remaining.
 ///
 /// The ready set holds slots.  While at most kEdfSortedReadyCap are ready
 /// it is an array sorted by (deadline, id), latest first, so the job to
@@ -143,38 +175,48 @@ bool edf_simulate(EdfScratch& s) {
 
 }  // namespace
 
-bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
-                  EdfScratch& scratch) {
-  sort_by_release(jobs, subset, scratch);
-  return edf_simulate</*Record=*/false>(scratch);
+void EdfAdmission::rank(const JobSetView& jobs,
+                        std::span<const JobId> candidates) {
+  const std::size_t n = candidates.size();
+  POBP_ASSERT(n <= std::numeric_limits<Rank>::max());
+  order_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order_[i] = {jobs.release[candidates[i]], candidates[i]};
+  }
+  std::sort(order_.begin(), order_.end());
+  release_.resize(n);
+  deadline_.resize(n);
+  length_.resize(n);
+  id_.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const JobId id = order_[r].second;
+    // A repeated id ranks next to itself.
+    POBP_ASSERT_MSG(r == 0 || id != id_[r - 1],
+                    "duplicate job id among the candidates");
+    release_[r] = order_[r].first;
+    deadline_[r] = jobs.deadline[id];
+    length_[r] = jobs.length[id];
+    id_[r] = id;
+  }
+  periods_.resize(n);
+  clear();
 }
 
 void EdfAdmission::clear() {
-  ids_.clear();
-  rel_.clear();
-  periods_.clear();
+  const std::size_t words = (id_.size() + 63) / 64;
+  admitted_.assign(words, 0);
+  starts_.assign(words, 0);
   counts_ = {};
 }
 
-bool EdfAdmission::try_admit(const JobSetView& jobs, JobId id, EdfScratch& s) {
-  const Time r = jobs.release[id];
-  const std::size_t n = ids_.size();
-
-  // id's slot in (release, id) order.
-  std::size_t lo = 0;
-  std::size_t hi = n;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (rel_[mid] < r || (rel_[mid] == r && ids_[mid] < id)) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const std::size_t pos = lo;
-  // An admitted id sits exactly at its own slot.  Checked here because a
-  // probe the bounds decide never reaches the EDF loop.
-  POBP_ASSERT_MSG(pos == n || ids_[pos] != id, "job is already admitted");
+bool EdfAdmission::try_admit(Rank c, EdfScratch& s) {
+  const std::size_t n = id_.size();
+  POBP_DASSERT(c < n);
+  // Checked here because a probe the bounds decide never reaches the EDF
+  // loop.
+  POBP_ASSERT_MSG(!admitted(c), "job is already admitted");
+  const Time r = release_[c];
+  const std::uint64_t* const starts = starts_.data();
 
   const auto bound_reject = [&] {
     ++counts_.bound_rejected;
@@ -182,86 +224,116 @@ bool EdfAdmission::try_admit(const JobSetView& jobs, JobId id, EdfScratch& s) {
   };
 
   // The window opens at the start of the busy period holding r, or at r
-  // when the machine is idle then (no admitted job is released at an idle
-  // instant).  `latest` is the latest deadline among the stages' jobs.
-  const auto after = std::upper_bound(
-      periods_.begin(), periods_.end(), r,
-      [](Time t, const BusyPeriod& b) { return t < b.start; });
-  auto first_period = after;  // first busy period the window covers
-  Time start = r;
+  // when the machine is idle then.  A period holding r starts either
+  // below c's rank — then it is the last period there, if it ends after
+  // r — or at r itself with a larger id, above c.  The second needs no
+  // search: a window opened at r with c alone (a stage no job can
+  // overrun, r + p_c ≤ d_c) absorbs it as the next stage and reaches the
+  // same end, latest deadline and verdict.  `latest` is the latest
+  // deadline among the stages' jobs.
+  std::size_t first = c;
   Time end = r;
-  Time latest = jobs.deadline[id];
-  if (after != periods_.begin() && std::prev(after)->end > r) {
-    first_period = std::prev(after);
-    start = first_period->start;
-    end = first_period->end;
-    latest = std::max(latest, first_period->latest);
+  Time latest = deadline_[c];
+  const std::size_t holding = prev_set(starts, c);  // c's own bit is clear
+  if (holding != kNoRank && periods_[holding].end > r) {
+    first = holding;
+    end = periods_[holding].end;
+    latest = std::max(latest, periods_[holding].latest);
   }
 
-  // Stage 0 is the holding period plus id; each later busy period that
+  // Stage 0 is the holding period plus c; each later busy period that
   // starts before the running end is absorbed whole as the next stage,
   // since its jobs all arrive before it ends.  Every stage's jobs are
-  // released at or after `start` and need end − start ticks together, so
-  // once the running end passes the stages' latest deadline one of them
-  // is late: reject there.  An end past INT64_MAX passes every deadline.
-  // A period's span end − start can itself exceed INT64_MAX (a start near
-  // INT64_MIN), so it is added in unsigned arithmetic against the exact
-  // headroom INT64_MAX − end.
-  if (add_overflows(end, jobs.length[id])) return bound_reject();
-  end += jobs.length[id];
+  // released at or after the window's start and need end − start ticks
+  // together, so once the running end passes the stages' latest deadline
+  // one of them is late: reject there.  An end past INT64_MAX passes every
+  // deadline.  A period's span end − start can itself exceed INT64_MAX (a
+  // start near INT64_MIN), so it is added in unsigned arithmetic against
+  // the exact headroom INT64_MAX − end.
+  if (add_overflows(end, length_[c])) return bound_reject();
+  end += length_[c];
   if (end > latest) return bound_reject();
-  auto covered_end = after;  // one past the last busy period absorbed
-  for (; covered_end != periods_.end() && covered_end->start < end;
-       ++covered_end) {
-    const auto span = static_cast<std::uint64_t>(covered_end->end) -
-                      static_cast<std::uint64_t>(covered_end->start);
+  std::size_t next = next_set(starts, c + 1, n);  // first later period
+  for (; next < n && release_[next] < end;
+       next = next_set(starts, next + 1, n)) {
+    const Period& period = periods_[next];
+    const auto span = static_cast<std::uint64_t>(period.end) -
+                      static_cast<std::uint64_t>(release_[next]);
     const auto headroom =
         static_cast<std::uint64_t>(std::numeric_limits<Time>::max()) -
         static_cast<std::uint64_t>(end);
     if (span > headroom) return bound_reject();
     end = static_cast<Time>(static_cast<std::uint64_t>(end) + span);
-    latest = std::max(latest, covered_end->latest);
+    latest = std::max(latest, period.latest);
     if (end > latest) return bound_reject();
   }
+  // The window's admitted jobs are the admitted ranks in [first, next).
 
   // The machine runs the window's jobs back to back from start to end.
-  // If end ≤ d_id, id and every job EDF ranks below it — deadline ≥ d_id —
-  // complete by end, so on time, and the jobs ranked above id run exactly
+  // If end ≤ d_c, c and every job EDF ranks below it — deadline ≥ d_c —
+  // complete by end, so on time, and the jobs ranked above c run exactly
   // as without it (lower-ranked work never delays them).  Otherwise only
   // the window's EDF run decides.
-  if (end <= jobs.deadline[id]) {
+  if (end <= deadline_[c]) {
     ++counts_.bound_accepted;
   } else {
     ++counts_.simulated;
-    const auto first = static_cast<std::size_t>(
-        std::lower_bound(rel_.begin(), rel_.begin() + pos, start) -
-        rel_.begin());
-    const auto last = static_cast<std::size_t>(
-        std::lower_bound(rel_.begin() + pos, rel_.end(), end) - rel_.begin());
-    // The window's admitted jobs plus id at its slot, in (release, id)
-    // order.
-    const std::size_t at = pos - first;
-    s.id.resize(last - first + 1);
-    std::copy(ids_.begin() + first, ids_.begin() + pos, s.id.begin());
-    s.id[at] = id;
-    std::copy(ids_.begin() + pos, ids_.begin() + last,
-              s.id.begin() + at + 1);
-    gather_columns(jobs, s);
+    gather_window(c, first, next, s);
     const bool feasible = edf_simulate</*Record=*/false>(s);
     counts_.past_sorted_cap += s.ready_heaped;
     if (!feasible) return false;
   }
 
-  // Commit: the merged window replaces every busy period it covers.
-  ids_.insert(ids_.begin() + pos, id);
-  rel_.insert(rel_.begin() + pos, r);
-  if (first_period == covered_end) {
-    periods_.insert(first_period, {start, end, latest});
-  } else {
-    *first_period = {start, end, latest};
-    periods_.erase(first_period + 1, covered_end);
+  // Commit: c is admitted, and one period starting at `first` replaces
+  // every period the window covered.
+  admitted_[c >> 6] |= std::uint64_t{1} << (c & 63);
+  for (std::size_t w = first >> 6; w <= (next - 1) >> 6; ++w) {
+    starts_[w] &= ~range_mask(w, first, next);
   }
+  starts_[first >> 6] |= std::uint64_t{1} << (first & 63);
+  periods_[first] = {end, latest};
   return true;
+}
+
+void EdfAdmission::gather_window(Rank c, std::size_t first, std::size_t last,
+                                 EdfScratch& s) const {
+  const std::size_t lo_word = first >> 6;
+  const std::size_t hi_word = (last - 1) >> 6;
+  const auto word_at = [&](std::size_t w) {
+    std::uint64_t word = admitted_[w];
+    if (w == (c >> 6)) word |= std::uint64_t{1} << (c & 63);
+    return word & range_mask(w, first, last);
+  };
+  std::size_t count = 0;
+  for (std::size_t w = lo_word; w <= hi_word; ++w) {
+    count += static_cast<std::size_t>(std::popcount(word_at(w)));
+  }
+  s.release.resize(count);
+  s.deadline.resize(count);
+  s.remaining.resize(count);
+  s.id.resize(count);
+  std::size_t slot = 0;
+  for (std::size_t w = lo_word; w <= hi_word; ++w) {
+    for (std::uint64_t word = word_at(w); word != 0; word &= word - 1) {
+      const std::size_t r = (w << 6) + static_cast<std::size_t>(
+                                           std::countr_zero(word));
+      s.release[slot] = release_[r];
+      s.deadline[slot] = deadline_[r];
+      s.remaining[slot] = length_[r];
+      s.id[slot] = id_[r];
+      ++slot;
+    }
+  }
+}
+
+void EdfAdmission::admitted_ids(std::vector<JobId>& out) const {
+  out.clear();
+  for (std::size_t w = 0; w < admitted_.size(); ++w) {
+    for (std::uint64_t word = admitted_[w]; word != 0; word &= word - 1) {
+      out.push_back(id_[(w << 6) + static_cast<std::size_t>(
+                                       std::countr_zero(word))]);
+    }
+  }
 }
 
 bool edf_schedule_into(const JobSetView& jobs, std::span<const JobId> subset,

@@ -7,14 +7,15 @@
 // a₁ ≺ b₁ ≺ a₂ ≺ b₂ — which is exactly the normal form the paper's
 // reduction (§4.1, Fig. 1) requires.  See laminar.hpp.
 //
-// One simulation loop serves three entry points:
-//   * edf_feasible  — yes/no for an arbitrary subset, records nothing.
-//   * edf_schedule  — the full laminar schedule.
+// One simulation loop serves two entry points:
+//   * edf_schedule  — the full laminar schedule, or "infeasible".
 //   * EdfAdmission  — yes/no for "admitted set plus one job", the greedy
-//     seed's trial acceptance.  It keeps the admitted set release-sorted
-//     with its busy periods, finds the one window the new job can change,
-//     rejects or accepts it from deadline bounds where they decide, and
-//     simulates only what they leave open (docs/PERF.md, "Greedy seed").
+//     seed's trial acceptance.  It ranks a fixed candidate pool once by
+//     (release, id), keeps the admitted set and its busy periods as
+//     bitsets over those ranks, finds the one window the new job can
+//     change by word scans, rejects or accepts it from deadline bounds
+//     where they decide, and simulates only what they leave open
+//     (docs/PERF.md, "Greedy seed").
 // The loop runs over window-local columns, one slot per job in (release,
 // id) order: release, deadline, remaining work and id.  Its ready set is a
 // slot array kept sorted by (deadline, id), earliest at the back, while at
@@ -22,8 +23,9 @@
 // and a binary heap in the same order past that.  The order is total, so
 // the schedule is the same either way.  A subset already in (release, id)
 // order (the admitted set, a laminar machine's jobs) is loaded without a
-// sort.  All read the jobs through a JobSetView — a JobSet converts to one
-// in place, without a copy — take an EdfScratch, and perform zero heap
+// sort, and an admission window is gathered straight from the rank
+// columns.  Both read the jobs through a JobSetView — a JobSet converts to
+// one in place, without a copy — take an EdfScratch, and perform zero heap
 // allocations once it (and the admission's own buffers) have warmed up to
 // the largest instance seen; the engine's per-worker sessions keep them
 // alive across a batch.
@@ -36,6 +38,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "pobp/schedule/schedule.hpp"
@@ -94,12 +97,8 @@ struct AdmissionCounts {
   bool operator==(const AdmissionCounts&) const = default;
 };
 
-/// True iff EDF completes every job of `subset` by its deadline, i.e. the
-/// subset is ∞-preemptive-feasible.  Records no schedule.
-bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
-                  EdfScratch& scratch);
-
-/// An EDF-feasible job set that grows one job at a time.
+/// An EDF-feasible job set that grows one job at a time, drawn from a
+/// candidate pool ranked once by (release, id).
 ///
 /// Busy periods depend only on releases and lengths.  Adding job c changes
 /// the EDF run only inside one window: from the start of the busy period
@@ -117,35 +116,69 @@ bool edf_feasible(const JobSetView& jobs, std::span<const JobId> subset,
 ///     ≥ d_c) complete by the end, and the jobs ranked above c run exactly
 ///     as they did without it.
 /// Only a window no bound decides is simulated: the admitted jobs released
-/// inside it plus c, loaded straight into the scratch's window columns.
+/// inside it plus c, gathered straight from the rank columns.
+///
+/// Rank space: the admitted set is a bitset over ranks, and each busy
+/// period is keyed by its first admitted rank — a second bitset marks
+/// period starts, and the period's end and latest deadline sit at that
+/// rank.  Busy periods are contiguous in release order, so a window's
+/// admitted jobs are exactly the admitted ranks from its first period's
+/// first rank up to the first unabsorbed period's, and a commit sets and
+/// clears bits.
 class EdfAdmission {
  public:
-  /// Forgets every admitted job and zeroes counts(); keeps the buffers'
-  /// capacity.
+  using Rank = std::uint32_t;
+
+  /// Ranks `candidates` by (release, id) — their order in every later call
+  /// — forgets every admitted job and zeroes counts().  A repeated id
+  /// aborts.
+  void rank(const JobSetView& jobs, std::span<const JobId> candidates);
+
+  /// Forgets every admitted job and zeroes counts(); keeps the ranking and
+  /// the buffers' capacity.
   void clear();
 
-  /// True iff EDF meets every deadline of admitted ∪ {id} — exactly
-  /// edf_feasible(jobs, admitted ∪ {id}) — and if so admits `id`.  `jobs`
-  /// must be the view of every earlier call since clear().  `id` must not
-  /// be admitted yet; a repeat aborts, whichever way the probe is decided.
-  bool try_admit(const JobSetView& jobs, JobId id, EdfScratch& scratch);
+  /// The number of ranked candidates.
+  std::size_t size() const { return id_.size(); }
 
-  /// The admitted set in (release, id) order.
-  std::span<const JobId> admitted() const { return ids_; }
+  /// The job at rank `r`.
+  JobId id(Rank r) const { return id_[r]; }
 
-  /// How the probes since clear() were decided.
+  /// Whether rank `r` is admitted.
+  bool admitted(Rank r) const { return (admitted_[r >> 6] >> (r & 63)) & 1; }
+
+  /// True iff EDF meets every deadline of the admitted jobs plus rank
+  /// `r`'s — exactly edf_schedule_into's verdict on that set — and if so
+  /// admits it.  `r` must not be admitted yet; a repeat aborts, whichever
+  /// way the probe is decided.
+  bool try_admit(Rank r, EdfScratch& scratch);
+
+  /// The admitted jobs' ids in (release, id) order, written to `out`.
+  void admitted_ids(std::vector<JobId>& out) const;
+
+  /// How the probes since rank() or clear() were decided.
   const AdmissionCounts& counts() const { return counts_; }
 
  private:
-  struct BusyPeriod {
-    Time start;   ///< release of its first job
+  struct Period {
     Time end;     ///< start + Σ p over its jobs (exclusive)
     Time latest;  ///< latest deadline among its jobs
   };
 
-  std::vector<JobId> ids_;           ///< admitted, (release, id) order
-  std::vector<Time> rel_;            ///< releases aligned with ids_
-  std::vector<BusyPeriod> periods_;  ///< disjoint, ascending
+  /// Loads the admitted ranks in [first, last) plus `c` into the window
+  /// columns, in rank order.
+  void gather_window(Rank c, std::size_t first, std::size_t last,
+                     EdfScratch& scratch) const;
+
+  std::vector<std::pair<Time, JobId>> order_;  ///< ranking staging
+  // One entry per rank: what a probe reads of the candidate pool.
+  std::vector<Time> release_;
+  std::vector<Time> deadline_;
+  std::vector<Duration> length_;
+  std::vector<JobId> id_;
+  std::vector<std::uint64_t> admitted_;  ///< bit per rank
+  std::vector<std::uint64_t> starts_;    ///< bit per period's first rank
+  std::vector<Period> periods_;          ///< valid at the starts_ bits
   AdmissionCounts counts_;
 };
 

@@ -325,6 +325,15 @@ Time JobSet::earliest_release() const {
   return *std::min_element(columns_.release.begin(), columns_.release.end());
 }
 
+void sort_denser_first(const JobSetView& jobs, std::span<DensityKey> keys) {
+  for (DensityKey& key : keys) key.density = jobs.density(key.id);
+  std::sort(keys.begin(), keys.end(),
+            [&](const DensityKey& a, const DensityKey& b) {
+              return a.density != b.density ? a.density > b.density
+                                            : denser_first(jobs, a.id, b.id);
+            });
+}
+
 std::vector<JobId> all_ids(const JobSet& jobs) {
   std::vector<JobId> ids(jobs.size());
   for (std::size_t i = 0; i < ids.size(); ++i) {

@@ -10,35 +10,26 @@ namespace pobp {
 
 namespace {
 
-/// Copies `candidates` into `scratch.residual`, sorted by denser_first.
-void sort_densest_first(const JobSetView& jobs,
-                        std::span<const JobId> candidates,
-                        GreedyScratch& scratch) {
-  auto& order = scratch.residual;
-  order.assign(candidates.begin(), candidates.end());
-  std::sort(order.begin(), order.end(),
-            [&](JobId a, JobId b) { return denser_first(jobs, a, b); });
-}
-
-/// One machine pass over `order`, which is sorted by denser_first.
-void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> order,
-                      GreedyScratch& scratch, MachineSchedule& out) {
+/// One machine pass over the ranks in `scratch.residual`, densest first.
+void greedy_pass_into(const JobSetView& jobs, GreedyScratch& scratch,
+                      MachineSchedule& out) {
   // Trial acceptance needs only feasibility, and only inside the busy
   // window each candidate touches; the schedule of the final accepted set
   // is the same EDF run either way, so one materialization at the end
   // replaces one per accepted candidate.
   auto& admission = scratch.admission;
   admission.clear();
-  for (const JobId id : order) {
+  for (const EdfAdmission::Rank r : scratch.residual) {
     BudgetGuard::poll();
-    (void)admission.try_admit(jobs, id, scratch.laminar.edf);
+    (void)admission.try_admit(r, scratch.laminar.edf);
   }
   scratch.probes += admission.counts();
-  if (admission.admitted().empty()) {
+  admission.admitted_ids(scratch.accepted);
+  if (scratch.accepted.empty()) {
     out.clear();
     return;
   }
-  POBP_CHECK_MSG(laminar_edf_schedule_into(jobs, admission.admitted(),
+  POBP_CHECK_MSG(laminar_edf_schedule_into(jobs, scratch.accepted,
                                            scratch.laminar, out),
                  "greedy accepted set must be EDF-feasible");
 }
@@ -48,10 +39,9 @@ void greedy_pass_into(const JobSetView& jobs, std::span<const JobId> order,
 MachineSchedule greedy_infinity(const JobSetView& jobs,
                                 std::span<const JobId> candidates) {
   GreedyScratch scratch;
-  MachineSchedule out;
-  sort_densest_first(jobs, candidates, scratch);
-  greedy_pass_into(jobs, scratch.residual, scratch, out);
-  return out;
+  Schedule out(1);
+  greedy_infinity_multi_into(jobs, candidates, 1, scratch, out);
+  return std::move(out.machine(0));
 }
 
 void greedy_infinity_multi_into(const JobSetView& jobs,
@@ -61,14 +51,26 @@ void greedy_infinity_multi_into(const JobSetView& jobs,
   POBP_CHECK(machine_count >= 1);
   out.reset(machine_count);
   scratch.probes = {};
-  // denser_first is a strict total order and erase_if keeps the order of
-  // what it leaves, so the residual stays sorted across the passes.
-  sort_densest_first(jobs, candidates, scratch);
+  // One ranking and one density sort serve every pass.  denser_first is a
+  // strict total order and erase_if keeps the order of what it leaves, so
+  // the residual stays densest first across the passes.
+  auto& admission = scratch.admission;
+  admission.rank(jobs, candidates);
+  const std::size_t n = admission.size();
+  scratch.keys.resize(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    const auto rank = static_cast<EdfAdmission::Rank>(r);
+    scratch.keys[r] = {.id = admission.id(rank), .tag = rank};
+  }
+  sort_denser_first(jobs, scratch.keys);
   auto& remaining = scratch.residual;
+  remaining.resize(n);
+  for (std::size_t i = 0; i < n; ++i) remaining[i] = scratch.keys[i].tag;
   for (std::size_t m = 0; m < machine_count && !remaining.empty(); ++m) {
-    greedy_pass_into(jobs, remaining, scratch, out.machine(m));
-    std::erase_if(remaining,
-                  [&](JobId id) { return out.machine(m).contains(id); });
+    greedy_pass_into(jobs, scratch, out.machine(m));
+    std::erase_if(remaining, [&](EdfAdmission::Rank r) {
+      return admission.admitted(r);
+    });
   }
 }
 

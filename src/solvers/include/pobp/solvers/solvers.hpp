@@ -52,18 +52,22 @@ SubsetSolution opt_zero(const JobSet& jobs, std::span<const JobId> candidates);
 std::optional<Value> opt_k_slots(const JobSet& jobs, std::size_t k,
                                  std::size_t max_states = 50'000'000);
 
-/// Reusable buffers for the greedy seed.  Each candidate probe is one
+/// Reusable buffers for the greedy seed.  A seed ranks its candidates once
+/// by (release, id) and sorts those ranks once by density; every machine
+/// pass reuses both orders.  Each candidate probe is one
 /// EdfAdmission::try_admit, which settles most probes from two deadline
 /// bounds and EDF-simulates only the busy window the rest touch — only the
 /// final accepted set is materialized as a schedule, which is identical
 /// because EDF is a pure function of the job set.  That schedule is built
 /// by laminar_edf_schedule_into, so it leaves the seed checked laminar.
 struct GreedyScratch {
-  /// The candidates not yet placed, densest first (denser_first): the
+  /// The ranks not yet placed, densest first (denser_first): the
   /// consideration order of every machine pass.
-  std::vector<JobId> residual;
-  EdfAdmission admission;       ///< one machine pass's accepted set
-  LaminarScratch laminar;       ///< EDF probes and the final schedule
+  std::vector<EdfAdmission::Rank> residual;
+  std::vector<DensityKey> keys;  ///< the density sort's staging
+  EdfAdmission admission;        ///< the ranking and one pass's accepted set
+  std::vector<JobId> accepted;   ///< one pass's accepted ids, rank order
+  LaminarScratch laminar;        ///< EDF probes and the final schedule
   /// How the last greedy_infinity_multi_into decided its probes, summed
   /// over its machine passes: one probe per candidate per pass.  The
   /// exact seed (seed_unbounded_schedule_into) zeroes it.

@@ -58,6 +58,10 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
+/// True on a ThreadPool's worker threads.  parallel_for runs serially there,
+/// so a caller can take its serial path before building a fan-out.
+bool on_pool_worker();
+
 /// Blocked parallel loop: invokes `body(i)` for i in [begin, end) across the
 /// global pool.  Falls back to a serial loop for tiny ranges or when called
 /// from within a pool worker (no nested parallelism).

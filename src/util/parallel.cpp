@@ -63,6 +63,8 @@ void ThreadPool::worker_loop() {
   }
 }
 
+bool on_pool_worker() { return t_inside_pool_worker; }
+
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool;
   return pool;
@@ -77,9 +79,8 @@ void parallel_for(std::size_t begin, std::size_t end,
   // would deadlock wait_idle on the shared queue), or single-threaded pool.
   // The first two are tested before the global pool exists, so a serial
   // call never starts its threads.
-  ThreadPool* pool = count <= grain || t_inside_pool_worker
-                         ? nullptr
-                         : &ThreadPool::global();
+  ThreadPool* pool =
+      count <= grain || on_pool_worker() ? nullptr : &ThreadPool::global();
   if (pool == nullptr || pool->thread_count() == 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;

@@ -94,13 +94,12 @@ JobSet overflow_pair() {
 TEST(EdfOverflow, CompletionPastInt64MaxMissesEveryDeadline) {
   const JobSet jobs = overflow_pair();
   EdfScratch scratch;
-  EXPECT_FALSE(edf_feasible(jobs, all_ids(jobs), scratch));
   MachineSchedule out;
   EXPECT_FALSE(edf_schedule_into(jobs, all_ids(jobs), scratch, out));
   EXPECT_FALSE(preemptive_feasible(jobs, all_ids(jobs)));
   for (const JobId id : all_ids(jobs)) {
     const std::vector<JobId> alone{id};
-    EXPECT_TRUE(edf_feasible(jobs, alone, scratch));
+    EXPECT_TRUE(edf_schedule_into(jobs, alone, scratch, out));
     EXPECT_TRUE(preemptive_feasible(jobs, alone));
   }
 }
@@ -123,12 +122,11 @@ TEST(IntervalCondition, CapacityWiderThanInt64StaysExact) {
   jobs.add({kMin, kMin + 10, 10, 1.0});
   jobs.add({0, kMax, kMax / 2, 1.0});
   jobs.add({1, kMax, kMax / 2, 1.0});
-  EdfScratch scratch;
   EXPECT_TRUE(preemptive_feasible(jobs, all_ids(jobs)));
-  EXPECT_TRUE(edf_feasible(jobs, all_ids(jobs), scratch));
+  EXPECT_TRUE(edf_schedule(jobs, all_ids(jobs)));
   jobs.add({2, kMax, 2, 1.0});  // now one tick too many after 0
   EXPECT_FALSE(preemptive_feasible(jobs, all_ids(jobs)));
-  EXPECT_FALSE(edf_feasible(jobs, all_ids(jobs), scratch));
+  EXPECT_FALSE(edf_schedule(jobs, all_ids(jobs)));
 }
 
 TEST(IntervalCondition, SimpleFeasibleAndNot) {
@@ -236,14 +234,14 @@ OracleRun oracle_edf(const JobSet& jobs, const std::vector<JobId>& ids) {
 
 struct OracleCoverage {
   std::size_t subsets = 0;
-  std::size_t feasible_past_cap = 0;    ///< record mode crossed the cap
-  std::size_t infeasible_past_cap = 0;  ///< feasibility mode crossed it
+  std::size_t feasible_past_cap = 0;    ///< feasible, crossed the cap
+  std::size_t infeasible_past_cap = 0;  ///< infeasible, crossed it
 };
 
-/// edf_feasible and edf_schedule_into on `subset`, as given and in
-/// (release, id) order (the sort and the presorted path), against the
-/// oracle: the same verdict, the same ready-set form, and on success the
-/// same run log and the same per-job segment lists in release order.
+/// edf_schedule_into on `subset`, as given and in (release, id) order (the
+/// sort and the presorted path), against the oracle: the same verdict, the
+/// same ready-set form, and on success the same run log and the same
+/// per-job segment lists in release order.
 void expect_matches_oracle(const JobSet& jobs,
                            const std::vector<JobId>& subset,
                            EdfScratch& scratch, OracleCoverage& coverage) {
@@ -256,11 +254,9 @@ void expect_matches_oracle(const JobSet& jobs,
   }
   const std::vector<JobId> sorted = release_order(jobs, subset);
   for (const auto& ids : {subset, sorted}) {
-    ASSERT_EQ(edf_feasible(jobs, ids, scratch), want.feasible);
-    ASSERT_EQ(scratch.ready_heaped, heaped) << "feasibility mode";
     MachineSchedule got;
     ASSERT_EQ(edf_schedule_into(jobs, ids, scratch, got), want.feasible);
-    ASSERT_EQ(scratch.ready_heaped, heaped) << "record mode";
+    ASSERT_EQ(scratch.ready_heaped, heaped);
     if (!want.feasible) {
       ASSERT_TRUE(got.empty());
       continue;
@@ -391,10 +387,12 @@ TEST(EdfDeath, DuplicateIdAborts) {
   jobs.add({0, 10, 1, 1.0});
   jobs.add({0, 10, 1, 1.0});
   EdfScratch scratch;
+  MachineSchedule out;
   // Out of order (the sort path) and in (release, id) order otherwise.
   for (const std::vector<JobId>& twice :
        {std::vector<JobId>{1, 0, 1}, std::vector<JobId>{0, 1, 1}}) {
-    EXPECT_DEATH((void)edf_feasible(jobs, twice, scratch), "duplicate job id");
+    EXPECT_DEATH((void)edf_schedule_into(jobs, twice, scratch, out),
+                 "duplicate job id");
   }
 }
 

@@ -1,23 +1,26 @@
 // Differential tests for EdfAdmission, the greedy seed's trial acceptance.
 //
-// Every try_admit answer must equal a from-scratch edf_feasible probe of the
-// admitted set plus the candidate — and the interval condition for n ≤ 64 —
-// and the greedy built on it must accept exactly what the previous greedy,
-// which re-probed the whole accepted set per candidate, accepted on 1–3
-// machines.  The corpus covers the src/gen random families and the edge
-// shapes of the busy-window argument: one busy period, zero laxity,
-// candidates released exactly at a busy period's end, windows that absorb
-// three or more later periods, negative releases, and ticks near the int64
-// limits.  Each family also checks, with its own busy-period computation,
+// Every try_admit answer must equal a from-scratch edf_schedule_into
+// verdict on the admitted set plus the candidate — and the interval
+// condition for n ≤ 64 — and the greedy built on it must accept exactly
+// what the previous greedy, which re-probed the whole accepted set per
+// candidate, accepted on 1–3 machines.  The corpus covers the src/gen
+// random families and the edge shapes of the busy-window argument: one
+// busy period, zero laxity, candidates released exactly at a busy period's
+// end, windows that absorb three or more later periods, negative releases,
+// ticks near the int64 limits, and windows across the rank bitsets' 64-bit
+// words.  Each family also checks, with its own busy-period computation,
 // that the shape it exists for really occurred.
 //
 // The same computation predicts how try_admit must decide each probe: by
 // the reject bound (some stage of the growing window — the holding period
 // plus the candidate, then each absorbed period — ends after the latest
 // deadline among the stages so far), by the accept bound (the window ends
-// by the candidate's deadline), or by simulating the window.  Each probe
-// checks the prediction against the oracle's answer and against the
-// counter try_admit bumped.
+// by the candidate's deadline), or by simulating the window — and, when it
+// simulates, exactly which jobs: the admitted ones released inside the
+// window plus the candidate.  Each probe checks the prediction against the
+// oracle's answer, against the counter try_admit bumped and against the
+// window the EDF scratch was loaded with.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -86,6 +90,13 @@ bool exact_denser_first(const JobSet& jobs, JobId a, JobId b) {
   return sign != 0 ? sign > 0 : a < b;
 }
 
+/// The from-scratch verdict on `ids`: whether EDF meets every deadline.
+bool edf_feasible(const JobSetView& jobs, std::span<const JobId> ids,
+                  EdfScratch& scratch) {
+  MachineSchedule out;
+  return edf_schedule_into(jobs, ids, scratch, out);
+}
+
 /// The seed's previous algorithm, kept as the oracle: density order
 /// (exact_denser_first), and each candidate re-probes the whole accepted
 /// set from scratch.
@@ -113,6 +124,45 @@ Schedule reference_greedy(const JobSet& jobs, std::size_t machines) {
 /// How a probe is decided: by one of the two bounds, or by simulation.
 enum class Decision { kBoundRejected, kBoundAccepted, kSimulated };
 
+/// `ids` in (release, id) order.
+std::vector<JobId> release_order(const JobSet& jobs, std::vector<JobId> ids) {
+  std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+    return jobs[a].release != jobs[b].release
+               ? jobs[a].release < jobs[b].release
+               : a < b;
+  });
+  return ids;
+}
+
+/// An EdfAdmission ranked over every job of a set, probed by job id.
+struct Ranked {
+  EdfAdmission admission;
+  EdfScratch scratch;
+  std::vector<EdfAdmission::Rank> rank_of;  ///< per job id
+
+  Ranked() = default;
+  explicit Ranked(const JobSetView& jobs) { rank(jobs); }
+
+  void rank(const JobSetView& jobs) {
+    std::vector<JobId> ids(jobs.size());
+    std::iota(ids.begin(), ids.end(), JobId{0});
+    admission.rank(jobs, ids);
+    rank_of.assign(jobs.size(), 0);
+    for (std::size_t r = 0; r < admission.size(); ++r) {
+      rank_of[admission.id(static_cast<EdfAdmission::Rank>(r))] =
+          static_cast<EdfAdmission::Rank>(r);
+    }
+  }
+  bool try_admit(JobId id) {
+    return admission.try_admit(rank_of[id], scratch);
+  }
+  std::vector<JobId> admitted() const {
+    std::vector<JobId> out;
+    admission.admitted_ids(out);
+    return out;
+  }
+};
+
 /// What one probe looked like, from the admitted set's busy periods
 /// (computed here independently of EdfAdmission).
 struct Shape {
@@ -123,19 +173,33 @@ struct Shape {
   /// ends by its own: only the stage-wise rule rejects without simulating.
   bool early_stage_only = false;
   Decision decision = Decision::kSimulated;
+  /// The admitted jobs released in [start, end) plus the candidate, in
+  /// (release, id) order: what a simulated probe loads.
+  std::vector<JobId> window;
+  /// The (release, id) ranks over the whole set of the window's first
+  /// and last job, and of each absorbed period's first job.
+  std::size_t first_rank = 0;
+  std::size_t last_rank = 0;
+  std::vector<std::size_t> absorbed_first_ranks;
+  /// The holding period starts at r_id with a job ranked above the
+  /// candidate: the merged period's first rank moves to the candidate.
+  bool holding_starts_above = false;
+  /// Admitted jobs released at r_id rank below and above the candidate.
+  bool equal_releases_both_sides = false;
 };
 
-Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
-  std::sort(admitted.begin(), admitted.end(), [&](JobId a, JobId b) {
-    return jobs[a].release < jobs[b].release;
-  });
+Shape probe_shape(const JobSet& jobs, const std::vector<JobId>& accepted,
+                  JobId id, std::span<const EdfAdmission::Rank> rank_of) {
+  const std::vector<JobId> admitted = release_order(jobs, accepted);
   struct Period {
     Time start, end, latest;
+    JobId first;
   };
   std::vector<Period> periods;  // feasible set: every end is a valid Time
   for (const JobId j : admitted) {
     if (periods.empty() || jobs[j].release >= periods.back().end) {
-      periods.push_back({jobs[j].release, jobs[j].release, jobs[j].deadline});
+      periods.push_back(
+          {jobs[j].release, jobs[j].release, jobs[j].deadline, j});
     }
     periods.back().end += jobs[j].length;
     periods.back().latest = std::max(periods.back().latest, jobs[j].deadline);
@@ -144,20 +208,25 @@ Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
   // number, and a period's span past INT64_MAX too.
   Shape shape;
   const Job c = jobs[id];
+  Time start = c.release;
   __int128 end = c.release;
   Time latest = c.deadline;  // over the window's jobs, c included
   std::size_t next = 0;
   for (; next < periods.size() && periods[next].start <= c.release; ++next) {
     shape.at_period_end |= periods[next].end == c.release;
     if (periods[next].end > c.release) {  // the period holding r_c
+      start = periods[next].start;
       end = periods[next].end;
       latest = std::max(latest, periods[next].latest);
+      shape.holding_starts_above = periods[next].start == c.release &&
+                                   periods[next].first > id;
     }
   }
   end += c.length;
   bool overran = end > latest;  // stage 0: the holding period plus c
   for (; next < periods.size() && periods[next].start < end; ++next) {
     ++shape.absorbed;
+    shape.absorbed_first_ranks.push_back(rank_of[periods[next].first]);
     end += static_cast<__int128>(periods[next].end) - periods[next].start;
     latest = std::max(latest, periods[next].latest);
     overran |= end > latest;
@@ -167,6 +236,19 @@ Shape probe_shape(const JobSet& jobs, std::vector<JobId> admitted, JobId id) {
   shape.decision = overran             ? Decision::kBoundRejected
                    : end <= c.deadline ? Decision::kBoundAccepted
                                        : Decision::kSimulated;
+  bool below = false;
+  bool above = false;
+  for (const JobId j : admitted) {
+    if (jobs[j].release == c.release) (j < id ? below : above) = true;
+    if (jobs[j].release >= start && jobs[j].release < end) {
+      shape.window.push_back(j);
+    }
+  }
+  shape.equal_releases_both_sides = below && above;
+  shape.window.push_back(id);
+  shape.window = release_order(jobs, shape.window);
+  shape.first_rank = rank_of[shape.window.front()];
+  shape.last_rank = rank_of[shape.window.back()];
   return shape;
 }
 
@@ -178,12 +260,11 @@ struct Probe {
   Decision decision = Decision::kSimulated;
 };
 
-Probe probe(EdfAdmission& admission, const JobSetView& jobs, JobId id,
-            EdfScratch& scratch) {
-  const AdmissionCounts before = admission.counts();
+Probe probe(Ranked& ranked, JobId id) {
+  const AdmissionCounts before = ranked.admission.counts();
   Probe got;
-  got.admitted = admission.try_admit(jobs, id, scratch);
-  const AdmissionCounts& after = admission.counts();
+  got.admitted = ranked.try_admit(id);
+  const AdmissionCounts& after = ranked.admission.counts();
   EXPECT_EQ(after.probes(), before.probes() + 1) << "job " << id;
   got.simulated = after.simulated != before.simulated;
   got.decision = after.bound_rejected != before.bound_rejected
@@ -207,6 +288,17 @@ struct Coverage {
   std::size_t bound_accepted = 0;
   std::size_t simulated = 0;
   std::size_t past_sorted_cap = 0;   ///< of simulated, from try_admit
+  std::size_t holding_starts_above = 0;
+  std::size_t equal_releases_both_sides = 0;
+  /// Simulated windows whose ranks span the bitset word boundary 63/64,
+  /// and the one at 127/128.
+  std::size_t window_across_64 = 0;
+  std::size_t window_across_128 = 0;
+  /// Absorbed periods whose first rank opens a bitset word (64 or 128).
+  std::size_t absorbed_at_word_start = 0;
+  /// Admitted windows from the first bitset word into the third that
+  /// absorbed a period starting in the second.
+  std::size_t merged_across_three_words = 0;
 };
 
 /// The candidates a greedy seed of `seed.machine_count()` passes
@@ -220,35 +312,32 @@ std::size_t greedy_candidates(std::size_t n, const Schedule& seed) {
   return candidates;
 }
 
-/// Admits every job of `jobs` in a random order through one reused
-/// EdfAdmission, checking each answer against from-scratch probes, then
-/// checks the greedy against the reference on 1–3 machines.
-void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
-                    GreedyScratch& greedy, Coverage& coverage) {
-  ++coverage.instances;
+/// Probes the jobs of `order` through `ranked` (ranked over `jobs`),
+/// checking each answer against from-scratch probes, each decision
+/// against the predicted one and each simulated window against the
+/// predicted jobs.  Returns the accepted ids in probe order.
+std::vector<JobId> check_probes(const JobSet& jobs,
+                                std::span<const JobId> order, Ranked& ranked,
+                                Coverage& coverage) {
   const JobSetView view = jobs;
-  std::vector<JobId> order = all_ids(jobs);
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1],
-              order[static_cast<std::size_t>(
-                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
-  }
-
-  admission.clear();
-  EdfScratch scratch;
   EdfScratch oracle;
   std::vector<JobId> accepted;
   for (const JobId id : order) {
-    const Shape shape = probe_shape(jobs, accepted, id);
+    const Shape shape = probe_shape(jobs, accepted, id, ranked.rank_of);
     coverage.at_period_end += shape.at_period_end;
     coverage.absorbed_three += shape.absorbed >= 3;
     coverage.past_int64 += shape.past_int64;
+    coverage.holding_starts_above += shape.holding_starts_above;
+    coverage.equal_releases_both_sides += shape.equal_releases_both_sides;
+    for (const std::size_t r : shape.absorbed_first_ranks) {
+      coverage.absorbed_at_word_start += r == 64 || r == 128;
+    }
     ++coverage.probes;
 
     accepted.push_back(id);
     const bool expected = edf_feasible(view, accepted, oracle);
     if (jobs.size() <= 64) {
-      ASSERT_EQ(preemptive_feasible(jobs, accepted), expected)
+      EXPECT_EQ(preemptive_feasible(jobs, accepted), expected)
           << "EDF and the interval condition disagree, job " << id;
     }
     // The bounds are exact: each one's verdict is the oracle's.
@@ -256,35 +345,65 @@ void check_instance(const JobSet& jobs, Rng& rng, EdfAdmission& admission,
       case Decision::kBoundRejected:
         ++coverage.bound_rejected;
         coverage.early_stage_only += shape.early_stage_only;
-        ASSERT_FALSE(expected) << "reject bound wrong, job " << id;
+        EXPECT_FALSE(expected) << "reject bound wrong, job " << id;
         break;
       case Decision::kBoundAccepted:
         ++coverage.bound_accepted;
-        ASSERT_TRUE(expected) << "accept bound wrong, job " << id;
+        EXPECT_TRUE(expected) << "accept bound wrong, job " << id;
         break;
       case Decision::kSimulated:
         ++coverage.simulated;
+        coverage.window_across_64 +=
+            shape.first_rank <= 63 && shape.last_rank >= 64;
+        coverage.window_across_128 +=
+            shape.first_rank <= 127 && shape.last_rank >= 128;
         break;
     }
-    const Probe got = probe(admission, view, id, scratch);
-    ASSERT_EQ(got.admitted, expected)
+    const Probe got = probe(ranked, id);
+    EXPECT_EQ(got.admitted, expected)
         << "job " << id << " after " << accepted.size() - 1 << " admitted";
-    ASSERT_EQ(got.simulated, shape.decision == Decision::kSimulated)
+    EXPECT_EQ(got.simulated, shape.decision == Decision::kSimulated)
         << "job " << id << " decided the wrong way";
-    ASSERT_EQ(got.decision, shape.decision)
+    EXPECT_EQ(got.decision, shape.decision)
         << "job " << id << " counted the wrong way";
+    if (got.simulated) {
+      EXPECT_EQ(ranked.scratch.id, shape.window)
+          << "job " << id << " simulated the wrong window";
+    }
+    if (expected && shape.first_rank < 64 && shape.last_rank >= 128 &&
+        std::ranges::any_of(shape.absorbed_first_ranks, [](std::size_t r) {
+          return r >= 64 && r < 128;
+        })) {
+      ++coverage.merged_across_three_words;
+    }
     if (!expected) accepted.pop_back();
     (expected ? coverage.accepted : coverage.rejected) += 1;
+    if (::testing::Test::HasFailure()) break;
   }
-  coverage.past_sorted_cap += admission.counts().past_sorted_cap;
+  return accepted;
+}
 
-  // admitted() is the accepted set in (release, id) order.
-  std::sort(accepted.begin(), accepted.end(), [&](JobId a, JobId b) {
-    return jobs[a].release != jobs[b].release
-               ? jobs[a].release < jobs[b].release
-               : a < b;
-  });
-  ASSERT_TRUE(std::ranges::equal(admission.admitted(), accepted));
+/// Admits every job of `jobs` in a random order through one reused
+/// EdfAdmission, checking each probe (check_probes), then checks the
+/// greedy against the reference on 1–3 machines.
+void check_instance(const JobSet& jobs, Rng& rng, Ranked& ranked,
+                    GreedyScratch& greedy, Coverage& coverage) {
+  ++coverage.instances;
+  std::vector<JobId> order = all_ids(jobs);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1],
+              order[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+
+  ranked.rank(jobs);
+  const std::vector<JobId> accepted =
+      check_probes(jobs, order, ranked, coverage);
+  if (::testing::Test::HasFailure()) return;
+  coverage.past_sorted_cap += ranked.admission.counts().past_sorted_cap;
+
+  // The admitted ids come out in (release, id) order.
+  ASSERT_EQ(ranked.admitted(), release_order(jobs, accepted));
 
   for (const std::size_t machines : {1u, 2u, 3u}) {
     const Schedule reference = reference_greedy(jobs, machines);
@@ -304,13 +423,13 @@ using Family = std::function<JobSet(Rng&)>;
 Coverage run_family(const Family& family, std::uint64_t seed,
                     std::size_t count) {
   Rng rng(seed);
-  EdfAdmission admission;
+  Ranked ranked;
   GreedyScratch greedy;
   Coverage coverage;
   for (std::size_t i = 0; i < count; ++i) {
     const JobSet jobs = family(rng);
-    check_instance(jobs, rng, admission, greedy, coverage);
-    if (::testing::Test::HasFatalFailure()) {
+    check_instance(jobs, rng, ranked, greedy, coverage);
+    if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "instance " << i << " of seed " << seed;
       break;
     }
@@ -388,10 +507,10 @@ TEST(EdfAdmissionDifferential, Fig2GeometricChains) {
   Coverage c;
   for (std::size_t n = 1; n <= 62; ++n) {
     Rng rng(n);
-    EdfAdmission admission;
+    Ranked ranked;
     GreedyScratch greedy;
-    check_instance(k0_geometric_instance(n).jobs, rng, admission, greedy, c);
-    ASSERT_FALSE(HasFatalFailure()) << "n = " << n;
+    check_instance(k0_geometric_instance(n).jobs, rng, ranked, greedy, c);
+    ASSERT_FALSE(HasFailure()) << "n = " << n;
   }
   EXPECT_GT(c.bound_accepted, 0u);
   EXPECT_GT(c.simulated, 0u);
@@ -581,16 +700,13 @@ TEST(EdfAdmission, WindowAbsorbsThreeLaterPeriods) {
   const JobId late = jobs.add({0, 11, 4, 1.0});
   const JobId fits = jobs.add({0, 12, 4, 1.0});
   const JobId at_end = jobs.add({12, 13, 1, 1.0});
-  EdfAdmission admission;
-  EdfScratch scratch;
-  for (JobId id = 0; id < 4; ++id) {
-    EXPECT_TRUE(admission.try_admit(jobs, id, scratch));
-  }
-  EXPECT_FALSE(admission.try_admit(jobs, late, scratch));
-  EXPECT_TRUE(admission.try_admit(jobs, fits, scratch));
+  Ranked ranked(jobs);
+  for (JobId id = 0; id < 4; ++id) EXPECT_TRUE(ranked.try_admit(id));
+  EXPECT_FALSE(ranked.try_admit(late));
+  EXPECT_TRUE(ranked.try_admit(fits));
   // Released exactly where the merged period ends: a window of its own.
-  EXPECT_TRUE(admission.try_admit(jobs, at_end, scratch));
-  EXPECT_EQ(admission.admitted().size(), 6u);
+  EXPECT_TRUE(ranked.try_admit(at_end));
+  EXPECT_EQ(ranked.admitted().size(), 6u);
 }
 
 TEST(EdfAdmission, CandidateAtAPeriodEndOpensItsOwnWindow) {
@@ -599,15 +715,13 @@ TEST(EdfAdmission, CandidateAtAPeriodEndOpensItsOwnWindow) {
   const JobId next = jobs.add({10, 20, 10, 1.0});
   const JobId crowded = jobs.add({10, 20, 1, 1.0});
   const JobId inside = jobs.add({9, 30, 1, 1.0});
-  EdfAdmission admission;
-  EdfScratch scratch;
-  EXPECT_TRUE(admission.try_admit(jobs, 0, scratch));
-  EXPECT_TRUE(admission.try_admit(jobs, next, scratch));
-  EXPECT_FALSE(admission.try_admit(jobs, crowded, scratch));
+  Ranked ranked(jobs);
+  EXPECT_TRUE(ranked.try_admit(0));
+  EXPECT_TRUE(ranked.try_admit(next));
+  EXPECT_FALSE(ranked.try_admit(crowded));
   // Released inside [0, 10): the window grows to 11 and absorbs [10, 20).
-  EXPECT_TRUE(admission.try_admit(jobs, inside, scratch));
-  const std::vector<JobId> order{0, inside, next};
-  EXPECT_TRUE(std::ranges::equal(admission.admitted(), order));
+  EXPECT_TRUE(ranked.try_admit(inside));
+  EXPECT_EQ(ranked.admitted(), (std::vector<JobId>{0, inside, next}));
 }
 
 TEST(EdfAdmission, OverflowingWindowRejects) {
@@ -615,14 +729,13 @@ TEST(EdfAdmission, OverflowingWindowRejects) {
   jobs.add({0, kMax - 1023, Duration{1} << 62, 2.0});
   jobs.add({0, kMax - 1023, Duration{1} << 62, 1.0});
   jobs.add({kMax - 2, kMax, 2, 1.0});  // fits after the first job's period
-  EdfAdmission admission;
-  EdfScratch scratch;
-  EXPECT_TRUE(admission.try_admit(jobs, 0, scratch));
-  EXPECT_FALSE(admission.try_admit(jobs, 1, scratch));
-  EXPECT_TRUE(admission.try_admit(jobs, 2, scratch));
-  admission.clear();
-  EXPECT_TRUE(admission.admitted().empty());
-  EXPECT_TRUE(admission.try_admit(jobs, 1, scratch));
+  Ranked ranked(jobs);
+  EXPECT_TRUE(ranked.try_admit(0));
+  EXPECT_FALSE(ranked.try_admit(1));
+  EXPECT_TRUE(ranked.try_admit(2));
+  ranked.admission.clear();
+  EXPECT_TRUE(ranked.admitted().empty());
+  EXPECT_TRUE(ranked.try_admit(1));
 }
 
 TEST(EdfAdmission, WindowEndingAtTheCandidatesDeadlineIsAcceptedUnsimulated) {
@@ -631,10 +744,9 @@ TEST(EdfAdmission, WindowEndingAtTheCandidatesDeadlineIsAcceptedUnsimulated) {
   JobSet jobs;
   jobs.add({0, 10, 5, 1.0});
   const JobId c = jobs.add({2, 8, 3, 1.0});
-  EdfAdmission admission;
-  EdfScratch scratch;
-  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
-  const Probe got = probe(admission, jobs, c, scratch);
+  Ranked ranked(jobs);
+  ASSERT_TRUE(ranked.try_admit(0));
+  const Probe got = probe(ranked, c);
   EXPECT_TRUE(got.admitted);
   EXPECT_FALSE(got.simulated);
 }
@@ -648,13 +760,12 @@ TEST(EdfAdmission, WindowEndingAtTheLatestDeadlineIsNotRejected) {
   jobs.add({0, 8, 5, 1.0});
   const JobId c = jobs.add({0, 6, 3, 1.0});
   const JobId longer = jobs.add({0, 6, 4, 1.0});
-  EdfAdmission admission;
-  EdfScratch scratch;
-  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
-  const Probe too_long = probe(admission, jobs, longer, scratch);
+  Ranked ranked(jobs);
+  ASSERT_TRUE(ranked.try_admit(0));
+  const Probe too_long = probe(ranked, longer);
   EXPECT_FALSE(too_long.admitted);
   EXPECT_FALSE(too_long.simulated);
-  const Probe got = probe(admission, jobs, c, scratch);
+  const Probe got = probe(ranked, c);
   EXPECT_TRUE(got.admitted);
   EXPECT_TRUE(got.simulated);
 }
@@ -672,10 +783,9 @@ TEST(EdfAdmission, EqualDeadlinesOnEitherSideOfTheIdTieBreak) {
     for (JobId id = 0; id < 2; ++id) {
       jobs.add(id == tie ? Job{0, 10, 6, 1.0} : Job{0, 10, 4, 1.0});
     }
-    EdfAdmission admission;
-    EdfScratch scratch;
-    ASSERT_TRUE(admission.try_admit(jobs, tie, scratch));
-    const Probe bound = probe(admission, jobs, c, scratch);
+    Ranked ranked(jobs);
+    ASSERT_TRUE(ranked.try_admit(tie));
+    const Probe bound = probe(ranked, c);
     EXPECT_TRUE(bound.admitted) << candidate_first;
     EXPECT_FALSE(bound.simulated) << candidate_first;
 
@@ -684,10 +794,10 @@ TEST(EdfAdmission, EqualDeadlinesOnEitherSideOfTheIdTieBreak) {
       wider.add(id == tie ? Job{0, 10, 4, 1.0} : Job{0, 10, 5, 1.0});
     }
     const JobId later = wider.add({0, 20, 8, 1.0});
-    admission.clear();
-    ASSERT_TRUE(admission.try_admit(wider, tie, scratch));
-    ASSERT_TRUE(admission.try_admit(wider, later, scratch));
-    const Probe simulated = probe(admission, wider, c, scratch);
+    ranked.rank(wider);
+    ASSERT_TRUE(ranked.try_admit(tie));
+    ASSERT_TRUE(ranked.try_admit(later));
+    const Probe simulated = probe(ranked, c);
     EXPECT_TRUE(simulated.admitted) << candidate_first;
     EXPECT_TRUE(simulated.simulated) << candidate_first;
   }
@@ -706,16 +816,15 @@ TEST(EdfAdmission, LatestDeadlineFromAnAbsorbedPeriod) {
     jobs.add({0, 5, 5, 1.0});
     jobs.add({6, absorbed_deadline, 2, 1.0});
     const JobId c = jobs.add({0, 9, 3, 1.0});
-    EdfAdmission admission;
-    EdfScratch scratch;
-    ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
-    ASSERT_TRUE(admission.try_admit(jobs, 1, scratch));
-    const Probe got = probe(admission, jobs, c, scratch);
+    Ranked ranked(jobs);
+    ASSERT_TRUE(ranked.try_admit(0));
+    ASSERT_TRUE(ranked.try_admit(1));
+    const Probe got = probe(ranked, c);
     const bool fits = absorbed_deadline == 30;
     EXPECT_EQ(got.admitted, fits) << absorbed_deadline;
     EXPECT_EQ(got.simulated, fits) << absorbed_deadline;
-    EXPECT_EQ(got.admitted,
-              edf_feasible(jobs, std::vector<JobId>{0, 1, c}, scratch));
+    EXPECT_EQ(got.admitted, edf_feasible(jobs, std::vector<JobId>{0, 1, c},
+                                         ranked.scratch));
   }
 }
 
@@ -732,25 +841,139 @@ TEST(EdfAdmission, EarlyStageOverrunIsRejectedUnsimulated) {
     jobs.add({0, 5, 5, 1.0});
     jobs.add({6, 30, 2, 1.0});
     const JobId c = jobs.add({0, d_c, 3, 1.0});
-    EdfAdmission admission;
-    EdfScratch scratch;
-    ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
-    ASSERT_TRUE(admission.try_admit(jobs, 1, scratch));
-    const Probe got = probe(admission, jobs, c, scratch);
+    Ranked ranked(jobs);
+    ASSERT_TRUE(ranked.try_admit(0));
+    ASSERT_TRUE(ranked.try_admit(1));
+    const Probe got = probe(ranked, c);
     const bool fits = d_c == 8;
     EXPECT_EQ(got.admitted, fits) << d_c;
     EXPECT_EQ(got.decision,
               fits ? Decision::kSimulated : Decision::kBoundRejected)
         << d_c;
-    EXPECT_EQ(got.admitted,
-              edf_feasible(jobs, std::vector<JobId>{0, 1, c}, scratch));
+    EXPECT_EQ(got.admitted, edf_feasible(jobs, std::vector<JobId>{0, 1, c},
+                                         ranked.scratch));
     const AdmissionCounts want{.bound_rejected = fits ? 0u : 1u,
                                .bound_accepted = 2,
                                .simulated = fits ? 1u : 0u};
-    EXPECT_EQ(admission.counts(), want) << d_c;
-    admission.clear();
-    EXPECT_EQ(admission.counts(), AdmissionCounts{});
+    EXPECT_EQ(ranked.admission.counts(), want) << d_c;
+    ranked.admission.clear();
+    EXPECT_EQ(ranked.admission.counts(), AdmissionCounts{});
   }
+}
+
+// ------------------------------------------------------ rank space --------
+
+/// Probes `order` with check_probes and returns each probe's verdict.
+std::vector<bool> script(const JobSet& jobs, const std::vector<JobId>& order,
+                         Coverage& coverage) {
+  Ranked ranked(jobs);
+  const std::vector<JobId> accepted =
+      check_probes(jobs, order, ranked, coverage);
+  std::vector<bool> verdicts;
+  for (const JobId id : order) {
+    verdicts.push_back(std::ranges::find(accepted, id) != accepted.end());
+  }
+  return verdicts;
+}
+
+TEST(EdfAdmission, HoldingPeriodStartingAtTheCandidatesReleaseMovesItsRank) {
+  // a, b and c are released at 10, so they rank by id.  b alone is the
+  // busy period [10, 15), first rank b's.  a ranks below it: its window is
+  // [10, 17), simulated (d_a = 12 < 17), and fits (a in [10, 12), b in
+  // [12, 17)); the merged period's first rank is now a's.  c then needs a,
+  // b and c together: a in [10, 12) leaves c [12, 14), one tick past
+  // d_c = 13 — a window that skipped a would admit c.
+  JobSet jobs;
+  const JobId a = jobs.add({10, 12, 2, 1.0});
+  const JobId b = jobs.add({10, 30, 5, 1.0});
+  const JobId c = jobs.add({10, 13, 2, 1.0});
+  Coverage coverage;
+  EXPECT_EQ(script(jobs, {b, a, c}, coverage),
+            (std::vector<bool>{true, true, false}));
+  EXPECT_EQ(coverage.holding_starts_above, 1u);  // a's probe
+  EXPECT_EQ(coverage.simulated, 2u);
+  // A job released inside the merged period finds it by its new first
+  // rank: d needs a's [10, 12) first and then misses 13 by one tick.
+  JobSet more = jobs;
+  const JobId d = more.add({11, 13, 2, 1.0});
+  Coverage more_coverage;
+  EXPECT_EQ(script(more, {b, a, d, c}, more_coverage),
+            (std::vector<bool>{true, true, false, false}));
+  EXPECT_EQ(more_coverage.simulated, 3u);
+}
+
+TEST(EdfAdmission, EqualReleasesOnBothSidesOfTheCandidate) {
+  // Five jobs released at 4 rank by id.  Ids 0 and 4 are admitted first,
+  // with a period before them ([0, 3)) and one after ([14, 16)); then ids
+  // 2, 1 and 3 probe from between them, each simulated, and 3 misses its
+  // deadline: 2 and 3 (d = 9) need 6 ticks from 4.
+  JobSet jobs;
+  jobs.add({4, 40, 3, 1.0});
+  jobs.add({4, 12, 2, 1.0});
+  jobs.add({4, 9, 2, 1.0});
+  jobs.add({4, 9, 4, 1.0});
+  jobs.add({4, 16, 4, 1.0});
+  jobs.add({0, 6, 3, 1.0});
+  jobs.add({14, 30, 2, 1.0});
+  Coverage coverage;
+  EXPECT_EQ(script(jobs, {0, 4, 5, 6, 2, 1, 3}, coverage),
+            (std::vector<bool>{true, true, true, true, true, true, false}));
+  EXPECT_EQ(coverage.equal_releases_both_sides, 3u);
+  EXPECT_EQ(coverage.simulated, 3u);
+}
+
+TEST(EdfAdmission, CandidateReleasedWhereAPeriodEnds) {
+  // [0, 6) is one busy period; a job released at 6 starts its own window
+  // (nothing is pending at 6), and jobs released at 5 land inside the
+  // period, whose windows absorb the one at 6: `inside` fits around it,
+  // `late` then finishes at 9, one tick past its deadline.
+  JobSet jobs;
+  jobs.add({0, 20, 4, 1.0});
+  jobs.add({2, 6, 2, 1.0});
+  const JobId at_end = jobs.add({6, 7, 1, 1.0});
+  const JobId inside = jobs.add({5, 8, 2, 1.0});
+  const JobId late = jobs.add({5, 8, 1, 1.0});
+  Coverage coverage;
+  EXPECT_EQ(script(jobs, {0, 1, at_end, inside, late}, coverage),
+            (std::vector<bool>{true, true, true, true, false}));
+  EXPECT_EQ(coverage.at_period_end, 1u);
+  EXPECT_EQ(coverage.simulated, 2u);
+}
+
+TEST(EdfAdmissionDifferential, WindowsStraddleTheBitsetWords) {
+  // 130–200 jobs in short tight runs, one run per 8 ticks, with lax long
+  // jobs among them: windows and absorbed periods reach across the rank
+  // bitsets' word boundaries at 63/64 and 127/128, and a few very long
+  // jobs merge periods from all three words into one.
+  const Coverage c = run_family(
+      [](Rng& rng) {
+        JobSet jobs;
+        const std::size_t n = draw_n(rng, 130, 200);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Time r = 8 * static_cast<Time>(i / 2) + rng.uniform_int(0, 3);
+          if (rng.bernoulli(0.02)) {
+            const Duration p = rng.uniform_int(150, 500);
+            jobs.add({r, r + p + rng.uniform_int(0, 1000), p,
+                      static_cast<Value>(rng.uniform_int(1, 20))});
+          } else if (rng.bernoulli(0.1)) {
+            const Duration p = rng.uniform_int(8, 40);
+            jobs.add({r, r + p + rng.uniform_int(0, 80), p,
+                      static_cast<Value>(rng.uniform_int(1, 20))});
+          } else {
+            const Duration p = rng.uniform_int(1, 4);
+            jobs.add({r, r + p + rng.uniform_int(0, 6), p,
+                      static_cast<Value>(rng.uniform_int(10, 60))});
+          }
+        }
+        return jobs;
+      },
+      1010, 40);
+  expect_every_decision(c);
+  EXPECT_GT(c.window_across_64, c.instances);
+  EXPECT_GT(c.window_across_128, c.instances);
+  EXPECT_GT(c.absorbed_at_word_start, 0u);
+  EXPECT_GT(c.merged_across_three_words, 0u);
+  EXPECT_GT(c.early_stage_only, 0u);
 }
 
 // -------------------------------------------------------- density order ---
@@ -769,6 +992,25 @@ struct TieCoverage {
   std::size_t subnormal = 0;   ///< both products below DBL_MIN
   std::size_t exact_over_id = 0;
 };
+
+/// sort_denser_first, the keyed sort of the seed and LSA, leaves the jobs
+/// exactly where std::sort by denser_first does, from a shuffled start.
+void expect_keyed_sort_matches(const JobSet& jobs, Rng& rng) {
+  std::vector<JobId> want = all_ids(jobs);
+  for (std::size_t i = want.size(); i > 1; --i) {
+    std::swap(want[i - 1],
+              want[static_cast<std::size_t>(
+                  rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  std::vector<DensityKey> keys;
+  for (const JobId id : want) keys.push_back({.id = id});
+  sort_denser_first(jobs, keys);
+  std::sort(want.begin(), want.end(),
+            [&](JobId a, JobId b) { return denser_first(jobs, a, b); });
+  std::vector<JobId> got;
+  for (const DensityKey& key : keys) got.push_back(key.id);
+  EXPECT_EQ(got, want);
+}
 
 /// Irreflexive, asymmetric and transitive over every triple of the jobs,
 /// equal to the integer comparison of the exact cross-products (then the
@@ -824,6 +1066,10 @@ TEST(DensityOrder, RoundedProductCycleIsOrdered) {
   std::sort(order.begin(), order.end(),
             [&](JobId x, JobId y) { return denser_first(jobs, x, y); });
   EXPECT_EQ(order, (std::vector<JobId>{b, c, a}));
+  Rng rng(3);
+  for (int shuffle = 0; shuffle < 6; ++shuffle) {
+    expect_keyed_sort_matches(jobs, rng);
+  }
 }
 
 TEST(DensityOrder, NearTiesFormAStrictTotalOrder) {
@@ -831,6 +1077,7 @@ TEST(DensityOrder, NearTiesFormAStrictTotalOrder) {
   // tie often; lengths up to 2^62, tiny and huge values for the subnormal
   // and overflowing products, and exact duplicates for the id tie-break.
   Rng rng(4242);
+  Rng shuffles(77);  // apart from rng, which draws the instances
   TieCoverage ties;
   for (int round = 0; round < 60; ++round) {
     JobSet jobs;
@@ -861,7 +1108,8 @@ TEST(DensityOrder, NearTiesFormAStrictTotalOrder) {
       if (rng.bernoulli(0.2)) jobs.add({0, kMax, p, v});
     }
     expect_strict_total_order(jobs, ties);
-    ASSERT_FALSE(HasFatalFailure()) << "round " << round;
+    expect_keyed_sort_matches(jobs, shuffles);
+    ASSERT_FALSE(HasFailure()) << "round " << round;
   }
   EXPECT_GT(ties.overflowed, 0u);
   EXPECT_GT(ties.subnormal, 0u);
@@ -873,11 +1121,18 @@ TEST(EdfAdmissionDeath, RepeatedCandidateAborts) {
   // bound would admit it a second time without simulating.
   JobSet jobs;
   jobs.add({0, 100, 1, 1.0});
+  Ranked ranked(jobs);
+  ASSERT_TRUE(ranked.try_admit(0));
+  EXPECT_DEATH((void)ranked.try_admit(0), "already admitted");
+}
+
+TEST(EdfAdmissionDeath, RepeatedCandidateIdAbortsTheRanking) {
+  JobSet jobs;
+  jobs.add({0, 100, 1, 1.0});
+  jobs.add({0, 100, 1, 1.0});
   EdfAdmission admission;
-  EdfScratch scratch;
-  ASSERT_TRUE(admission.try_admit(jobs, 0, scratch));
-  EXPECT_DEATH((void)admission.try_admit(jobs, 0, scratch),
-               "already admitted");
+  EXPECT_DEATH(admission.rank(jobs, std::vector<JobId>{1, 0, 1}),
+               "duplicate job id");
 }
 
 }  // namespace

@@ -12,7 +12,8 @@
 //      allocations (asserted live when the binary links pobp::allocspy
 //      with counting enabled, skipped otherwise);
 //   4. the greedy seed polls its budget exactly once per candidate, and a
-//      warmed GreedyScratch re-seeds without allocating;
+//      warmed GreedyScratch re-seeds without allocating, as does a warmed
+//      Session on a pool worker past the TM fork threshold;
 //   5. a JobSet is its four columns: it hands back the records it was
 //      built from bit for bit, and its view aliases its own storage.
 #include <gtest/gtest.h>
@@ -31,12 +32,14 @@
 #include "pobp/bas/tm.hpp"
 #include "pobp/core/scratch.hpp"
 #include "pobp/lsa/lsa.hpp"
+#include "pobp/reduction/schedule_forest.hpp"
 #include "pobp/util/faultinject.hpp"
 #include "pobp/gen/forest_gen.hpp"
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/gen/schedule_gen.hpp"
 #include "pobp/util/alloccount.hpp"
 #include "pobp/util/budget.hpp"
+#include "pobp/util/parallel.hpp"
 #include "pobp/util/rng.hpp"
 
 namespace pobp {
@@ -555,34 +558,98 @@ TEST(GreedySeed, PollsTheBudgetOncePerCandidate) {
   }
 }
 
-// A GreedyScratch warmed on a mixed corpus re-seeds its largest instance
-// without touching the heap: the admission's sorted set and busy periods,
-// the EDF scratch and the pooled output all keep their capacity.
+// A GreedyScratch warmed on a mixed corpus re-seeds its largest instance,
+// and a smaller one after it, without touching the heap, on two and on
+// three machines: the ranking and density buffers, the admission's
+// bitsets and period slots, the EDF scratch and the pooled output all
+// keep their capacity.
 TEST(GreedySeed, WarmScratchReseedsWithoutAllocating) {
   std::vector<JobSet> corpus;
   for (const std::size_t n : {40u, 700u, 5u, 260u}) {
     corpus.push_back(congested_jobs(n, n));
   }
-  GreedyScratch scratch;
-  std::vector<JobId> ids;
-  Schedule out(2);
-  const auto seed = [&](const JobSet& jobs) {
-    ids = all_ids(jobs);
-    greedy_infinity_multi_into(jobs, ids, 2, scratch, out);
-  };
-  for (const JobSet& jobs : corpus) seed(jobs);
   const JobSet& largest = corpus[1];
-  seed(largest);
-  const std::string expected = io::schedule_to_csv(out);
+  const JobSet& smaller = corpus[3];
+  for (const std::size_t machines : {2u, 3u}) {
+    GreedyScratch scratch;
+    Schedule out(machines);
+    std::vector<JobId> ids;
+    const auto seed = [&](const JobSet& jobs) {
+      ids = all_ids(jobs);
+      greedy_infinity_multi_into(jobs, ids, machines, scratch, out);
+      return io::schedule_to_csv(out);
+    };
+    for (const JobSet& jobs : corpus) seed(jobs);
+    const std::string expected_largest = seed(largest);
+    const std::string expected_smaller = seed(smaller);
+    const std::vector<JobId> largest_ids = all_ids(largest);
+    const std::vector<JobId> smaller_ids = all_ids(smaller);
 
-  if (!alloccount::arm()) {
+    if (!alloccount::arm()) {
+      GTEST_SKIP() << "allocation counting disabled in this build";
+    }
+    alloccount::Scope scope;
+    greedy_infinity_multi_into(largest, largest_ids, machines, scratch, out);
+    EXPECT_EQ(scope.allocations(), 0u)
+        << "warmed greedy re-seed must be allocation-free, " << machines
+        << " machines";
+    EXPECT_EQ(io::schedule_to_csv(out), expected_largest);
+    alloccount::Scope after_larger;
+    greedy_infinity_multi_into(smaller, smaller_ids, machines, scratch, out);
+    EXPECT_EQ(after_larger.allocations(), 0u)
+        << "a smaller seed after a larger one must not allocate, "
+        << machines << " machines";
+    EXPECT_EQ(io::schedule_to_csv(out), expected_smaller);
+  }
+}
+
+// ----------------------------------------------------- TM fork ------------
+
+// An engine worker is a pool worker, where parallel_for never nests, so the
+// TM fork runs serially there and must build nothing for a fan-out that
+// cannot happen: a warmed Session on a ThreadPool worker, with the default
+// fork threshold, solves a one-machine instance whose schedule forest is
+// past that threshold without allocating.
+TEST(TmFork, WarmSessionOnAPoolWorkerSolvesWithoutAllocating) {
+  Rng rng(2048);
+  JobGenConfig config;
+  config.n = 2048;
+  config.max_length = 64;
+  config.min_laxity = 2.0;
+  config.max_laxity = 8.0;
+  config.horizon = 32 * 2048;
+  const JobSet jobs = random_jobs(config, rng);
+  // The fork's own preconditions hold, so only the worker check keeps it
+  // serial.
+  const ScheduleForest forest =
+      build_schedule_forest(jobs, greedy_infinity(jobs, all_ids(jobs)));
+  ASSERT_GE(forest.size(), kDefaultTmForkMinNodes);
+  ASSERT_GE(forest.forest.roots().size(), 2u);
+
+  bool armed = false;
+  std::uint64_t allocations = 0;
+  std::string expected;
+  std::string again;
+  ThreadPool pool(1);
+  pool.submit([&] {
+    Session session;
+    ScheduleResult out;
+    session.solve_into(jobs, out);
+    session.solve_into(jobs, out);
+    expected = fingerprint(out);
+    armed = alloccount::arm();
+    alloccount::Scope scope;
+    session.solve_into(jobs, out);
+    allocations = scope.allocations();
+    again = fingerprint(out);
+  });
+  pool.wait_idle();
+  EXPECT_EQ(again, expected);
+  if (!armed) {
     GTEST_SKIP() << "allocation counting disabled in this build";
   }
-  alloccount::Scope scope;
-  greedy_infinity_multi_into(largest, ids, 2, scratch, out);
-  EXPECT_EQ(scope.allocations(), 0u)
-      << "warmed greedy re-seed must be allocation-free";
-  EXPECT_EQ(io::schedule_to_csv(out), expected);
+  EXPECT_EQ(allocations, 0u)
+      << "a warmed Session on a pool worker must solve allocation-free";
 }
 
 // ------------------------------------------------- deep-chain stress ------
