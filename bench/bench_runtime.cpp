@@ -234,6 +234,26 @@ void BM_GreedySeedPooled3(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedySeedPooled3)->Arg(1 << 10);
 
+// The schedule forest of a laminar schedule (§4.1) on a warm
+// ForestBuildScratch and ScheduleForest: the radix timeline, the sweep and
+// the CSR segments and spans.
+void BM_ScheduleForestBuildPooled(benchmark::State& state) {
+  const LaminarInstance inst =
+      make_laminar(static_cast<std::size_t>(state.range(0)));
+  ScheduleForest sf;
+  ForestBuildScratch scratch;
+  build_schedule_forest(inst.jobs, inst.schedule, sf, scratch);  // warm
+  AllocMeter meter(state);
+  for (auto _ : state) {
+    build_schedule_forest(inst.jobs, inst.schedule, sf, scratch);
+    benchmark::DoNotOptimize(sf.size());
+  }
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_ScheduleForestBuildPooled)
+    ->Range(1 << 10, 1 << 12)
+    ->Complexity(benchmark::oN);
+
 void BM_FullReductionPooled(benchmark::State& state) {
   const LaminarInstance inst =
       make_laminar(static_cast<std::size_t>(state.range(0)));
@@ -489,8 +509,9 @@ BENCHMARK(BM_LsaClassifyScalarRef)->Range(1 << 12, 1 << 16)->Complexity();
 
 /// Pre-SoA validate_machine_fast: scalar per-segment predicate loop plus a
 /// comparator-sorted TaggedSegment timeline for machine exclusivity.
-bool scalar_ref_validate(const JobSet& jobs, const MachineSchedule& ms,
-                         ValidateScratch& s) {
+bool scalar_ref_validate(
+    const JobSet& jobs, const MachineSchedule& ms,
+    std::vector<MachineSchedule::TaggedSegment>& timeline) {
   for (const Assignment& a : ms.assignments()) {
     if (a.job >= jobs.size()) return false;
     const Job& job = jobs[a.job];
@@ -509,9 +530,9 @@ bool scalar_ref_validate(const JobSet& jobs, const MachineSchedule& ms,
     }
     if (scheduled != job.length) return false;
   }
-  ms.timeline_into(s.timeline);
-  for (std::size_t i = 1; i < s.timeline.size(); ++i) {
-    if (s.timeline[i - 1].segment.end > s.timeline[i].segment.begin) {
+  ms.timeline_into(timeline);
+  for (std::size_t i = 1; i < timeline.size(); ++i) {
+    if (timeline[i - 1].segment.end > timeline[i].segment.begin) {
       return false;
     }
   }
@@ -566,11 +587,12 @@ BENCHMARK(BM_ValidateFast)
 void BM_ValidateFastScalarRef(benchmark::State& state) {
   const RoundRobinInstance inst =
       make_round_robin(static_cast<std::size_t>(state.range(0)));
-  ValidateScratch scratch;
-  POBP_CHECK(scalar_ref_validate(inst.jobs, inst.schedule.machine(0), scratch));
+  std::vector<MachineSchedule::TaggedSegment> timeline;
+  POBP_CHECK(
+      scalar_ref_validate(inst.jobs, inst.schedule.machine(0), timeline));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        scalar_ref_validate(inst.jobs, inst.schedule.machine(0), scratch));
+        scalar_ref_validate(inst.jobs, inst.schedule.machine(0), timeline));
   }
   state.SetComplexityN(state.range(0));
 }

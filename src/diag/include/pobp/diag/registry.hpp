@@ -93,7 +93,6 @@ inline constexpr std::string_view kSrcImplicitMemoryOrder = "POBP-SRC-003";
 inline constexpr std::string_view kSrcNondeterminism = "POBP-SRC-004";
 inline constexpr std::string_view kSrcLayering = "POBP-SRC-005";
 inline constexpr std::string_view kSrcThrowInContainment = "POBP-SRC-006";
-inline constexpr std::string_view kSrcBlockingSubmit = "POBP-SRC-007";
 inline constexpr std::string_view kSrcUnboundedRetry = "POBP-SRC-008";
 inline constexpr std::string_view kSrcRawIntrinsics = "POBP-SRC-009";
 inline constexpr std::string_view kSrcDefaultHash = "POBP-SRC-010";

@@ -40,7 +40,6 @@ using rules::kSrcHotPathAlloc;
 using rules::kSrcImplicitMemoryOrder;
 using rules::kSrcLayering;
 using rules::kSrcNakedAlloc;
-using rules::kSrcBlockingSubmit;
 using rules::kSrcNondeterminism;
 using rules::kSrcThrowInContainment;
 using rules::kSrcRawIntrinsics;
@@ -196,10 +195,10 @@ constexpr RuleInfo kCatalogue[] = {
      "all live on a single machine."},
     {kSrcNakedAlloc, Severity::kError, "naked allocation",
      "docs/PERF.md (allocation discipline)",
-     "Raw new/delete/malloc/free outside the allocator modules (allocspy, "
-     "the arenas).  All ownership goes through containers, smart pointers "
-     "and arenas so the counting hooks and the zero-allocation perf gate "
-     "see every allocation.  Suppress with `// POBP-SRC-001: reason`."},
+     "Raw new/delete/malloc/free outside the allocator module (allocspy).  "
+     "All ownership goes through containers and smart pointers, so the "
+     "counting hooks and the zero-allocation perf gate see every "
+     "allocation.  Suppress with `// POBP-SRC-001: reason`."},
     {kSrcHotPathAlloc, Severity::kError, "allocation call on the hot path",
      "docs/PERF.md (zero-allocation hot path)",
      "An allocation-capable call (new/delete, malloc-family, "
@@ -237,15 +236,6 @@ constexpr RuleInfo kCatalogue[] = {
      "every pipeline failure into an Expected/diag::Report outcome.  A "
      "throw statement inside one can escape to a pool worker and take "
      "down the batch.  Suppress with `// POBP-SRC-006: reason`."},
-    {kSrcBlockingSubmit, Severity::kError,
-     "blocking call in the submission hot path",
-     "docs/SERVING.md (submission queue)",
-     "The MPSC submission queue (engine/submit) is the lock-free producer "
-     "fast path of the streaming engine: a blocking syscall or primitive "
-     "(sleep/wait/IO, mutexes, condition variables) inside it would stall "
-     "every producer behind one descheduled thread.  Blocking backpressure "
-     "belongs in the StreamEngine layer above the queue.  Suppress with "
-     "`// POBP-SRC-007: reason`."},
     {kSrcUnboundedRetry, Severity::kError,
      "unbounded sleep-retry loop in the engine",
      "docs/ROBUSTNESS.md (retry discipline)",

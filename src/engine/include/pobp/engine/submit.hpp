@@ -1,11 +1,8 @@
 // Submission options for every solve entry point: the per-request
 // SubmitOptions shared by the batch calls and the streaming engine, with
-// the degrade and cache policies they select.
-//
-// Nothing in this file may block — no sleeps, no waits, no IO, no
-// mutexes; the source rule POBP-SRC-007 (docs/LINT.md) enforces that
-// mechanically.  The submission queue itself, with its blocking
-// backpressure, lives in StreamEngine (engine/serve.hpp).
+// the degrade and cache policies they select.  The submission queue
+// itself, with its blocking backpressure, lives in StreamEngine
+// (engine/serve.hpp).
 #pragma once
 
 #include <cstddef>

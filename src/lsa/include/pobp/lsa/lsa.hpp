@@ -54,7 +54,7 @@ enum class LsaOrder {
 /// allocation-free.
 struct LsaScratch {
   std::vector<JobId> order;          ///< consideration-order staging
-  std::vector<DensityKey> density_keys;  ///< kDensity's sort staging
+  RadixSort density;                 ///< kDensity's sort
   std::vector<Segment> working;      ///< Alg. 2's working set S
   std::vector<Segment> placed;       ///< leftmost-fill staging
   std::vector<std::pair<std::size_t, JobId>> classes;  ///< (class, id) pairs

@@ -21,14 +21,11 @@ void consideration_order(const JobSetView& jobs,
                          LsaScratch& scratch) {
   auto& out = scratch.order;
   if (order == LsaOrder::kDensity) {
-    auto& keys = scratch.density_keys;
-    keys.resize(candidates.size());
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      keys[i] = {.id = candidates[i]};
+    sort_denser_first(jobs, candidates, scratch.density);
+    out.resize(candidates.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = candidates[scratch.density.entries[i].payload];
     }
-    sort_denser_first(jobs, keys);
-    out.resize(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) out[i] = keys[i].id;
   } else {
     out.assign(candidates.begin(), candidates.end());
     std::sort(out.begin(), out.end(), [&](JobId a, JobId b) {
@@ -113,6 +110,24 @@ bool try_place(const JobSetView& jobs, JobId id, std::size_t k,
     working.erase(shortest);
     fetch_next();
     if (exhausted && sum < job_length) return false;
+  }
+}
+
+/// Alg. 2 on one empty machine, offering the jobs in the order given.
+void place_in_order(const JobSetView& jobs, std::span<const JobId> ordered,
+                    std::size_t k, LsaScratch& scratch, LsaResult& out) {
+  out.schedule.clear();
+  out.scheduled.clear();
+  out.rejected.clear();
+  scratch.timeline.clear();
+  for (const JobId id : ordered) {
+    BudgetGuard::poll();  // one operation per placement attempt
+    if (try_place(jobs, id, k, scratch.timeline, out.schedule, scratch.working,
+                  scratch.placed)) {
+      out.scheduled.push_back(id);
+    } else {
+      out.rejected.push_back(id);
+    }
   }
 }
 
@@ -234,20 +249,8 @@ std::size_t lsa_classify(const JobSetView& jobs,
 void lsa_into(const JobSetView& jobs, std::span<const JobId> candidates,
               std::size_t k, LsaOrder order, LsaScratch& scratch,
               LsaResult& out) {
-  out.schedule.clear();
-  out.scheduled.clear();
-  out.rejected.clear();
-  scratch.timeline.clear();
   consideration_order(jobs, candidates, order, scratch);
-  for (const JobId id : scratch.order) {
-    BudgetGuard::poll();  // one operation per placement attempt
-    if (try_place(jobs, id, k, scratch.timeline, out.schedule, scratch.working,
-                  scratch.placed)) {
-      out.scheduled.push_back(id);
-    } else {
-      out.rejected.push_back(id);
-    }
-  }
+  place_in_order(jobs, scratch.order, k, scratch, out);
 }
 
 LsaResult lsa(const JobSetView& jobs, std::span<const JobId> candidates,
@@ -267,10 +270,12 @@ void lsa_cs_into(const JobSetView& jobs, std::span<const JobId> candidates,
   out.rejected.clear();
   if (candidates.empty()) return;
 
-  // Bucket by class: grouped in ascending class order with members in
-  // candidates order, exactly the iteration order of the std::map the
-  // original implementation used.
-  lsa_classify(jobs, candidates, k, by, scratch);
+  // Bucket by class: grouped in ascending class order.  The candidates
+  // are put in consideration order once, and the classify stage's counting
+  // sort is stable, so each class's members come out in the order sorting
+  // that class alone would give: the order is a strict total order.
+  consideration_order(jobs, candidates, order, scratch);
+  lsa_classify(jobs, scratch.order, k, by, scratch);
 
   Value best_value = -1;
   auto& classes = scratch.classes;
@@ -282,7 +287,7 @@ void lsa_cs_into(const JobSetView& jobs, std::span<const JobId> candidates,
       members.push_back(classes[i].second);
     }
     BudgetGuard::poll();  // one operation per class attempt
-    lsa_into(jobs, members, k, order, scratch, scratch.attempt);
+    place_in_order(jobs, members, k, scratch, scratch.attempt);
     // Same assignment-order summation as MachineSchedule::total_value.
     Value v = 0;
     for (const Assignment& a : scratch.attempt.schedule.assignments()) {

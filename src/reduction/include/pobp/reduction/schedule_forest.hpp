@@ -21,7 +21,7 @@
 
 #include "pobp/forest/forest.hpp"
 #include "pobp/schedule/schedule.hpp"
-#include "pobp/util/arena.hpp"
+#include "pobp/util/radix.hpp"
 
 namespace pobp {
 
@@ -54,12 +54,15 @@ struct ScheduleForest {
   }
 };
 
-/// Reusable buffers for the in-place builder.
+/// Reusable buffers for the in-place builder.  Assignments are named by
+/// their position in MachineSchedule::assignments().
 struct ForestBuildScratch {
-  MonotonicArena arena;               ///< backs the timeline staging
-  std::vector<std::uint32_t> remaining;  ///< per job id, segments left
-  std::vector<NodeId> node_of;        ///< per job id, kNoNode = unseen
-  std::vector<NodeId> stack;          ///< open nodes, outermost first
+  /// The segment timeline: keyed by begin, each entry carrying its
+  /// assignment's position.
+  RadixSort timeline;
+  std::vector<std::uint32_t> remaining;  ///< per assignment, segments left
+  std::vector<NodeId> node_of;        ///< per assignment, kNoNode = unseen
+  std::vector<std::uint32_t> stack;   ///< open assignments, outermost first
 };
 
 /// Builds the schedule forest of a laminar, span-compact machine schedule.

@@ -176,24 +176,37 @@ bool edf_simulate(EdfScratch& s) {
 }  // namespace
 
 void EdfAdmission::rank(const JobSetView& jobs,
-                        std::span<const JobId> candidates) {
+                        std::span<const JobId> candidates, RadixSort& sort) {
   const std::size_t n = candidates.size();
   POBP_ASSERT(n <= std::numeric_limits<Rank>::max());
-  order_.resize(n);
+  // (release, id) order, least significant part first: a pass over the ids
+  // only when the candidates are not ascending already, then one over the
+  // releases, offset from the earliest.
+  auto& entries = sort.entries;
+  entries.resize(n);
+  bool ascending = true;
+  Time earliest = std::numeric_limits<Time>::max();
   for (std::size_t i = 0; i < n; ++i) {
-    order_[i] = {jobs.release[candidates[i]], candidates[i]};
+    const JobId id = candidates[i];
+    entries[i] = {.key = id, .payload = id};
+    ascending &= i == 0 || candidates[i - 1] <= id;
+    earliest = std::min(earliest, jobs.release[id]);
   }
-  std::sort(order_.begin(), order_.end());
+  if (!ascending) sort.sort();
+  for (RadixEntry& e : entries) {
+    e.key = radix_offset(jobs.release[e.payload], earliest);
+  }
+  sort.sort();
   release_.resize(n);
   deadline_.resize(n);
   length_.resize(n);
   id_.resize(n);
   for (std::size_t r = 0; r < n; ++r) {
-    const JobId id = order_[r].second;
+    const JobId id = entries[r].payload;
     // A repeated id ranks next to itself.
     POBP_ASSERT_MSG(r == 0 || id != id_[r - 1],
                     "duplicate job id among the candidates");
-    release_[r] = order_[r].first;
+    release_[r] = jobs.release[id];
     deadline_[r] = jobs.deadline[id];
     length_[r] = jobs.length[id];
     id_[r] = id;

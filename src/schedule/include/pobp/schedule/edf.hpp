@@ -38,10 +38,10 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "pobp/schedule/schedule.hpp"
+#include "pobp/util/radix.hpp"
 
 namespace pobp {
 
@@ -130,9 +130,11 @@ class EdfAdmission {
   using Rank = std::uint32_t;
 
   /// Ranks `candidates` by (release, id) — their order in every later call
-  /// — forgets every admitted job and zeroes counts().  A repeated id
-  /// aborts.
-  void rank(const JobSetView& jobs, std::span<const JobId> candidates);
+  /// — forgets every admitted job and zeroes counts().  The ranking is a
+  /// radix sort in `sort`, whose entries it leaves unspecified.  A repeated
+  /// id aborts.
+  void rank(const JobSetView& jobs, std::span<const JobId> candidates,
+            RadixSort& sort);
 
   /// Forgets every admitted job and zeroes counts(); keeps the ranking and
   /// the buffers' capacity.
@@ -143,6 +145,9 @@ class EdfAdmission {
 
   /// The job at rank `r`.
   JobId id(Rank r) const { return id_[r]; }
+
+  /// The ranked jobs, rank order.
+  std::span<const JobId> ids() const { return id_; }
 
   /// Whether rank `r` is admitted.
   bool admitted(Rank r) const { return (admitted_[r >> 6] >> (r & 63)) & 1; }
@@ -170,7 +175,6 @@ class EdfAdmission {
   void gather_window(Rank c, std::size_t first, std::size_t last,
                      EdfScratch& scratch) const;
 
-  std::vector<std::pair<Time, JobId>> order_;  ///< ranking staging
   // One entry per rank: what a probe reads of the candidate pool.
   std::vector<Time> release_;
   std::vector<Time> deadline_;

@@ -23,6 +23,7 @@
 
 #include "pobp/schedule/time.hpp"
 #include "pobp/util/assert.hpp"
+#include "pobp/util/radix.hpp"
 #include "pobp/util/rational.hpp"
 
 namespace pobp {
@@ -123,21 +124,17 @@ inline bool denser_first(const JobSetView& jobs, JobId a, JobId b) {
   return c != 0 ? c > 0 : a < b;
 }
 
-/// One entry of a density sort: the job's rounded density val/p, its id,
-/// and a tag its caller carries along (the greedy seed's release rank).
-struct DensityKey {
-  double density = 0;
-  JobId id = 0;
-  std::uint32_t tag = 0;
-};
-
-/// Sets each key's density to jobs.density(id) and sorts the keys into
-/// denser_first order of their ids — the one density sort of the greedy
-/// seed and of LSA.  The rounded quotients decide wherever they differ:
-/// rounding is monotone, so a larger rounded quotient comes from a larger
-/// exact v/p, and denser_first says the same.  Equal quotients fall to
-/// denser_first itself, so the order is exactly denser_first's.
-void sort_denser_first(const JobSetView& jobs, std::span<DensityKey> keys);
+/// The density sort of the greedy seed and of LSA: orders the positions
+/// of `ids` by denser_first of the jobs there, leaving sort.entries[i]'s
+/// payload the position in `ids` of the i-th densest job.  The key is the
+/// high half of the rounded quotient v/p's bit pattern, densest first: a
+/// density is a non-negative finite double, and those order as their bit
+/// patterns do, so a larger key comes from a larger rounded quotient.
+/// Rounding is monotone, so that quotient comes from the larger exact v/p,
+/// and denser_first says the same; runs of equal keys are ordered by
+/// denser_first itself.  So the order is exactly denser_first's.
+void sort_denser_first(const JobSetView& jobs, std::span<const JobId> ids,
+                       RadixSort& sort);
 
 /// Owning column storage: a JobSet's own storage, and a detached copy of
 /// one wherever columns must outlive their set (the solve cache's entries).

@@ -16,6 +16,7 @@
 
 #include "pobp/diag/diagnostic.hpp"
 #include "pobp/schedule/schedule.hpp"
+#include "pobp/util/radix.hpp"
 
 namespace pobp {
 
@@ -95,12 +96,10 @@ ValidationResult validate(const JobSet& jobs, const Schedule& schedule,
 /// maintained sparsely (entries touched are restored before returning), so
 /// one scratch serves instances of any size without a full reset.
 struct ValidateScratch {
-  std::vector<MachineSchedule::TaggedSegment> timeline;  ///< exclusivity sweep
   std::vector<std::uint8_t> seen;  ///< per job id: already placed on a machine
   std::vector<JobId> touched;      ///< seen[] entries to restore
-  std::vector<std::uint64_t> sweep_keys;  ///< packed (begin, index) keys
-  std::vector<std::uint64_t> sweep_tmp;   ///< radix-sort scatter buffer
-  std::vector<Time> sweep_end;            ///< segment ends by index
+  RadixSort sweep;                 ///< exclusivity sweep: (begin, index)
+  std::vector<Time> sweep_end;     ///< segment ends by index
 };
 
 /// Verdict-only validator: true iff validate(jobs, schedule, k) would find

@@ -1,6 +1,7 @@
 #include "pobp/schedule/schedule.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 
@@ -325,13 +326,24 @@ Time JobSet::earliest_release() const {
   return *std::min_element(columns_.release.begin(), columns_.release.end());
 }
 
-void sort_denser_first(const JobSetView& jobs, std::span<DensityKey> keys) {
-  for (DensityKey& key : keys) key.density = jobs.density(key.id);
-  std::sort(keys.begin(), keys.end(),
-            [&](const DensityKey& a, const DensityKey& b) {
-              return a.density != b.density ? a.density > b.density
-                                            : denser_first(jobs, a.id, b.id);
-            });
+void sort_denser_first(const JobSetView& jobs, std::span<const JobId> ids,
+                       RadixSort& sort) {
+  auto& entries = sort.entries;
+  entries.resize(ids.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(jobs.density(ids[i]));
+    entries[i] = {.key = ~bits >> 32, .payload = static_cast<std::uint32_t>(i)};
+  }
+  sort.sort();
+  const auto denser = [&](const RadixEntry& a, const RadixEntry& b) {
+    return denser_first(jobs, ids[a.payload], ids[b.payload]);
+  };
+  for (auto run = entries.begin(); run != entries.end();) {
+    auto end = run + 1;
+    while (end != entries.end() && end->key == run->key) ++end;
+    if (end - run > 1) std::sort(run, end, denser);
+    run = end;
+  }
 }
 
 std::vector<JobId> all_ids(const JobSet& jobs) {

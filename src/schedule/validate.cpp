@@ -307,6 +307,7 @@ bool segments_fast(const std::vector<Segment>& segs, Time release,
 /// it — the verdict matches the diagnostics engine either way.
 bool validate_machine_fast(const JobSet& jobs, const MachineSchedule& ms,
                            std::size_t k, ValidateScratch& s) {
+  Time earliest = std::numeric_limits<Time>::max();
   for (const Assignment& a : ms.assignments()) {
     if (a.job >= jobs.size()) return false;       // POBP-SCHED-001
     const Job& job = jobs[a.job];
@@ -319,46 +320,32 @@ bool validate_machine_fast(const JobSet& jobs, const MachineSchedule& ms,
     if (k != kUnboundedPreemptions && preemptions > k) {
       return false;                               // POBP-SCHED-007
     }
+    // Sorted past segments_fast: the first segment begins earliest.
+    earliest = std::min(earliest, a.segments.front().begin);
   }
   // Machine exclusivity (POBP-SCHED-008): with the timeline sorted by
   // begin, adjacent disjointness implies pairwise disjointness — and the
   // verdict is independent of the tie order among equal begins (two
-  // non-empty segments with the same begin always overlap).  Fast path:
-  // pack (begin, segment index) into one u64 per segment and sort the flat
-  // key array instead of comparator-sorting 24-byte tagged records; begins
-  // outside [0, 2^32) fall back to the tagged-timeline sweep.
-  auto& keys = s.sweep_keys;
+  // non-empty segments with the same begin always overlap).  Each entry is
+  // keyed by its begin above the machine's earliest and carries the
+  // segment's index into `ends`.
+  auto& sweep = s.sweep.entries;
   auto& ends = s.sweep_end;
-  keys.clear();
+  sweep.clear();
   ends.clear();
-  bool packable = true;
-  std::uint64_t max_begin = 0;
   for (const Assignment& a : ms.assignments()) {
     for (const Segment& seg : a.segments) {
-      const auto begin = static_cast<std::uint64_t>(seg.begin);
-      packable &= begin < (std::uint64_t{1} << 32);
-      max_begin = std::max(max_begin, begin);
-      keys.push_back((begin << 32) |
-                     static_cast<std::uint32_t>(ends.size()));
+      sweep.push_back({.key = radix_offset(seg.begin, earliest),
+                       .payload = static_cast<std::uint32_t>(ends.size())});
       ends.push_back(seg.end);
     }
   }
-  if (packable && ends.size() < (std::uint64_t{1} << 32)) {
-    // Sort by the begin half only: the verdict does not depend on the tie
-    // order among equal begins, so the index bits never need a pass.
-    radix_sort_u64_bytes(keys, s.sweep_tmp, 32, max_begin);
-    Time prev_end = std::numeric_limits<Time>::min();
-    for (const std::uint64_t key : keys) {
-      if (prev_end > static_cast<Time>(key >> 32)) return false;
-      prev_end = ends[static_cast<std::uint32_t>(key)];
-    }
-    return true;
-  }
-  ms.timeline_into(s.timeline);
-  for (std::size_t i = 1; i < s.timeline.size(); ++i) {
-    if (s.timeline[i - 1].segment.end > s.timeline[i].segment.begin) {
-      return false;
-    }
+  POBP_ASSERT(ends.size() <= std::numeric_limits<std::uint32_t>::max());
+  s.sweep.sort();
+  std::uint64_t prev_end = 0;  // as an offset from `earliest`
+  for (const RadixEntry& entry : sweep) {
+    if (prev_end > entry.key) return false;
+    prev_end = radix_offset(ends[entry.payload], earliest);
   }
   return true;
 }

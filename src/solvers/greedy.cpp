@@ -55,17 +55,13 @@ void greedy_infinity_multi_into(const JobSetView& jobs,
   // strict total order and erase_if keeps the order of what it leaves, so
   // the residual stays densest first across the passes.
   auto& admission = scratch.admission;
-  admission.rank(jobs, candidates);
-  const std::size_t n = admission.size();
-  scratch.keys.resize(n);
-  for (std::size_t r = 0; r < n; ++r) {
-    const auto rank = static_cast<EdfAdmission::Rank>(r);
-    scratch.keys[r] = {.id = admission.id(rank), .tag = rank};
-  }
-  sort_denser_first(jobs, scratch.keys);
+  admission.rank(jobs, candidates, scratch.order);
+  sort_denser_first(jobs, admission.ids(), scratch.order);
   auto& remaining = scratch.residual;
-  remaining.resize(n);
-  for (std::size_t i = 0; i < n; ++i) remaining[i] = scratch.keys[i].tag;
+  remaining.resize(admission.size());
+  for (std::size_t i = 0; i < remaining.size(); ++i) {
+    remaining[i] = scratch.order.entries[i].payload;  // a rank
+  }
   for (std::size_t m = 0; m < machine_count && !remaining.empty(); ++m) {
     greedy_pass_into(jobs, scratch, out.machine(m));
     std::erase_if(remaining, [&](EdfAdmission::Rank r) {

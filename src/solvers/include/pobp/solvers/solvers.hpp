@@ -64,7 +64,9 @@ struct GreedyScratch {
   /// The ranks not yet placed, densest first (denser_first): the
   /// consideration order of every machine pass.
   std::vector<EdfAdmission::Rank> residual;
-  std::vector<DensityKey> keys;  ///< the density sort's staging
+  /// The ranking's radix sort, then the density order: entry i's payload
+  /// is the rank of the i-th densest candidate.
+  RadixSort order;
   EdfAdmission admission;        ///< the ranking and one pass's accepted set
   std::vector<JobId> accepted;   ///< one pass's accepted ids, rank order
   LaminarScratch laminar;        ///< EDF probes and the final schedule

@@ -5,7 +5,7 @@
 // docs/LINT.md):
 //
 //   POBP-SRC-001  naked new/delete/malloc-family outside the allocator
-//                 modules (allocspy, arena)
+//                 module (allocspy)
 //   POBP-SRC-002  allocation-capable calls inside `*_into` producers and
 //                 `// POBP_NOALLOC`-marked functions
 //   POBP-SRC-003  std::atomic ops without an explicit std::memory_order in
@@ -17,8 +17,6 @@
 //                 (include_graph.hpp)
 //   POBP-SRC-006  throw statements inside `try_*` fault-containment
 //                 boundaries
-//   POBP-SRC-007  blocking syscalls/primitives in the lock-free MPSC
-//                 submission hot path (engine/submit)
 //   POBP-SRC-008  sleep-backoff loops in src/engine/ without a visible
 //                 bound (BudgetGuard poll/charge or an attempt cap) — an
 //                 unbounded retry spins forever on a persistent fault

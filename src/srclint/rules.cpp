@@ -38,10 +38,9 @@ void emit(const SourceFile& file, diag::Report& report, std::string_view rule,
 // --- SRC-001: naked allocation ----------------------------------------------
 
 // Files that *implement* the allocation layer: the operator new/delete
-// counting hooks and the arena placement machinery.
+// counting hooks.
 constexpr std::string_view kAllocAllowlist[] = {
     "src/util/allocspy.cpp",
-    "src/util/include/pobp/util/arena.hpp",
 };
 
 constexpr std::string_view kMallocFamily[] = {
@@ -302,75 +301,6 @@ void check_containment_throw(const SourceFile& file, diag::Report& report) {
   }
 }
 
-// --- SRC-007: blocking calls in the submission hot path ---------------------
-
-// The lock-free MPSC producer path: a blocking syscall or primitive here
-// stalls every producer behind one descheduled thread.  Blocking
-// backpressure (submit() waiting out a full queue) lives in serve.cpp,
-// above the queue.
-constexpr std::string_view kSubmitHotPath[] = {
-    "src/engine/include/pobp/engine/submit.hpp",
-    "src/engine/submit.cpp",
-};
-
-// Blocking when *called*: identifier followed by `(`.
-constexpr std::string_view kBlockingCalls[] = {
-    "accept",     "connect",  "epoll_wait", "fopen",       "fprintf",
-    "fputs",      "fread",    "fwrite",     "getline",     "nanosleep",
-    "open",       "poll",     "printf",     "puts",        "read",
-    "recv",       "select",   "send",       "sleep",       "sleep_for",
-    "sleep_until", "usleep",  "wait",       "wait_for",    "wait_until",
-    "write",
-};
-
-// Blocking by *type*: any mention is a finding (owning one of these in the
-// producer path implies lock-based synchronization).
-constexpr std::string_view kBlockingTypes[] = {
-    "barrier",
-    "binary_semaphore",
-    "condition_variable",
-    "condition_variable_any",
-    "counting_semaphore",
-    "latch",
-    "lock_guard",
-    "mutex",
-    "recursive_mutex",
-    "scoped_lock",
-    "shared_lock",
-    "shared_mutex",
-    "timed_mutex",
-    "unique_lock",
-};
-
-void check_blocking_submit(const SourceFile& file, diag::Report& report) {
-  if (std::none_of(std::begin(kSubmitHotPath), std::end(kSubmitHotPath),
-                   [&](std::string_view path) { return file.path == path; })) {
-    return;
-  }
-  const std::vector<Token>& toks = file.tokens;
-  for (std::size_t i = 0; i < toks.size(); ++i) {
-    const Token& t = toks[i];
-    if (t.kind != TokenKind::kIdentifier) continue;
-    if (std::find(std::begin(kBlockingTypes), std::end(kBlockingTypes),
-                  t.text) != std::end(kBlockingTypes)) {
-      emit(file, report, rules::kSrcBlockingSubmit, t.line, t.column,
-           "blocking primitive `" + t.text +
-               "` in the submission hot path — the MPSC queue must stay "
-               "lock-free; blocking backpressure belongs in StreamEngine "
-               "(docs/SERVING.md)");
-      continue;
-    }
-    if (i + 1 < toks.size() && is_punct(toks[i + 1], '(') &&
-        std::find(std::begin(kBlockingCalls), std::end(kBlockingCalls),
-                  t.text) != std::end(kBlockingCalls)) {
-      emit(file, report, rules::kSrcBlockingSubmit, t.line, t.column,
-           "blocking call `" + t.text +
-               "()` in the submission hot path — a descheduled producer "
-               "would stall every other submitter (docs/SERVING.md)");
-    }
-  }
-}
-
 // --- SRC-008: unbounded sleep-retry loops in the engine ---------------------
 
 // A retry loop that sleeps between attempts must carry a visible bound:
@@ -575,7 +505,6 @@ void lint_source(const SourceFile& file, const LintOptions& options,
   if (enabled(rules::kSrcThrowInContainment)) {
     check_containment_throw(file, report);
   }
-  if (enabled(rules::kSrcBlockingSubmit)) check_blocking_submit(file, report);
   if (enabled(rules::kSrcUnboundedRetry)) check_unbounded_retry(file, report);
   if (enabled(rules::kSrcRawIntrinsics)) check_raw_intrinsics(file, report);
   if (enabled(rules::kSrcDefaultHash)) check_default_hash(file, report);

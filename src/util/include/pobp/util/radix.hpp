@@ -1,54 +1,54 @@
-// Byte-wise LSD radix sorting for packed u64 sort keys.
+// One stable LSD radix sort for the orders of the exact solve path.
 //
-// The hot sorts in the solve path (EDF release order, the validator's
-// exclusivity sweep) sort keys of the form (field << 32) | index whose
-// fields span a small, known range.  A stable least-significant-byte radix
-// pass costs O(n) per *populated* byte — the helpers here take the maximum
-// significant value and stop as soon as its bytes are exhausted, so a
-// 16-bit field costs two linear passes where a comparator sort pays
-// O(n log n) with data-dependent branches.
+// Every order the exact path sorts by is an integer, or monotone in one:
+// the greedy seed's (release, id) ranking, the density order of the seed
+// and of LSA, the schedule forest's segment timeline and the validator's
+// exclusivity sweep (docs/PERF.md, "Radix orders").  Each caller maps its
+// order onto a u64 key, lets a u32 payload — an id, a rank, a position —
+// ride along, and sorts here:
 //
-// Stability is the contract that makes composition work: sorting byte
-// ranges from least to most significant (e.g. the index half first, the
-// field half second) yields the full lexicographic (field, index) order.
+//  * one counting pass histograms every byte on which some key differs
+//    from the first; a byte all keys share costs nothing, so keys offset
+//    from their minimum (radix_offset) cost one pass per byte of their
+//    span, not of their magnitude;
+//  * one scatter pass per counted byte, least significant first.  Each
+//    pass is stable, so equal keys keep their input order, and sorts
+//    compose: sorting by id and then by release gives (release, id) order;
+//  * the scatter buffer lives in the caller's RadixSort, kept warm in its
+//    scratch, so a warm sort allocates nothing.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 namespace pobp {
 
-/// Stable LSD radix passes over `keys`, starting at bit `first_shift` and
-/// covering exactly the bytes needed to represent `significant` (the
-/// maximum value any key holds in the sorted bit range, pre-shift).  Keys
-/// must agree on every byte above the covered range for the result to be a
-/// total sort of that range; `tmp` is the scatter buffer (resized here,
-/// capacity retained by the caller's scratch).  Requires n < 2^32.
-inline void radix_sort_u64_bytes(std::vector<std::uint64_t>& keys,
-                                 std::vector<std::uint64_t>& tmp,
-                                 unsigned first_shift,
-                                 std::uint64_t significant) {
-  const std::size_t n = keys.size();
-  tmp.resize(n);
-  std::uint32_t counts[256];
-  for (unsigned shift = first_shift; significant != 0;
-       shift += 8, significant >>= 8) {
-    std::fill(std::begin(counts), std::end(counts), 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++counts[(keys[i] >> shift) & 0xff];
-    }
-    std::uint32_t sum = 0;
-    for (std::uint32_t& c : counts) {
-      const std::uint32_t here = c;
-      c = sum;
-      sum += here;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      tmp[counts[(keys[i] >> shift) & 0xff]++] = keys[i];
-    }
-    keys.swap(tmp);
-  }
+/// One sort entry: the key it is ordered by and the payload it carries.
+struct RadixEntry {
+  std::uint64_t key = 0;
+  std::uint32_t payload = 0;
+};
+
+/// The key of `value` in a sort of values no smaller than `min`: value −
+/// min, exact for every pair of int64s with value ≥ min, and ordered as
+/// the values are.
+inline std::uint64_t radix_offset(std::int64_t value, std::int64_t min) {
+  return static_cast<std::uint64_t>(value) - static_cast<std::uint64_t>(min);
 }
+
+/// A stable LSD radix sort and its storage: the caller fills `entries`,
+/// sort() orders them by key, equal keys in their input order.  Both
+/// buffers keep their capacity, so a warm RadixSort sorts without
+/// allocating.
+class RadixSort {
+ public:
+  std::vector<RadixEntry> entries;
+
+  /// Orders `entries` by key, stably.  Requires fewer than 2^32 entries.
+  void sort();
+
+ private:
+  std::vector<RadixEntry> scatter_;  ///< the passes' other buffer
+};
 
 }  // namespace pobp

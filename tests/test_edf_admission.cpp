@@ -21,6 +21,10 @@
 // window plus the candidate.  Each probe checks the prediction against the
 // oracle's answer, against the counter try_admit bumped and against the
 // window the EDF scratch was loaded with.
+//
+// The seed's two orders are radix sorts: the ranking is compared with a
+// std::sort of (release, id) pairs, and the density order with a std::sort
+// by the exact cross-products, on tie-heavy and extreme inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,6 +35,7 @@
 #include <functional>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +143,7 @@ std::vector<JobId> release_order(const JobSet& jobs, std::vector<JobId> ids) {
 struct Ranked {
   EdfAdmission admission;
   EdfScratch scratch;
+  RadixSort sort;
   std::vector<EdfAdmission::Rank> rank_of;  ///< per job id
 
   Ranked() = default;
@@ -146,7 +152,7 @@ struct Ranked {
   void rank(const JobSetView& jobs) {
     std::vector<JobId> ids(jobs.size());
     std::iota(ids.begin(), ids.end(), JobId{0});
-    admission.rank(jobs, ids);
+    admission.rank(jobs, ids, sort);
     rank_of.assign(jobs.size(), 0);
     for (std::size_t r = 0; r < admission.size(); ++r) {
       rank_of[admission.id(static_cast<EdfAdmission::Rank>(r))] =
@@ -1002,13 +1008,12 @@ void expect_keyed_sort_matches(const JobSet& jobs, Rng& rng) {
               want[static_cast<std::size_t>(
                   rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
   }
-  std::vector<DensityKey> keys;
-  for (const JobId id : want) keys.push_back({.id = id});
-  sort_denser_first(jobs, keys);
+  RadixSort sort;
+  sort_denser_first(jobs, want, sort);
+  std::vector<JobId> got;
+  for (const RadixEntry& e : sort.entries) got.push_back(want[e.payload]);
   std::sort(want.begin(), want.end(),
             [&](JobId a, JobId b) { return denser_first(jobs, a, b); });
-  std::vector<JobId> got;
-  for (const DensityKey& key : keys) got.push_back(key.id);
   EXPECT_EQ(got, want);
 }
 
@@ -1116,6 +1121,139 @@ TEST(DensityOrder, NearTiesFormAStrictTotalOrder) {
   EXPECT_GT(ties.exact_over_id, 0u);
 }
 
+/// The density order's oracle, computed apart from src/: std::sort by the
+/// exact cross-products (exact_denser_first).
+std::vector<JobId> exact_density_order(const JobSet& jobs,
+                                       std::vector<JobId> ids) {
+  std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+    return exact_denser_first(jobs, a, b);
+  });
+  return ids;
+}
+
+/// sort_denser_first over a shuffled candidate list leaves exactly the
+/// oracle's order.
+void expect_density_order(const JobSet& jobs, Rng& shuffles,
+                          RadixSort& sort) {
+  std::vector<JobId> ids = all_ids(jobs);
+  for (std::size_t i = ids.size(); i > 1; --i) {
+    std::swap(ids[i - 1],
+              ids[static_cast<std::size_t>(shuffles.uniform_int(
+                  0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  sort_denser_first(jobs, ids, sort);
+  std::vector<JobId> got;
+  for (const RadixEntry& e : sort.entries) got.push_back(ids[e.payload]);
+  EXPECT_EQ(got, exact_density_order(jobs, ids)) << jobs.size() << " jobs";
+}
+
+TEST(DensityOrder, RadixOrderMatchesTheExactOrderOnTieHeavyFamilies) {
+  // Families whose rounded densities tie often — identical jobs, a few
+  // power-of-two densities, copies of the rounded-product cycle triple,
+  // densities that underflow to 0 and ones next to DBL_MAX — and random
+  // densities, for n from 0 to 4096; one warm RadixSort sorts them all.
+  Rng rng(8080);
+  Rng shuffles(8081);
+  RadixSort sort;
+  constexpr double kDblMin = std::numeric_limits<double>::min();
+  constexpr double kDblMax = std::numeric_limits<double>::max();
+  for (const std::size_t n : {0, 1, 2, 3, 7, 64, 65, 300, 1000, 4096}) {
+    JobSet identical;
+    JobSet few;
+    JobSet cycle;
+    JobSet tiny;
+    JobSet huge;
+    JobSet spread;
+    for (std::size_t i = 0; i < n; ++i) {
+      identical.add({0, kMax, 7, 3.5});
+      const Duration p = rng.uniform_int(1, 1000);
+      few.add({0, kMax, p,
+               static_cast<double>(p) *
+                   std::ldexp(1.0, static_cast<int>(rng.uniform_int(-1, 1)))});
+      const std::array<Job, 3> triple{
+          Job{0, 10'000, 764, 1148.9508510505807},
+          Job{0, 10'000, 169, 254.15274061197402},
+          Job{0, 10'000, 876, 1317.3834365449068}};
+      cycle.add(triple[i % 3]);
+      tiny.add({0, kMax, rng.uniform_int(1, 1 << 20),
+                kDblMin * std::ldexp(1.0, -static_cast<int>(
+                                              rng.uniform_int(0, 52)))});
+      huge.add({0, kMax, rng.uniform_int(1, 3),
+                kDblMax / static_cast<double>(rng.uniform_int(1, 4))});
+      spread.add({0, kMax, rng.uniform_int(1, 1 << 30),
+                  std::ldexp(rng.uniform_real(1.0, 2.0),
+                             static_cast<int>(rng.uniform_int(-1070, 1020)))});
+    }
+    for (const JobSet* jobs :
+         {&identical, &few, &cycle, &tiny, &huge, &spread}) {
+      expect_density_order(*jobs, shuffles, sort);
+    }
+    ASSERT_FALSE(HasFailure()) << "n " << n;
+  }
+}
+
+// ---------------------------------------------------------------- ranking ---
+
+/// The ranking's oracle: (release, id) pairs sorted by std::sort.
+std::vector<JobId> release_id_order(const JobSet& jobs,
+                                    std::span<const JobId> ids) {
+  std::vector<std::pair<Time, JobId>> pairs;
+  for (const JobId id : ids) pairs.push_back({jobs[id].release, id});
+  std::sort(pairs.begin(), pairs.end());
+  std::vector<JobId> out;
+  for (const auto& [release, id] : pairs) out.push_back(id);
+  return out;
+}
+
+TEST(EdfAdmissionRanking, MatchesASortOfReleaseIdPairs) {
+  // Releases from a handful of ticks (long equal-release runs), spanning
+  // past 2^32, next to INT64_MIN, next to INT64_MAX, and at both limits in
+  // one set; candidates ascending, shuffled, or a gapped subset either
+  // way.  One warm RadixSort and EdfAdmission rank every case.
+  Rng rng(5150);
+  EdfAdmission admission;
+  RadixSort sort;
+  const auto release_in = [&](int family) -> Time {
+    switch (family) {
+      case 0: return rng.uniform_int(0, 7);
+      case 1: return rng.uniform_int(-(Time{1} << 40), Time{1} << 40);
+      case 2: return kMin + rng.uniform_int(0, 1000);
+      case 3: return kMax - 10 - rng.uniform_int(0, 1000);
+      default:
+        return rng.bernoulli(0.5) ? kMin + rng.uniform_int(0, 3)
+                                  : kMax - 10 - rng.uniform_int(0, 3);
+    }
+  };
+  for (const std::size_t n : {1, 2, 3, 63, 64, 65, 300, 2000, 0}) {
+    for (int family = 0; family < 5; ++family) {
+      JobSet jobs;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Time r = release_in(family);
+        const Duration p = rng.uniform_int(1, 5);
+        jobs.add({r, r + p + rng.uniform_int(0, 4), p, 1.0});
+      }
+      for (int list = 0; list < 4; ++list) {
+        std::vector<JobId> ids;
+        for (JobId id = 0; id < n; ++id) {
+          if (list < 2 || rng.bernoulli(0.6)) ids.push_back(id);
+        }
+        if (list % 2 == 1) {
+          for (std::size_t i = ids.size(); i > 1; --i) {
+            std::swap(ids[i - 1],
+                      ids[static_cast<std::size_t>(rng.uniform_int(
+                          0, static_cast<std::int64_t>(i) - 1))]);
+          }
+        }
+        admission.rank(jobs, ids, sort);
+        const std::vector<JobId> got(admission.ids().begin(),
+                                     admission.ids().end());
+        ASSERT_EQ(got, release_id_order(jobs, ids))
+            << "n " << n << ", family " << family << ", list " << list;
+      }
+    }
+  }
+}
+
 TEST(EdfAdmissionDeath, RepeatedCandidateAborts) {
   // The repeat's window [0, 2) ends long before its deadline: the accept
   // bound would admit it a second time without simulating.
@@ -1131,7 +1269,11 @@ TEST(EdfAdmissionDeath, RepeatedCandidateIdAbortsTheRanking) {
   jobs.add({0, 100, 1, 1.0});
   jobs.add({0, 100, 1, 1.0});
   EdfAdmission admission;
-  EXPECT_DEATH(admission.rank(jobs, std::vector<JobId>{1, 0, 1}),
+  RadixSort sort;
+  // Out of order, and already ascending (no id passes).
+  EXPECT_DEATH(admission.rank(jobs, std::vector<JobId>{1, 0, 1}, sort),
+               "duplicate job id");
+  EXPECT_DEATH(admission.rank(jobs, std::vector<JobId>{0, 1, 1}, sort),
                "duplicate job id");
 }
 

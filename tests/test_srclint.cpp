@@ -193,26 +193,6 @@ TEST(Rules, ThrowOnlyFlaggedInsideTryBoundaries) {
   EXPECT_EQ(count_rule(report, diag::rules::kSrcThrowInContainment), 1u);
 }
 
-TEST(Rules, BlockingSubmitScopedToTheQueueFiles) {
-  const std::string source =
-      "bool push(Q& q) { std::mutex m; return q.wait_for(m); }\n";
-  // Two findings in the hot-path files: the mutex type and the wait_for
-  // call; the same code anywhere else is out of scope.
-  EXPECT_EQ(count_rule(lint("src/engine/submit.cpp", source),
-                       diag::rules::kSrcBlockingSubmit),
-            2u);
-  EXPECT_EQ(count_rule(lint("src/engine/include/pobp/engine/submit.hpp",
-                            source),
-                       diag::rules::kSrcBlockingSubmit),
-            2u);
-  EXPECT_TRUE(lint("src/engine/serve.cpp", source).ok());
-  // Non-blocking queue code stays quiet in scope.
-  EXPECT_TRUE(lint("src/engine/submit.cpp",
-                   "bool push(Q& q) { return q.head.fetch_add(1, "
-                   "std::memory_order_acq_rel) != 0; }\n")
-                  .ok());
-}
-
 TEST(Rules, UnboundedRetryFlagsSleepLoopsWithoutABound) {
   // A sleep in a loop with no attempt cap and no budget poll is the
   // defect; the same loop bounded either way is clean, and the rule is
@@ -308,8 +288,8 @@ TEST(Registry, SrcRulesAreCatalogued) {
        {diag::rules::kSrcNakedAlloc, diag::rules::kSrcHotPathAlloc,
         diag::rules::kSrcImplicitMemoryOrder, diag::rules::kSrcNondeterminism,
         diag::rules::kSrcLayering, diag::rules::kSrcThrowInContainment,
-        diag::rules::kSrcBlockingSubmit, diag::rules::kSrcUnboundedRetry,
-        diag::rules::kSrcRawIntrinsics, diag::rules::kSrcDefaultHash}) {
+        diag::rules::kSrcUnboundedRetry, diag::rules::kSrcRawIntrinsics,
+        diag::rules::kSrcDefaultHash}) {
     EXPECT_NE(diag::find_rule(id), nullptr) << id;
   }
 }

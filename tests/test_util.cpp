@@ -1,14 +1,18 @@
 // Unit tests for src/util: rng, checked arithmetic, rational, stats,
-// parallel_for, table.
+// parallel_for, the radix sort, table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <vector>
 
 #include "pobp/util/checked.hpp"
 #include "pobp/util/parallel.hpp"
+#include "pobp/util/radix.hpp"
 #include "pobp/util/rational.hpp"
 #include "pobp/util/rng.hpp"
 #include "pobp/util/stats.hpp"
@@ -226,6 +230,84 @@ TEST(ThreadPool, WaitIdleDrainsAllTasks) {
   for (int i = 0; i < 100; ++i) pool.submit([&] { done++; });
   pool.wait_idle();
   EXPECT_EQ(done.load(), 100);
+}
+
+/// RadixSort's oracle: std::stable_sort by key.
+std::vector<RadixEntry> stable_by_key(std::vector<RadixEntry> entries) {
+  std::stable_sort(entries.begin(), entries.end(),
+                   [](const RadixEntry& a, const RadixEntry& b) {
+                     return a.key < b.key;
+                   });
+  return entries;
+}
+
+bool same_entries(const std::vector<RadixEntry>& a,
+                  const std::vector<RadixEntry>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const RadixEntry& x, const RadixEntry& y) {
+                      return x.key == y.key && x.payload == y.payload;
+                    });
+}
+
+TEST(RadixSort, MatchesAStableSortWhicheverBytesDiffer) {
+  // Keys share a random base and differ only under a mask — one low, one
+  // middle or one top byte, alternate bytes, or all of them — drawn from a
+  // few values (long runs of equal keys: stability) or from many.  Each
+  // payload is the entry's input position, so a pass that reorders equal
+  // keys or skips a byte on which keys differ shows.  One RadixSort sorts
+  // every case, larger and smaller, as a warm scratch does.
+  Rng rng(91);
+  RadixSort sort;
+  const std::uint64_t masks[] = {
+      0xff,  0xff00, 0xff000000, 0xff00000000000000, 0x00ff00ff00ff00ff,
+      0xffff000000000000, ~std::uint64_t{0}};
+  for (const std::size_t n :
+       {0, 1, 2, 3, 17, 255, 256, 257, 1000, 4096, 100, 5}) {
+    for (const std::uint64_t mask : masks) {
+      for (const std::uint64_t pool : {std::uint64_t{3}, std::uint64_t{0}}) {
+        const std::uint64_t base = rng();
+        std::vector<std::uint64_t> values(pool);
+        for (std::uint64_t& v : values) v = base ^ (rng() & mask);
+        sort.entries.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::uint64_t key =
+              pool != 0 ? values[rng() % pool] : base ^ (rng() & mask);
+          sort.entries[i] = {key, static_cast<std::uint32_t>(i)};
+        }
+        const std::vector<RadixEntry> want = stable_by_key(sort.entries);
+        sort.sort();
+        ASSERT_TRUE(same_entries(sort.entries, want))
+            << "n " << n << ", mask " << std::hex << mask << ", pool "
+            << pool;
+      }
+    }
+  }
+}
+
+TEST(RadixSort, EqualKeysKeepTheirOrder) {
+  RadixSort sort;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    sort.entries.push_back({i % 2 == 0 ? 7u : 0xff00000000000007u, i});
+  }
+  const std::vector<RadixEntry> want = stable_by_key(sort.entries);
+  sort.sort();
+  EXPECT_TRUE(same_entries(sort.entries, want));
+  // No byte differs: nothing moves.
+  for (RadixEntry& e : sort.entries) e.key = 42;
+  const std::vector<RadixEntry> unchanged = sort.entries;
+  sort.sort();
+  EXPECT_TRUE(same_entries(sort.entries, unchanged));
+}
+
+TEST(RadixSort, OffsetsAreExactAcrossTheInt64Range) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  EXPECT_EQ(radix_offset(kMax, kMin), ~std::uint64_t{0});
+  EXPECT_EQ(radix_offset(kMin, kMin), 0u);
+  EXPECT_EQ(radix_offset(0, kMin), std::uint64_t{1} << 63);
+  EXPECT_EQ(radix_offset(-1, kMin), (std::uint64_t{1} << 63) - 1);
+  EXPECT_EQ(radix_offset(kMax, -1), std::uint64_t{1} << 63);
+  EXPECT_EQ(radix_offset(5, -3), 8u);
 }
 
 TEST(Table, RendersAlignedRows) {
