@@ -6,8 +6,7 @@
 // growth rate.
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <utility>
+#include <algorithm>
 
 #include "pobp/bas/contraction.hpp"
 #include "pobp/bas/tm.hpp"
@@ -26,7 +25,6 @@
 #include "pobp/schedule/validate.hpp"
 #include "pobp/util/alloccount.hpp"
 #include "pobp/util/budget.hpp"
-#include "pobp/util/checked.hpp"
 #include "pobp/util/rng.hpp"
 
 namespace pobp {
@@ -328,13 +326,12 @@ void BM_BudgetPollInstalled(benchmark::State& state) {
 }
 BENCHMARK(BM_BudgetPollInstalled);
 
-// --- SoA/SIMD kernel rows (docs/PERF.md "Kernel microbenchmarks") -----------
+// --- Kernel rows (docs/PERF.md "Kernel microbenchmarks") --------------------
 //
-// Each vectorized kernel is paired with a *ScalarRef row: a bench-local
-// copy of the pre-SoA scalar implementation, run on the same input.  One
-// run of this binary therefore measures the speedup directly (tools/
-// bench_compare prints the X / XScalarRef ratio), and each pair asserts
-// result equality at setup so the rows can never drift apart silently.
+// One row per solve kernel, each on a warm scratch so the allocs_op
+// counter pins the zero-allocation contract; the tests hold the kernels'
+// reference implementations (tests/test_tm.cpp, tests/test_lsa.cpp,
+// tests/test_validate_fast.cpp).
 
 Forest make_wide_forest(std::size_t n) {
   Rng rng(47);
@@ -342,68 +339,6 @@ Forest make_wide_forest(std::size_t n) {
   config.nodes = n;
   config.max_degree = 64;  // wide parents: the child merge dominates
   return random_forest(config, rng);
-}
-
-/// Pre-SoA TM DP, complete: per-node CSR child walks over id-indexed t/m
-/// arrays with a comparator-based top-k selection, then the top-down
-/// decision pass — the full algorithm the slot-indexed kernel replaced.
-struct ScalarTmRef {
-  std::vector<Value> t, m;
-  std::vector<char> keep;
-  std::vector<NodeId> topk;
-  std::vector<std::pair<NodeId, char>> stack;
-};
-
-Value scalar_ref_tm(const Forest& forest, std::size_t k, ScalarTmRef& s) {
-  enum : char { kRetain = 0, kPruneUp = 1 };
-  const std::size_t n = forest.size();
-  auto& t = s.t;
-  auto& m = s.m;
-  t.assign(n, 0);
-  m.assign(n, 0);
-  s.keep.assign(n, 0);
-  const auto top_k_children = [&](NodeId u) -> std::span<const NodeId> {
-    const std::span<const NodeId> kids = forest.children(u);
-    if (kids.size() <= k) return kids;
-    s.topk.assign(kids.begin(), kids.end());
-    std::nth_element(s.topk.begin(),
-                     s.topk.begin() + static_cast<std::ptrdiff_t>(k),
-                     s.topk.end(), [&](NodeId a, NodeId b) {
-                       if (t[a] != t[b]) return t[a] > t[b];
-                       return a < b;
-                     });
-    return {s.topk.data(), k};
-  };
-  for (std::size_t i = n; i-- > 0;) {
-    BudgetGuard::poll();
-    const NodeId u = static_cast<NodeId>(i);
-    Value t_u = forest.value(u);
-    for (const NodeId c : top_k_children(u)) t_u += t[c];
-    Value m_u = 0;
-    for (const NodeId c : forest.children(u)) m_u += std::max(t[c], m[c]);
-    t[u] = t_u;
-    m[u] = m_u;
-  }
-  auto& stack = s.stack;
-  stack.clear();
-  for (const NodeId r : forest.roots()) {
-    stack.emplace_back(r, t[r] >= m[r] ? kRetain : kPruneUp);
-  }
-  while (!stack.empty()) {
-    const auto [u, decision] = stack.back();
-    stack.pop_back();
-    if (decision == kRetain) {
-      s.keep[u] = 1;
-      for (const NodeId c : top_k_children(u)) stack.emplace_back(c, kRetain);
-    } else {
-      for (const NodeId c : forest.children(u)) {
-        stack.emplace_back(c, t[c] >= m[c] ? kRetain : kPruneUp);
-      }
-    }
-  }
-  Value total = 0;
-  for (const NodeId r : forest.roots()) total += std::max(t[r], m[r]);
-  return total;
 }
 
 void BM_TmChildMerge(benchmark::State& state) {
@@ -420,28 +355,9 @@ void BM_TmChildMerge(benchmark::State& state) {
 }
 BENCHMARK(BM_TmChildMerge)->Range(1 << 12, 1 << 16)->Complexity(benchmark::oN);
 
-void BM_TmChildMergeScalarRef(benchmark::State& state) {
-  const Forest f = make_wide_forest(static_cast<std::size_t>(state.range(0)));
-  ScalarTmRef ref;
-  {  // the pair must agree before it is worth timing
-    TmScratch scratch;
-    TmResult result;
-    tm_optimal_bas(f, 2, scratch, result);
-    POBP_CHECK(scalar_ref_tm(f, 2, ref) == result.value);
-    POBP_CHECK(ref.keep == result.selection.keep);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scalar_ref_tm(f, 2, ref));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_TmChildMergeScalarRef)
-    ->Range(1 << 12, 1 << 16)
-    ->Complexity(benchmark::oN);
-
-// The EDF loop has no vectorized part left, so this row has no scalar
-// twin; tests/test_edf.cpp keeps the earlier loop as its exactness oracle.
-// The pooled schedule on a laminar instance: a warm scratch and output.
+// The pooled EDF schedule on a laminar instance: a warm scratch and
+// output.  tests/test_edf.cpp keeps the earlier loop as its exactness
+// oracle.
 void BM_EdfSweep(benchmark::State& state) {
   const LaminarInstance inst =
       make_laminar(static_cast<std::size_t>(state.range(0)));
@@ -458,22 +374,6 @@ void BM_EdfSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_EdfSweep)->Range(1 << 12, 1 << 16)->Complexity(benchmark::oNLogN);
 
-/// Pre-SoA LSA_CS classification: per-job ilogb / floor_log class and a
-/// stable_sort of (class, id) pairs.
-void scalar_ref_classify(const JobSet& jobs, std::span<const JobId> ids,
-                         std::size_t base,
-                         std::vector<std::pair<std::size_t, JobId>>& classes) {
-  classes.clear();
-  classes.reserve(ids.size());
-  for (const JobId id : ids) {
-    classes.emplace_back(
-        floor_log(static_cast<std::int64_t>(base), jobs[id].length), id);
-  }
-  std::stable_sort(
-      classes.begin(), classes.end(),
-      [](const auto& a, const auto& b) { return a.first < b.first; });
-}
-
 void BM_LsaClassify(benchmark::State& state) {
   const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
   const std::vector<JobId> ids = all_ids(jobs);
@@ -489,60 +389,10 @@ void BM_LsaClassify(benchmark::State& state) {
 }
 BENCHMARK(BM_LsaClassify)->Range(1 << 12, 1 << 16)->Complexity();
 
-void BM_LsaClassifyScalarRef(benchmark::State& state) {
-  const JobSet jobs = make_lax_jobs(static_cast<std::size_t>(state.range(0)));
-  const std::vector<JobId> ids = all_ids(jobs);
-  std::vector<std::pair<std::size_t, JobId>> classes;
-  {  // grouped output must match the SIMD + counting-sort path exactly
-    LsaScratch scratch;
-    (void)lsa_classify(jobs, ids, 2, ClassifyBy::kLength, scratch);
-    scalar_ref_classify(jobs, ids, 3, classes);
-    POBP_CHECK(classes == scratch.classes);
-  }
-  for (auto _ : state) {
-    scalar_ref_classify(jobs, ids, 3, classes);
-    benchmark::DoNotOptimize(classes.data());
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_LsaClassifyScalarRef)->Range(1 << 12, 1 << 16)->Complexity();
-
-/// Pre-SoA validate_machine_fast: scalar per-segment predicate loop plus a
-/// comparator-sorted TaggedSegment timeline for machine exclusivity.
-bool scalar_ref_validate(
-    const JobSet& jobs, const MachineSchedule& ms,
-    std::vector<MachineSchedule::TaggedSegment>& timeline) {
-  for (const Assignment& a : ms.assignments()) {
-    if (a.job >= jobs.size()) return false;
-    const Job& job = jobs[a.job];
-    if (a.segments.empty()) return false;
-    Duration scheduled = 0;
-    std::size_t prev = a.segments.size();
-    for (std::size_t i = 0; i < a.segments.size(); ++i) {
-      const Segment& seg = a.segments[i];
-      if (seg.empty()) return false;
-      if (seg.begin < job.release || seg.end > job.deadline) return false;
-      if (prev != a.segments.size() && a.segments[prev].end > seg.begin) {
-        return false;
-      }
-      prev = i;
-      scheduled += seg.length();
-    }
-    if (scheduled != job.length) return false;
-  }
-  ms.timeline_into(timeline);
-  for (std::size_t i = 1; i < timeline.size(); ++i) {
-    if (timeline[i - 1].segment.end > timeline[i].segment.begin) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// A preemption-heavy feasible instance: n/64 jobs × 64 unit segments each,
-/// round-robin interleaved.  Wide segment lists drive the validator's 4-lane
-/// predicate loop, and the exclusivity sweep sees all n segments — the two
-/// halves of the kernel this row measures.
+/// round-robin interleaved.  Wide segment lists drive the validator's
+/// per-segment loop, and the exclusivity sweep sees all n segments — the
+/// two halves of the kernel this row measures.
 struct RoundRobinInstance {
   JobSet jobs;
   Schedule schedule{1};
@@ -581,22 +431,6 @@ void BM_ValidateFast(benchmark::State& state) {
   state.SetComplexityN(state.range(0));
 }
 BENCHMARK(BM_ValidateFast)
-    ->Range(1 << 12, 1 << 16)
-    ->Complexity(benchmark::oNLogN);
-
-void BM_ValidateFastScalarRef(benchmark::State& state) {
-  const RoundRobinInstance inst =
-      make_round_robin(static_cast<std::size_t>(state.range(0)));
-  std::vector<MachineSchedule::TaggedSegment> timeline;
-  POBP_CHECK(
-      scalar_ref_validate(inst.jobs, inst.schedule.machine(0), timeline));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scalar_ref_validate(inst.jobs, inst.schedule.machine(0), timeline));
-  }
-  state.SetComplexityN(state.range(0));
-}
-BENCHMARK(BM_ValidateFastScalarRef)
     ->Range(1 << 12, 1 << 16)
     ->Complexity(benchmark::oNLogN);
 

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <set>
-#include <vector>
 
 #include "pobp/bas/contraction.hpp"
 #include "pobp/bas/tm.hpp"
@@ -55,20 +54,6 @@ int main(int argc, char** argv) {
         100.0 * heuristic.value / site.total_value(),
         100.0 / log_k1(fan, static_cast<double>(site.size())));
   }
-
-  // Heterogeneous budgets: shallow nodes (cheap index entries) tolerate a
-  // wide fan-out, deep ones only k — the per-node generalization of TM.
-  std::vector<std::size_t> budgets(site.size());
-  for (NodeId v = 0; v < site.size(); ++v) {
-    budgets[v] = site.depth(v) < 2 ? 16 : k;
-  }
-  const TmResult mixed = tm_optimal_bas(site, budgets);
-  const BasCheck mixed_check = validate_bas(site, mixed.selection, budgets);
-  std::printf(
-      "\nper-node budgets (fan-out 16 near the roots, %zu below): value "
-      "%.0f (%.1f%% of total) — %s\n",
-      k, mixed.value, 100.0 * mixed.value / site.total_value(),
-      mixed_check ? "valid" : mixed_check.error.c_str());
 
   std::printf(
       "\nreading: the optimal DP retains most of the value even at k=1 — "

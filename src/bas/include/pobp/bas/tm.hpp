@@ -18,7 +18,7 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
+#include <utility>
 #include <vector>
 
 #include "pobp/forest/bas.hpp"
@@ -38,26 +38,16 @@ struct TmResult {
 /// root task, recycled across solves).
 struct TmForkTask {
   std::vector<NodeId> nodes;  ///< root subtree, parents-first
-  std::vector<NodeId> topk;   ///< per-task top-k staging (arena slots)
+  std::vector<NodeId> topk;   ///< per-task top-k staging
   std::vector<std::pair<NodeId, char>> stack;  ///< per-task decision stack
 };
 
-/// Reusable buffers for the DP passes.
-///
-/// The DP tables come in two layouts: the node-indexed t/m arrays live in
-/// TmResult (they are outputs), and slot-indexed mirrors live here, keyed
-/// by the forest's flat CSR child arena (Forest::child_slot).  A parent's
-/// children occupy one contiguous slot range, so the bottom-up merge reads
-/// two sequential streams (slot_t, slot_m) instead of two gathers per
-/// child — the SoA form of the R1 child-merge.  slot_m[s] caches
-/// max(t(c), m(c)) at the moment child c finishes, so the parent's m-sum
-/// is a single streaming pass.
+/// Reusable buffers for the DP passes.  The DP tables themselves are the
+/// node-indexed TmResult::t and TmResult::m.
 struct TmScratch {
-  std::vector<NodeId> topk;  ///< top-k selection staging (arena slots)
+  std::vector<NodeId> topk;  ///< top-k selection staging
   std::vector<std::pair<NodeId, char>> stack;  ///< top-down decision stack
   std::vector<TmForkTask> fork_tasks;  ///< per-root tasks (forked entry)
-  std::vector<Value> slot_t;  ///< t(c) by arena slot of c
-  std::vector<Value> slot_m;  ///< max(t(c), m(c)) by arena slot of c
 };
 
 /// Computes the optimal (max-value) k-BAS of `forest` for degree bound k.
@@ -66,17 +56,6 @@ TmResult tm_optimal_bas(const Forest& forest, std::size_t k);
 /// Scratch-reusing form (identical result): `out` is overwritten.
 void tm_optimal_bas(const Forest& forest, std::size_t k, TmScratch& scratch,
                     TmResult& out);
-
-/// Per-node degree budgets k(v) — the DP is unchanged except that C_k(u)
-/// becomes C_{k(u)}(u).  Useful for hierarchy-selection applications where
-/// different nodes tolerate different fan-outs.
-TmResult tm_optimal_bas(const Forest& forest,
-                        std::span<const std::size_t> degree_bounds);
-
-/// Scratch-reusing form of the per-node-budget variant.
-void tm_optimal_bas(const Forest& forest,
-                    std::span<const std::size_t> degree_bounds,
-                    TmScratch& scratch, TmResult& out);
 
 /// Intra-solve parallel form: identical (bit-for-bit) result to
 /// tm_optimal_bas — root subtrees are disjoint and every DP quantity

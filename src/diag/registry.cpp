@@ -59,9 +59,8 @@ constexpr RuleInfo kCatalogue[] = {
      "otherwise the selection is not ancestor-independent."},
     {kBasDegreeOverflow, Severity::kError, "degree bound exceeded",
      "Def. 3.1",
-     "Every kept node may retain at most k kept children (per-node bounds "
-     "in the generalized variant); more kept children than the bound "
-     "breaks the k-bounded-degree property."},
+     "Every kept node may retain at most k kept children; more kept "
+     "children than the bound breaks the k-bounded-degree property."},
     {kGenParamDomain, Severity::kError, "generator parameters out of domain",
      "Appendix B",
      "The Appendix-B lower-bound construction requires k >= 1 and "
@@ -247,14 +246,13 @@ constexpr RuleInfo kCatalogue[] = {
      "through every request deadline.  Suppress with "
      "`// POBP-SRC-008: reason`."},
     {kSrcRawIntrinsics, Severity::kError,
-     "raw ISA intrinsic outside the portable SIMD wrapper",
-     "docs/PERF.md (portable SIMD)",
-     "Vector kernels must go through pobp/util/simd.hpp, whose "
-     "vector-extension helpers compile on every GCC/Clang target and "
-     "degrade to a scalar fallback elsewhere.  A raw x86 `_mm*`/"
+     "raw ISA intrinsic",
+     "docs/PERF.md (columnar core)",
+     "The kernels are plain portable C++ loops that every target builds "
+     "and that give bit-identical results everywhere.  A raw x86 `_mm*`/"
      "`__m128`-family or NEON `vld1`-style intrinsic pins the file to "
-     "one ISA, breaks the scalar build, and bypasses the wrapper's "
-     "bit-identity contract.  Suppress with `// POBP-SRC-009: reason`."},
+     "one ISA and breaks the build on every other.  Suppress with "
+     "`// POBP-SRC-009: reason`."},
     {kSrcDefaultHash, Severity::kError,
      "implementation-defined hashing on a result path",
      "docs/CACHE.md (keying)",

@@ -1,6 +1,5 @@
 #include "pobp/forest/bas.hpp"
 
-#include <span>
 #include <sstream>
 #include <vector>
 
@@ -23,13 +22,10 @@ Value SubForest::value(const Forest& forest) const {
   return sum;
 }
 
-namespace {
-
 namespace rules = diag::rules;
 
-template <typename BoundFn>
-void diagnose_bas_impl(const Forest& forest, const SubForest& sel,
-                       BoundFn&& bound, diag::Report& report) {
+void diagnose_bas(const Forest& forest, const SubForest& sel, std::size_t k,
+                  diag::Report& report) {
   if (sel.keep.size() != forest.size()) {
     report
         .add(std::string(rules::kBasMaskSize),
@@ -63,60 +59,28 @@ void diagnose_bas_impl(const Forest& forest, const SubForest& sel,
     }
     std::size_t kept_children = 0;
     for (const NodeId c : forest.children(v)) kept_children += sel.kept(c);
-    if (kept_children > bound(v)) {
+    if (kept_children > k) {
       std::ostringstream os;
       os << "node " << v << " has " << kept_children
-         << " kept children, exceeding the degree bound k=" << bound(v);
+         << " kept children, exceeding the degree bound k=" << k;
       diag::Location loc;
       loc.node = v;
       report.add(std::string(rules::kBasDegreeOverflow), os.str(), loc)
           .with("kept_children", kept_children)
-          .with("bound", bound(v));
+          .with("bound", k);
     }
   }
-}
-
-BasCheck first_failure(const diag::Report& report) {
-  if (report.ok()) return {};
-  return {false, report.first_error()};
-}
-
-}  // namespace
-
-void diagnose_bas(const Forest& forest, const SubForest& sel, std::size_t k,
-                  diag::Report& report) {
-  diagnose_bas_impl(forest, sel, [k](NodeId) { return k; }, report);
-}
-
-void diagnose_bas(const Forest& forest, const SubForest& sel,
-                  std::span<const std::size_t> degree_bounds,
-                  diag::Report& report) {
-  POBP_ASSERT(degree_bounds.size() == forest.size());
-  diagnose_bas_impl(
-      forest, sel, [&](NodeId v) { return degree_bounds[v]; }, report);
 }
 
 BasCheck validate_bas(const Forest& forest, const SubForest& sel,
                       std::size_t k) {
   diag::Report report;
   diagnose_bas(forest, sel, k, report);
-  return first_failure(report);
-}
-
-BasCheck validate_bas(const Forest& forest, const SubForest& sel,
-                      std::span<const std::size_t> degree_bounds) {
-  diag::Report report;
-  diagnose_bas(forest, sel, degree_bounds, report);
-  return first_failure(report);
+  if (report.ok()) return {};
+  return {false, report.first_error()};
 }
 
 SubForest brute_force_bas(const Forest& forest, std::size_t k) {
-  const std::vector<std::size_t> uniform(forest.size(), k);
-  return brute_force_bas(forest, uniform);
-}
-
-SubForest brute_force_bas(const Forest& forest,
-                          std::span<const std::size_t> degree_bounds) {
   POBP_ASSERT_MSG(forest.size() <= 20, "brute_force_bas is exponential");
   const std::size_t n = forest.size();
   SubForest best{std::vector<char>(n, 0)};
@@ -130,7 +94,7 @@ SubForest brute_force_bas(const Forest& forest,
         value += forest.value(static_cast<NodeId>(v));
       }
     }
-    if (value > best_value && validate_bas(forest, candidate, degree_bounds)) {
+    if (value > best_value && validate_bas(forest, candidate, k)) {
       best = std::move(candidate);
       best_value = value;
     }

@@ -15,21 +15,13 @@ void Forest::rebuild_csr() const {
     child_offsets_[v] += child_offsets_[v - 1];
   }
   child_ids_.resize(child_offsets_[n]);
-  slot_of_.resize(n);
   // Fill pass in ascending v: children land in ascending-id order, which
   // equals insertion order because ids are assigned monotonically.  The
   // offsets array is used as the write cursor and then restored by one
-  // backward shift.  slot_of_ records each node's position in the flat
-  // child arena — the index the SoA DP tables (TmScratch) are keyed by.
+  // backward shift.
   for (NodeId v = 0; v < n; ++v) {
     const NodeId p = parents_[v];
-    if (p == kNoNode) {
-      slot_of_[v] = kNoNode;
-      continue;
-    }
-    const NodeId pos = child_offsets_[p]++;
-    child_ids_[pos] = v;
-    slot_of_[v] = pos;
+    if (p != kNoNode) child_ids_[child_offsets_[p]++] = v;
   }
   for (std::size_t v = n; v-- > 0;) {
     child_offsets_[v + 1] = child_offsets_[v];

@@ -40,11 +40,6 @@ struct BasCheck {
 void diagnose_bas(const Forest& forest, const SubForest& sel, std::size_t k,
                   diag::Report& report);
 
-/// Per-node degree budget variant (k(v) instead of one global k).
-void diagnose_bas(const Forest& forest, const SubForest& sel,
-                  std::span<const std::size_t> degree_bounds,
-                  diag::Report& report);
-
 /// First-failure shim over diagnose_bas — checks Defs. 3.1–3.2:
 ///  * ancestor independence — a kept node whose parent is deleted (i.e. the
 ///    root of a component of the sub-forest) has no kept proper ancestor;
@@ -52,18 +47,8 @@ void diagnose_bas(const Forest& forest, const SubForest& sel,
 BasCheck validate_bas(const Forest& forest, const SubForest& sel,
                       std::size_t k);
 
-/// Generalization used by the hierarchy-selection applications: a per-node
-/// degree budget k(v) instead of one global k.  (The paper's scheduling
-/// reduction only needs the uniform case; the DP is identical.)
-BasCheck validate_bas(const Forest& forest, const SubForest& sel,
-                      std::span<const std::size_t> degree_bounds);
-
 /// Exponential-time exact optimum (max-value k-BAS) for tiny forests —
 /// the oracle the DP is cross-validated against.  Aborts if n > 20.
 SubForest brute_force_bas(const Forest& forest, std::size_t k);
-
-/// Per-node-bound variant of the brute-force oracle.
-SubForest brute_force_bas(const Forest& forest,
-                          std::span<const std::size_t> degree_bounds);
 
 }  // namespace pobp

@@ -58,7 +58,6 @@ class Forest {
     roots_.clear();
     child_offsets_.clear();
     child_ids_.clear();
-    slot_of_.clear();
     csr_valid_ = false;
   }
 
@@ -68,7 +67,6 @@ class Forest {
     parents_.reserve(nodes);
     child_offsets_.reserve(nodes + 1);
     child_ids_.reserve(nodes);
-    slot_of_.reserve(nodes);
   }
 
   /// Rebuilds the CSR child index if any add() happened since the last
@@ -93,31 +91,6 @@ class Forest {
     finalize();
     return {child_ids_.data() + child_offsets_[v],
             child_offsets_[v + 1] - child_offsets_[v]};
-  }
-
-  /// The CSR child arena as [begin, end) offsets: children of v are the
-  /// slots child_range(v).first .. child_range(v).second of the flat arena.
-  /// This is the SoA access path — slot-indexed DP tables (TmScratch) read
-  /// one contiguous stream per node instead of gathering per child id.
-  std::pair<NodeId, NodeId> child_range(NodeId v) const {
-    finalize();
-    return {child_offsets_[v], child_offsets_[v + 1]};
-  }
-
-  /// Node id stored at arena slot `slot` (inverse of child_slot).
-  NodeId child_at(NodeId slot) const { return child_ids_[slot]; }
-
-  /// v's position in the flat child arena, kNoNode for roots.  Within one
-  /// parent's range, ascending slot order equals ascending id order.
-  NodeId child_slot(NodeId v) const {
-    finalize();
-    return slot_of_[v];
-  }
-
-  /// Total number of arena slots (= number of non-root nodes).
-  std::size_t child_slot_count() const {
-    finalize();
-    return child_ids_.size();
   }
 
   /// Degree of v = number of children (Def. in §3.1).
@@ -206,7 +179,6 @@ class Forest {
   // it is a lazily-maintained cache over the authoritative parents_ array.
   mutable std::vector<NodeId> child_offsets_;
   mutable std::vector<NodeId> child_ids_;
-  mutable std::vector<NodeId> slot_of_;  ///< node id -> arena slot (roots: kNoNode)
   mutable bool csr_valid_ = false;
 };
 

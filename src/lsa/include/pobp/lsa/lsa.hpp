@@ -66,7 +66,6 @@ struct LsaScratch {
   std::vector<std::uint32_t> class_of;      ///< per candidate, classify stage
   std::vector<std::uint32_t> class_counts;  ///< counting-sort histogram
   std::vector<std::int64_t> class_bounds;   ///< base^c length boundaries
-  std::vector<std::int64_t> class_vals;     ///< gathered per-candidate keys
 };
 
 /// Plain LSA over `candidates` on one (initially empty) machine.
@@ -113,11 +112,11 @@ void lsa_cs_multi_into(const JobSetView& jobs,
                        Schedule& out);
 
 /// The LSA_CS classification kernel, exposed for the kernel bench and the
-/// SoaEquivalence tests: computes every candidate's class (length /
-/// value / density per `by`) and groups `scratch.classes` by ascending
-/// class with members in candidates order — exactly the (class, id) pairs
-/// a stable sort by class would produce, but via a 4-lane classify pass
-/// (exponent-bit classes, power-of-base boundary table) and a counting
+/// tests: computes every candidate's class (length / value / density per
+/// `by`) and groups `scratch.classes` by ascending class with members in
+/// candidates order — exactly the (class, id) pairs a stable sort by class
+/// would produce, but via exponent-bit classes for values and densities, a
+/// count over a power-of-base boundary table for lengths, and a counting
 /// sort over the bounded class range.  Returns the number of distinct
 /// classes.
 std::size_t lsa_classify(const JobSetView& jobs,

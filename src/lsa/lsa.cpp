@@ -9,7 +9,6 @@
 #include "pobp/util/assert.hpp"
 #include "pobp/util/budget.hpp"
 #include "pobp/util/checked.hpp"
-#include "pobp/util/simd.hpp"
 
 namespace pobp {
 namespace {
@@ -149,23 +148,17 @@ std::size_t lsa_classify(const JobSetView& jobs,
   std::uint32_t max_cls = 0;
 
   if (by == ClassifyBy::kLength) {
-    // Gather the lengths into one contiguous run (the classify loop below
-    // then uses plain vector loads), tracking the maximum: it bounds the
-    // boundary table, so the compare-accumulate never touches powers no
-    // candidate can reach.
-    auto& vals = scratch.class_vals;
-    vals.resize(m);
+    // The longest candidate bounds the boundary table, so the count below
+    // never touches powers no candidate can reach.
     std::int64_t max_len = 1;
-    for (std::size_t i = 0; i < m; ++i) {
-      const Duration len = jobs.length[candidates[i]];
-      POBP_ASSERT(len >= 1);
-      vals[i] = len;
-      max_len = std::max<std::int64_t>(max_len, len);
+    for (const JobId id : candidates) {
+      POBP_ASSERT(jobs.length[id] >= 1);
+      max_len = std::max<std::int64_t>(max_len, jobs.length[id]);
     }
     // Boundary table: the powers base^c (c ≥ 1) up to max_len.
-    // length_class(p) = #{c ≥ 1 : base^c ≤ p} — exact integer compares
-    // replacing floor_log's division loop, and the count over the table is
-    // one 4-lane compare-accumulate per boundary.
+    // length_class(p) = #{c ≥ 1 : base^c ≤ p}, counted without branches
+    // over the whole table — exact integer compares replacing floor_log's
+    // division loop.
     auto& bounds = scratch.class_bounds;
     bounds.clear();
     const auto b64 = static_cast<std::int64_t>(base);
@@ -173,55 +166,20 @@ std::size_t lsa_classify(const JobSetView& jobs,
       bounds.push_back(p);
       if (p > max_len / b64) break;  // next power exceeds max_len
     }
-    const std::size_t nb = bounds.size();
-    std::size_t i = 0;
-    for (; i + simd::kLanes <= m; i += simd::kLanes) {
-      const simd::i64x4 len = simd::load_i64(vals.data() + i);
-      simd::i64x4 acc = simd::broadcast_i64(0);
-      for (std::size_t c = 0; c < nb; ++c) {
-        // Lanes are -1 where bounds[c] <= len; subtracting counts them.
-        acc = simd::sub_i64(acc,
-                            simd::cmp_le(simd::broadcast_i64(bounds[c]), len));
-      }
-      for (std::size_t j = 0; j < simd::kLanes; ++j) {
-        cls_of[i + j] = static_cast<std::uint32_t>(simd::lane(acc, j));
-      }
-    }
-    for (; i < m; ++i) {
-      const std::int64_t len = vals[i];
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::int64_t len = jobs.length[candidates[i]];
       std::uint32_t c = 0;
-      while (c < nb && bounds[c] <= len) ++c;
+      for (const std::int64_t bound : bounds) c += bound <= len;
       cls_of[i] = c;
     }
     // The candidate holding max_len counts every boundary, so the largest
-    // class is exactly nb (0 when there are no candidates).
-    max_cls = m == 0 ? 0 : static_cast<std::uint32_t>(nb);
+    // class is exactly the table's size (0 when there are no candidates).
+    max_cls = m == 0 ? 0 : static_cast<std::uint32_t>(bounds.size());
   } else {
-    std::size_t i = 0;
-    double buf[simd::kLanes];
-    for (; i + simd::kLanes <= m; i += simd::kLanes) {
-      for (std::size_t j = 0; j < simd::kLanes; ++j) {
-        const JobId id = candidates[i + j];
-        const double x =
-            by == ClassifyBy::kValue ? jobs.value[id] : jobs.density(id);
-        POBP_ASSERT(x > 0);
-        buf[j] = x;
-      }
-      const simd::i64x4 bits = simd::bitcast_i64(simd::load_f64(buf));
-      const simd::i64x4 cls = simd::max_i64(
-          simd::sub_i64(simd::shr_i64(bits, 52), simd::broadcast_i64(923)),
-          simd::broadcast_i64(0));
-      for (std::size_t j = 0; j < simd::kLanes; ++j) {
-        const auto c = static_cast<std::uint32_t>(simd::lane(cls, j));
-        cls_of[i + j] = c;
-        max_cls = std::max(max_cls, c);
-      }
-    }
-    for (; i < m; ++i) {
+    for (std::size_t i = 0; i < m; ++i) {
       const JobId id = candidates[i];
-      const double x =
-          by == ClassifyBy::kValue ? jobs.value[id] : jobs.density(id);
-      const std::uint32_t c = ratio2_class(x);
+      const std::uint32_t c = ratio2_class(
+          by == ClassifyBy::kValue ? jobs.value[id] : jobs.density(id));
       cls_of[i] = c;
       max_cls = std::max(max_cls, c);
     }

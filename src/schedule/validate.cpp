@@ -10,7 +10,6 @@
 #include "pobp/diag/registry.hpp"
 #include "pobp/util/faultinject.hpp"
 #include "pobp/util/radix.hpp"
-#include "pobp/util/simd.hpp"
 
 namespace pobp {
 namespace {
@@ -236,66 +235,20 @@ void diagnose_raw_schedule(const JobSet& jobs,
 
 namespace {
 
-/// Segment lists shorter than this stay on the scalar path: the 4-lane
-/// loop needs a one-segment scalar prologue and a ≤3-segment tail either
-/// way, so tiny lists (the common k+1-segment pipeline output) would pay
-/// vector setup for nothing.
-constexpr std::size_t kSimdSegmentThreshold = 8;
-
-static_assert(sizeof(Segment) == 2 * sizeof(Time),
-              "Segment must be a bare (begin, end) pair for the lane loads");
-
 /// Per-segment checks of one assignment (POBP-SCHED-003/004/005) plus the
-/// scheduled-length sum, verdict only.  The vector loop checks four
-/// segments per step: begins/ends deinterleave from the contiguous
-/// Segment pairs, and the previous-end stream is the same data re-read at
-/// a one-int64 offset.  The length sum is int64 and therefore free to
-/// reassociate across lanes — verdicts and all outputs are identical to
-/// the scalar loop.
+/// scheduled-length sum, verdict only.
 bool segments_fast(const std::vector<Segment>& segs, Time release,
                    Time deadline, Duration expected_length) {
-  const std::size_t n = segs.size();
-  std::size_t i = 0;
   Duration scheduled = 0;
-  Time prev_end = 0;
-  bool have_prev = false;
-  if (n >= kSimdSegmentThreshold) {
-    // Scalar prologue: segment 0 has no predecessor to compare against.
-    const Segment& first = segs[0];
-    if (first.empty()) return false;              // POBP-SCHED-003
-    if (first.begin < release || first.end > deadline) {
-      return false;                               // POBP-SCHED-005
-    }
-    scheduled = first.length();
-    const auto* flat = reinterpret_cast<const std::int64_t*>(segs.data());
-    const simd::i64x4 vrel = simd::broadcast_i64(release);
-    const simd::i64x4 vdl = simd::broadcast_i64(deadline);
-    simd::i64x4 acc = simd::broadcast_i64(0);
-    for (i = 1; i + simd::kLanes <= n; i += simd::kLanes) {
-      simd::i64x4 begins, ends, prev_ends, next_begins;
-      simd::load_pairs_i64(flat + 2 * i, begins, ends);
-      simd::load_pairs_i64(flat + 2 * i - 1, prev_ends, next_begins);
-      const simd::i64x4 bad = simd::or_i64(
-          simd::or_i64(simd::cmp_le(ends, begins),       // POBP-SCHED-003
-                       simd::cmp_lt(begins, vrel)),      // POBP-SCHED-005
-          simd::or_i64(simd::cmp_gt(ends, vdl),          // POBP-SCHED-005
-                       simd::cmp_gt(prev_ends, begins)));  // POBP-SCHED-004
-      if (simd::any_true(bad)) return false;
-      acc = simd::add_i64(acc, simd::sub_i64(ends, begins));
-    }
-    scheduled += simd::reduce_add_i64(acc);
-    prev_end = segs[i - 1].end;
-    have_prev = true;
-  }
-  for (; i < n; ++i) {
+  for (std::size_t i = 0; i < segs.size(); ++i) {
     const Segment& seg = segs[i];
     if (seg.empty()) return false;                // POBP-SCHED-003
     if (seg.begin < release || seg.end > deadline) {
       return false;                               // POBP-SCHED-005
     }
-    if (have_prev && prev_end > seg.begin) return false;  // POBP-SCHED-004
-    prev_end = seg.end;
-    have_prev = true;
+    if (i > 0 && segs[i - 1].end > seg.begin) {
+      return false;                               // POBP-SCHED-004
+    }
     scheduled += seg.length();
   }
   return scheduled == expected_length;            // POBP-SCHED-006

@@ -387,15 +387,11 @@ void check_unbounded_retry(const SourceFile& file, diag::Report& report) {
   }
 }
 
-// --- SRC-009: raw ISA intrinsics outside the portable SIMD wrapper ----------
+// --- SRC-009: raw ISA intrinsics --------------------------------------------
 
-// The SIMD kernels' portability contract (docs/PERF.md): every explicit
-// vector operation goes through pobp/util/simd.hpp, whose GCC/Clang
-// vector-extension helpers compile on any target and fall back to scalar
-// code elsewhere.  A raw ISA intrinsic anywhere else pins that file to one
-// architecture and sidesteps the wrapper's bit-identity guarantees.
-constexpr std::string_view kSimdWrapper =
-    "src/util/include/pobp/util/simd.hpp";
+// The kernels are plain portable C++ (docs/PERF.md): the same source
+// builds on every target and gives bit-identical results.  A raw ISA
+// intrinsic pins its file to one architecture.
 
 /// True for identifiers shaped like raw ISA intrinsics: x86 `_mm*` calls,
 /// `__m128`-family vector types, `__builtin_ia32_*` builtins, and NEON
@@ -414,16 +410,14 @@ bool is_raw_intrinsic(std::string_view name) {
 }
 
 void check_raw_intrinsics(const SourceFile& file, diag::Report& report) {
-  if (file.path == kSimdWrapper) return;  // the one place they may live
   for (const Token& t : file.tokens) {
     if (t.kind != TokenKind::kIdentifier || !is_raw_intrinsic(t.text)) {
       continue;
     }
     emit(file, report, rules::kSrcRawIntrinsics, t.line, t.column,
          "raw ISA intrinsic `" + t.text +
-             "` — kernels must use the portable helpers in "
-             "pobp/util/simd.hpp so every target keeps the scalar "
-             "fallback and bit-identical results (docs/PERF.md)");
+             "` — kernels stay portable C++ so every target builds "
+             "them and gets bit-identical results (docs/PERF.md)");
   }
 }
 

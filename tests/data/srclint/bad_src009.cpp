@@ -1,11 +1,11 @@
-// srclint fixture: POBP-SRC-009 — raw ISA intrinsics outside the
-// portable SIMD wrapper (pobp/util/simd.hpp).  Linted with
+// srclint fixture: POBP-SRC-009 — raw ISA intrinsics, banned on every
+// path.  Linted with
 // --as-path src/schedule/kernels.cpp --rule POBP-SRC-009; must yield
 // exit 1 with findings.
 #include <cstdint>
 
 // An x86-only inner loop: the __m128i type and _mm_* calls pin this file
-// to SSE2 and skip the wrapper's scalar fallback.
+// to SSE2.
 std::int64_t sum_pairs(const std::int64_t* p, int n) {
   __m128i acc = _mm_setzero_si128();                              // finding
   for (int i = 0; i + 2 <= n; i += 2) {

@@ -396,21 +396,6 @@ TEST(DiagBas, AncestorDependenceAndDegreeOverflow) {
   EXPECT_FALSE(shim.error.empty());
 }
 
-TEST(DiagBas, PerNodeBoundsVariant) {
-  const Forest f = chain_with_leaves();
-  const SubForest sel{{1, 1, 1, 1, 1}};
-  const std::vector<std::size_t> loose = {2, 2, 2, 2, 2};
-  Report ok;
-  diagnose_bas(f, sel, loose, ok);
-  EXPECT_TRUE(ok.empty());
-
-  const std::vector<std::size_t> tight = {2, 2, 1, 2, 2};  // node 2 over
-  Report over;
-  diagnose_bas(f, sel, tight, over);
-  ASSERT_EQ(over.count(rules::kBasDegreeOverflow), 1u);
-  EXPECT_EQ(over.diagnostics()[0].where.node, std::uint32_t{2});
-}
-
 TEST(DiagBas, ValidSelectionIsClean) {
   const Forest f = chain_with_leaves();
   Report report;

@@ -2,7 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "pobp/gen/random_jobs.hpp"
 #include "pobp/lsa/lsa.hpp"
@@ -328,6 +334,134 @@ TEST(LsaCsMulti, MoreMachinesNeverHurt) {
     const Value v = s.total_value(jobs);
     EXPECT_GE(v, previous * (1 - 1e-12));
     previous = v;
+  }
+}
+
+
+// ---- lsa_classify against a stable sort -----------------------------------
+
+using Grouping = std::vector<std::pair<std::size_t, JobId>>;
+
+/// What lsa_classify must produce: the (class, id) pairs of `candidates`,
+/// stable-sorted by class.
+template <typename ClassOf>
+Grouping stable_grouping(const std::vector<JobId>& candidates,
+                         ClassOf&& class_of) {
+  Grouping out;
+  for (const JobId id : candidates) out.emplace_back(class_of(id), id);
+  std::stable_sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  return out;
+}
+
+std::size_t distinct_classes(const Grouping& grouped) {
+  std::size_t distinct = 0;
+  for (std::size_t i = 0; i < grouped.size(); ++i) {
+    if (i == 0 || grouped[i].first != grouped[i - 1].first) ++distinct;
+  }
+  return distinct;
+}
+
+/// Ids 0..m-1 in a shuffled order, so a grouping that lost the candidates'
+/// order within a class shows.
+std::vector<JobId> shuffled_ids(std::size_t m, Rng& rng) {
+  std::vector<JobId> ids(m);
+  for (std::size_t i = 0; i < m; ++i) ids[i] = static_cast<JobId>(i);
+  std::shuffle(ids.begin(), ids.end(), rng);
+  return ids;
+}
+
+constexpr std::size_t kClassifySizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 4093};
+
+// Lengths at base^c − 1, base^c and base^c + 1 for every power of the class
+// base up to INT64_MAX, and INT64_MAX itself: both sides of every class
+// boundary.  m 0–9 and 4093 cover every remainder of a short table count.
+TEST(LsaClassify, LengthClassesMatchAStableSortByLengthClass) {
+  constexpr Duration kMax = std::numeric_limits<Duration>::max();
+  Rng rng(2401);
+  LsaScratch scratch;
+  for (std::size_t k = 0; k <= 3; ++k) {
+    const std::size_t base = std::max<std::size_t>(k + 1, 2);
+    const auto b = static_cast<Duration>(base);
+    std::vector<Duration> lengths{1, kMax - 1, kMax};
+    for (Duration p = b;; p *= b) {
+      lengths.insert(lengths.end(), {p - 1, p, p + 1});
+      if (p > kMax / b) break;  // the next power exceeds INT64_MAX
+    }
+    for (const std::size_t m : kClassifySizes) {
+      JobSet jobs;
+      for (std::size_t i = 0; i < m; ++i) {
+        const Duration len =
+            m >= lengths.size()
+                ? lengths[i % lengths.size()]
+                : lengths[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(lengths.size()) - 1))];
+        jobs.add({0, kMax, len, 1.0});
+      }
+      const std::vector<JobId> ids = shuffled_ids(m, rng);
+      const Grouping expected = stable_grouping(
+          ids, [&](JobId id) { return length_class(jobs[id].length, base); });
+      EXPECT_EQ(lsa_classify(jobs, ids, k, ClassifyBy::kLength, scratch),
+                distinct_classes(expected))
+          << "k=" << k << " m=" << m;
+      EXPECT_EQ(scratch.classes, expected) << "k=" << k << " m=" << m;
+    }
+  }
+}
+
+// Values from the smallest subnormal to DBL_MAX: every power of two with
+// its neighbours on both sides, so every factor-2 class boundary, the
+// clamp to class 0 below 2^-99 and the subnormal range are crossed.  The
+// ratio-2 class of x is max(0, ilogb(x) − ilogb(1e-30)), ilogb(1e-30) =
+// −100.
+TEST(LsaClassify, ValueAndDensityClassesMatchAStableSortByRatio2Class) {
+  const auto ratio2_class = [](double x) {
+    return static_cast<std::size_t>(std::max(0, std::ilogb(x) + 100));
+  };
+  constexpr double kMaxValue = std::numeric_limits<double>::max();
+  std::vector<double> values{std::numeric_limits<double>::denorm_min(),
+                             kMaxValue};
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double x : {std::nextafter(p, 0.0), p,
+                           std::nextafter(p, kMaxValue)}) {
+      if (x > 0) values.push_back(x);
+    }
+  }
+  Rng rng(2402);
+  LsaScratch scratch;
+  for (const ClassifyBy by : {ClassifyBy::kValue, ClassifyBy::kDensity}) {
+    std::vector<std::size_t> sizes(std::begin(kClassifySizes),
+                                   std::end(kClassifySizes));
+    sizes.push_back(values.size());  // every value once
+    for (const std::size_t m : sizes) {
+      JobSet jobs;
+      for (std::size_t i = 0; i < m; ++i) {
+        const double value =
+            m == values.size()
+                ? values[i]
+                : values[static_cast<std::size_t>(rng.uniform_int(
+                      0, static_cast<std::int64_t>(values.size()) - 1))];
+        // Lengths above 1 only where the density stays positive.
+        const Duration length =
+            value >= std::numeric_limits<double>::min()
+                ? rng.uniform_int(1, 1000)
+                : 1;
+        jobs.add({0, 1000, length, value});
+      }
+      const std::vector<JobId> ids = shuffled_ids(m, rng);
+      const Grouping expected = stable_grouping(ids, [&](JobId id) {
+        const Job job = jobs[id];
+        return ratio2_class(by == ClassifyBy::kValue ? job.value
+                                                     : job.density());
+      });
+      const char* name = by == ClassifyBy::kValue ? "value" : "density";
+      EXPECT_EQ(lsa_classify(jobs, ids, 0, by, scratch),
+                distinct_classes(expected))
+          << name << " m=" << m;
+      EXPECT_EQ(scratch.classes, expected) << name << " m=" << m;
+    }
   }
 }
 

@@ -361,9 +361,9 @@ TEST(SoaEquivalence, JobSetReproducesItsInputRecords) {
   }
 }
 
-// The vectorized classify kernel (exponent-bit classes, boundary table,
-// counting sort) against the scalar definition: length_class() per job,
-// stable-sorted by class.  Randomized over the mixed corpus.
+// The classify kernel (boundary-table count, counting sort) against the
+// definition: length_class() per job, stable-sorted by class.  Randomized
+// over the mixed corpus.
 TEST(SoaEquivalence, LsaClassifyMatchesScalarReference) {
   LsaScratch scratch;
   for (const JobSet& jobs : mixed_corpus(10, 412)) {

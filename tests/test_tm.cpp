@@ -3,8 +3,12 @@
 // bound on random forests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "pobp/bas/tm.hpp"
 #include "pobp/gen/forest_gen.hpp"
@@ -201,54 +205,104 @@ TEST_P(Theorem39, LossFactorWithinBoundOnRandomForests) {
 INSTANTIATE_TEST_SUITE_P(Seeds, Theorem39, ::testing::Values(9, 19, 29));
 
 
-// ---- per-node degree bounds (the generalized DP) -------------------------
+// ---- frozen node-indexed oracle -------------------------------------------
 
-TEST(TmPerNode, UniformBoundsMatchScalarOverload) {
-  Rng rng(55);
-  for (int trial = 0; trial < 20; ++trial) {
-    ForestGenConfig config;
-    config.nodes = 1 + static_cast<std::size_t>(rng.uniform_int(1, 200));
-    config.max_degree = 6;
-    const Forest f = random_forest(config, rng);
-    for (const std::size_t k : {1u, 2u, 4u}) {
-      const std::vector<std::size_t> uniform(f.size(), k);
-      EXPECT_DOUBLE_EQ(tm_optimal_bas(f, uniform).value,
-                       tm_optimal_bas(f, k).value);
+/// A frozen copy of the plain node-indexed DP: per-node CSR child walks
+/// over id-indexed t/m arrays with a comparator-based top-k selection, then
+/// the top-down decision pass.  The library's TM must reproduce its value,
+/// tables and keep mask bit for bit.
+struct ScalarTmRef {
+  std::vector<Value> t, m;
+  std::vector<char> keep;
+  std::vector<NodeId> topk;
+  std::vector<std::pair<NodeId, char>> stack;
+};
+
+Value scalar_ref_tm(const Forest& forest, std::size_t k, ScalarTmRef& s) {
+  enum : char { kRetain = 0, kPruneUp = 1 };
+  const std::size_t n = forest.size();
+  auto& t = s.t;
+  auto& m = s.m;
+  t.assign(n, 0);
+  m.assign(n, 0);
+  s.keep.assign(n, 0);
+  const auto top_k_children = [&](NodeId u) -> std::span<const NodeId> {
+    const std::span<const NodeId> kids = forest.children(u);
+    if (kids.size() <= k) return kids;
+    s.topk.assign(kids.begin(), kids.end());
+    std::nth_element(s.topk.begin(),
+                     s.topk.begin() + static_cast<std::ptrdiff_t>(k),
+                     s.topk.end(), [&](NodeId a, NodeId b) {
+                       if (t[a] != t[b]) return t[a] > t[b];
+                       return a < b;
+                     });
+    return {s.topk.data(), k};
+  };
+  for (std::size_t i = n; i-- > 0;) {
+    const NodeId u = static_cast<NodeId>(i);
+    Value t_u = forest.value(u);
+    for (const NodeId c : top_k_children(u)) t_u += t[c];
+    Value m_u = 0;
+    for (const NodeId c : forest.children(u)) m_u += std::max(t[c], m[c]);
+    t[u] = t_u;
+    m[u] = m_u;
+  }
+  auto& stack = s.stack;
+  stack.clear();
+  for (const NodeId r : forest.roots()) {
+    stack.emplace_back(r, t[r] >= m[r] ? kRetain : kPruneUp);
+  }
+  while (!stack.empty()) {
+    const auto [u, decision] = stack.back();
+    stack.pop_back();
+    if (decision == kRetain) {
+      s.keep[u] = 1;
+      for (const NodeId c : top_k_children(u)) stack.emplace_back(c, kRetain);
+    } else {
+      for (const NodeId c : forest.children(u)) {
+        stack.emplace_back(c, t[c] >= m[c] ? kRetain : kPruneUp);
+      }
     }
   }
+  Value total = 0;
+  for (const NodeId r : forest.roots()) total += std::max(t[r], m[r]);
+  return total;
 }
 
-TEST(TmPerNode, MatchesBruteForceWithMixedBounds) {
-  Rng rng(56);
-  for (int trial = 0; trial < 25; ++trial) {
+// Wide parents (up to 64 children) whose values come from {1, 2, 3, 4}:
+// siblings' t values tie often, so the top-k tie rule (the smaller id
+// wins) decides many keep bits.  Both entries are checked, the forked one
+// with forking forced on.
+TEST(TmOracle, SerialAndForkedMatchTheFrozenDpOnWideTieHeavyForests) {
+  Rng rng(47);
+  for (int trial = 0; trial < 3; ++trial) {
     ForestGenConfig config;
-    config.nodes = 1 + static_cast<std::size_t>(rng.uniform_int(1, 11));
-    config.max_degree = 4;
-    config.root_probability = 0.2;
-    const Forest f = random_forest(config, rng);
-    std::vector<std::size_t> bounds(f.size());
-    for (auto& b : bounds) {
-      b = static_cast<std::size_t>(rng.uniform_int(0, 3));
+    config.nodes = 4096;
+    config.max_degree = 64;
+    Forest f = random_forest(config, rng);
+    for (NodeId v = 0; v < f.size(); ++v) {
+      f.set_value(v, static_cast<Value>(rng.uniform_int(1, 4)));
     }
-    const TmResult tm = tm_optimal_bas(f, bounds);
-    const auto check = validate_bas(f, tm.selection, bounds);
-    ASSERT_TRUE(check) << check.error;
-    const SubForest brute = brute_force_bas(f, bounds);
-    EXPECT_NEAR(tm.value, brute.value(f), 1e-9) << "trial " << trial;
+    ASSERT_GE(f.roots().size(), 2u) << "trial " << trial;
+    for (std::size_t k = 1; k <= 3; ++k) {
+      ScalarTmRef ref;
+      const Value expected = scalar_ref_tm(f, k, ref);
+      TmScratch scratch;
+      TmResult serial;
+      TmResult forked;
+      tm_optimal_bas(f, k, scratch, serial);
+      tm_optimal_bas_forked(f, k, scratch, forked, /*fork_min_nodes=*/1);
+      for (const TmResult* r : {&serial, &forked}) {
+        const char* entry = r == &serial ? "serial" : "forked";
+        EXPECT_EQ(r->value, expected) << entry << " trial " << trial
+                                      << " k=" << k;
+        EXPECT_EQ(r->t, ref.t) << entry << " trial " << trial << " k=" << k;
+        EXPECT_EQ(r->m, ref.m) << entry << " trial " << trial << " k=" << k;
+        EXPECT_EQ(r->selection.keep, ref.keep)
+            << entry << " trial " << trial << " k=" << k;
+      }
+    }
   }
-}
-
-TEST(TmPerNode, ZeroBudgetNodesKeepNoChildren) {
-  // Root budget 0: it may be retained but all children are pruned-down.
-  Forest f;
-  f.add(100);
-  f.add(10, 0);
-  f.add(10, 0);
-  const std::vector<std::size_t> bounds{0, 2, 2};
-  const TmResult r = tm_optimal_bas(f, bounds);
-  EXPECT_DOUBLE_EQ(r.value, 100.0);  // 100 beats pruning up for 20
-  EXPECT_TRUE(r.selection.kept(0));
-  EXPECT_FALSE(r.selection.kept(1));
 }
 
 // The forked entry point fans root trees out across threads; root subtrees

@@ -24,6 +24,9 @@
 //   * google-benchmark --benchmark_out JSON ({"benchmarks": [{"name",
 //     "real_time", "time_unit", "allocs_op", ...}]}); aggregate and
 //     complexity-fit entries (_BigO, _RMS, _mean, ...) are skipped.
+// Both are read as one JSON value with the io token tape (src/io/
+// json_tape.hpp); a file the tape rejects fails the gate with the tape's
+// ParseError message.
 //
 // Metrics present in the baseline but missing from the current run fail the
 // gate (a silently dropped metric is a dropped guarantee); metrics only in
@@ -34,9 +37,7 @@
 // context.num_cpus) next to the runner's own, so a stale or mismatched
 // baseline is visible in every log; when the two differ a dedicated
 // "CORES MISMATCH" line calls it out explicitly (non-fatal — the
-// tolerance / --warn-time policy still owns pass/fail).  Rows named XScalarRef are paired with
-// row X and the current run's ns/op ratio is printed as the measured
-// kernel speedup (informational).
+// tolerance / --warn-time policy still owns pass/fail).
 //
 // --require-cores N declares the core count the baseline's scaling metrics
 // were measured at.  On a runner with fewer cores, every metric whose name
@@ -52,170 +53,56 @@
 // VMs) whose clock-speed drift exceeds any sane tolerance — ci_check.sh
 // enables it automatically below 8 cores, where an identical binary has
 // been observed to swing > 50% between runs (docs/PERF.md).
-#include <cctype>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "json_tape.hpp"
+
 namespace {
 
-// --- minimal JSON -----------------------------------------------------------
+using pobp::io::ParseError;
+using pobp::io::detail::JsonDocument;
+using pobp::io::detail::JsonKind;
 
-struct JValue {
-  enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
-  Type type = Type::kNull;
-  bool boolean = false;
-  double number = 0;
-  std::string string;
-  std::vector<JValue> array;
-  std::vector<std::pair<std::string, JValue>> object;
+constexpr std::size_t kAbsent = JsonDocument::kAbsent;
 
-  const JValue* find(const std::string& key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) return &v;
-    }
-    return nullptr;
+/// Field `key` of object token `object` as a number; -1 when the field is
+/// absent or not a number.
+double number_field(const JsonDocument& doc, std::size_t object,
+                    std::string_view key) {
+  const std::size_t i = doc.find(object, key);
+  return i != kAbsent && doc[i].kind == JsonKind::kNumber ? doc[i].number
+                                                          : -1;
+}
+
+/// Field `key` of object token `object` as a string; nullopt when the
+/// field is absent or not a string.
+std::optional<std::string> string_field(const JsonDocument& doc,
+                                        std::size_t object,
+                                        std::string_view key) {
+  const std::size_t i = doc.find(object, key);
+  if (i == kAbsent || doc[i].kind != JsonKind::kString) return std::nullopt;
+  return doc.string(i);
+}
+
+/// Calls fn(i) for every object item i of array token `array` (nothing
+/// when `array` is absent or not an array).
+template <typename Fn>
+void for_each_object(const JsonDocument& doc, std::size_t array, Fn&& fn) {
+  if (array == kAbsent || doc[array].kind != JsonKind::kArray) return;
+  for (std::size_t j = 0, i = array + 1; j < doc[array].size;
+       ++j, i = doc.next(i)) {
+    if (doc[i].kind == JsonKind::kObject) fn(i);
   }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(std::string text) : text_(std::move(text)) {}
-
-  std::optional<JValue> parse() {
-    JValue v;
-    if (!parse_value(v)) return std::nullopt;
-    skip_ws();
-    if (pos_ != text_.size()) return std::nullopt;
-    return v;
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  bool parse_value(JValue& out) {
-    skip_ws();
-    if (pos_ >= text_.size()) return false;
-    const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
-    if (c == '"') {
-      out.type = JValue::Type::kString;
-      return parse_string(out.string);
-    }
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out.type = JValue::Type::kBool;
-      out.boolean = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out.type = JValue::Type::kBool;
-      pos_ += 5;
-      return true;
-    }
-    if (text_.compare(pos_, 4, "null") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    return parse_number(out);
-  }
-
-  bool parse_object(JValue& out) {
-    out.type = JValue::Type::kObject;
-    if (!consume('{')) return false;
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      std::string key;
-      if (!parse_string(key)) return false;
-      if (!consume(':')) return false;
-      JValue value;
-      if (!parse_value(value)) return false;
-      out.object.emplace_back(std::move(key), std::move(value));
-      if (consume(',')) continue;
-      return consume('}');
-    }
-  }
-
-  bool parse_array(JValue& out) {
-    out.type = JValue::Type::kArray;
-    if (!consume('[')) return false;
-    if (consume(']')) return true;
-    for (;;) {
-      JValue value;
-      if (!parse_value(value)) return false;
-      out.array.push_back(std::move(value));
-      if (consume(',')) continue;
-      return consume(']');
-    }
-  }
-
-  bool parse_string(std::string& out) {
-    if (pos_ >= text_.size() || text_[pos_] != '"') return false;
-    ++pos_;
-    out.clear();
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u':  // keep the raw escape; names never need code points
-            out += "\\u";
-            break;
-          default: out += esc; break;
-        }
-      } else {
-        out += c;
-      }
-    }
-    return false;
-  }
-
-  bool parse_number(JValue& out) {
-    const std::size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    out.type = JValue::Type::kNumber;
-    out.number = std::strtod(text_.substr(start, pos_ - start).c_str(),
-                             nullptr);
-    return true;
-  }
-
-  std::string text_;
-  std::size_t pos_ = 0;
-};
+}
 
 // --- metric extraction ------------------------------------------------------
 
@@ -233,9 +120,12 @@ double to_ns(double value, const std::string& unit) {
   return value;  // ns (google-benchmark's default)
 }
 
-bool is_aggregate(const JValue& entry, const std::string& name) {
-  if (const JValue* rt = entry.find("run_type")) {
-    if (rt->string != "iteration") return true;
+bool is_aggregate(const JsonDocument& doc, std::size_t entry,
+                  const std::string& name) {
+  const std::size_t rt = doc.find(entry, "run_type");
+  if (rt != kAbsent && !(doc[rt].kind == JsonKind::kString &&
+                         doc.string_is(rt, "iteration"))) {
+    return true;
   }
   return name.find("_BigO") != std::string::npos ||
          name.find("_RMS") != std::string::npos ||
@@ -259,53 +149,57 @@ std::optional<LoadResult> load(const std::string& path) {
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  auto root = JsonParser(buffer.str()).parse();
-  if (!root || root->type != JValue::Type::kObject) {
-    std::cerr << "bench_compare: " << path << ": not a JSON object\n";
-    return std::nullopt;
-  }
+  const std::string text = buffer.str();
+  try {
+    const JsonDocument doc(text, 1);
+    if (doc[0].kind != JsonKind::kObject) {
+      std::cerr << "bench_compare: " << path << ": not a JSON object\n";
+      return std::nullopt;
+    }
 
-  LoadResult result;
-  // bench_common JsonWriter records "cores" at the top level;
-  // google-benchmark records context.num_cpus.
-  if (const JValue* cores = root->find("cores")) {
-    result.recorded_cores = static_cast<int>(cores->number);
-  } else if (const JValue* ctx = root->find("context")) {
-    if (const JValue* cpus = ctx->find("num_cpus")) {
-      result.recorded_cores = static_cast<int>(cpus->number);
+    LoadResult result;
+    // bench_common JsonWriter records "cores" at the top level;
+    // google-benchmark records context.num_cpus.
+    result.recorded_cores = static_cast<int>(number_field(doc, 0, "cores"));
+    if (const std::size_t ctx = doc.find(0, "context");
+        result.recorded_cores < 0 && ctx != kAbsent &&
+        doc[ctx].kind == JsonKind::kObject) {
+      result.recorded_cores =
+          static_cast<int>(number_field(doc, ctx, "num_cpus"));
     }
-  }
-  std::map<std::string, Sample>& out = result.samples;
-  if (const JValue* metrics = root->find("metrics")) {
-    // bench_common.hpp JsonWriter format.
-    for (const JValue& m : metrics->array) {
-      const JValue* name = m.find("name");
-      if (name == nullptr) continue;
-      Sample s;
-      if (const JValue* v = m.find("ns_per_op")) s.ns_per_op = v->number;
-      if (const JValue* v = m.find("allocs_per_op")) {
-        s.allocs_per_op = v->number;
-      }
-      if (const JValue* v = m.find("ops_per_s")) s.ops_per_s = v->number;
-      if (const JValue* v = m.find("value")) s.value = v->number;
-      out[name->string] = s;
+    std::map<std::string, Sample>& out = result.samples;
+    if (const std::size_t metrics = doc.find(0, "metrics");
+        metrics != kAbsent) {
+      // bench_common.hpp JsonWriter format.
+      for_each_object(doc, metrics, [&](std::size_t m) {
+        const std::optional<std::string> name = string_field(doc, m, "name");
+        if (!name) return;
+        out[*name] = {.ns_per_op = number_field(doc, m, "ns_per_op"),
+                      .allocs_per_op = number_field(doc, m, "allocs_per_op"),
+                      .ops_per_s = number_field(doc, m, "ops_per_s"),
+                      .value = number_field(doc, m, "value")};
+      });
+      return result;
     }
-    return result;
-  }
-  if (const JValue* benchmarks = root->find("benchmarks")) {
-    // google-benchmark --benchmark_out format.
-    for (const JValue& b : benchmarks->array) {
-      const JValue* name = b.find("name");
-      if (name == nullptr || is_aggregate(b, name->string)) continue;
-      Sample s;
-      if (const JValue* v = b.find("real_time")) {
-        const JValue* unit = b.find("time_unit");
-        s.ns_per_op = to_ns(v->number, unit ? unit->string : "ns");
-      }
-      if (const JValue* v = b.find("allocs_op")) s.allocs_per_op = v->number;
-      out[name->string] = s;
+    if (const std::size_t benchmarks = doc.find(0, "benchmarks");
+        benchmarks != kAbsent) {
+      // google-benchmark --benchmark_out format.
+      for_each_object(doc, benchmarks, [&](std::size_t b) {
+        const std::optional<std::string> name = string_field(doc, b, "name");
+        if (!name || is_aggregate(doc, b, *name)) return;
+        Sample s;
+        if (const double t = number_field(doc, b, "real_time"); t >= 0) {
+          s.ns_per_op =
+              to_ns(t, string_field(doc, b, "time_unit").value_or("ns"));
+        }
+        s.allocs_per_op = number_field(doc, b, "allocs_op");
+        out[*name] = s;
+      });
+      return result;
     }
-    return result;
+  } catch (const ParseError& e) {
+    std::cerr << "bench_compare: " << path << ": " << e.what() << "\n";
+    return std::nullopt;
   }
   std::cerr << "bench_compare: " << path
             << ": neither \"metrics\" nor \"benchmarks\" found\n";
@@ -430,22 +324,6 @@ int main(int argc, char** argv) {
     if (baseline->find(name) == baseline->end()) {
       std::cout << "new  " << name << " (no baseline, not gated)\n";
     }
-  }
-
-  // Kernel speedup report: a row named XScalarRef/... is a bench-local
-  // copy of the pre-vectorization implementation of X/... on the same
-  // input, so the ratio of the *current* run's pair is the measured
-  // speedup on this runner (informational — the ns/op gates above own
-  // pass/fail).
-  for (const auto& [name, cur] : *current) {
-    const std::size_t tag = name.find("ScalarRef");
-    if (tag == std::string::npos || cur.ns_per_op <= 0) continue;
-    const std::string partner = name.substr(0, tag) + name.substr(tag + 9);
-    const auto it = current->find(partner);
-    if (it == current->end() || it->second.ns_per_op <= 0) continue;
-    std::cout << "info " << partner << ": " << cur.ns_per_op / it->second.ns_per_op
-              << "x vs scalar reference (" << it->second.ns_per_op << " vs "
-              << cur.ns_per_op << " ns/op)\n";
   }
 
   if (regressions > 0) {

@@ -135,7 +135,6 @@ commands:
              --jobs FILE
   bench      run the microbenchmark suite (launches the bench_runtime
              binary built next to this executable)
-             [--kernels]   (SoA/SIMD kernel rows + scalar-reference twins)
              [--filter REGEX] [--min-time SECONDS] [--out FILE]  (json)
   bas        optimal k-BAS of a value forest (Procedure TM, §3.2)
              --forest FILE --k K [--heuristic]   (LevelledContraction too)
@@ -996,9 +995,7 @@ int cmd_info(const Flags& flags) {
 }
 
 /// Thin launcher over the google-benchmark binary built next to this
-/// executable (bench/bench_runtime in the same build tree).  `--kernels`
-/// narrows to the SoA/SIMD kernel rows and their scalar-reference twins —
-/// the pairs docs/PERF.md ("Kernel microbenchmarks") reads speedups from.
+/// executable (bench/bench_runtime in the same build tree).
 int cmd_bench(const Flags& flags) {
   namespace fs = std::filesystem;
   std::error_code ec;
@@ -1018,11 +1015,6 @@ int cmd_bench(const Flags& flags) {
     return kExitFileOpen;
   }
   std::vector<std::string> args{bin.string()};
-  if (flags.has("kernels")) {
-    args.push_back(
-        "--benchmark_filter=^(BM_TmChildMerge|BM_EdfSweep|BM_LsaClassify|"
-        "BM_ValidateFast)(ScalarRef)?/");
-  }
   if (flags.has("filter")) {
     args.push_back("--benchmark_filter=" + flags.str("filter"));
   }
